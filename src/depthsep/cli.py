@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -146,11 +147,15 @@ def reduce_cmd(d, big_d, blocks, seed, base_path, base_width, out):
     click.echo(json.dumps(report, sort_keys=True))
 
 
-def _parse_a1(text: str) -> list[tuple[int, int]]:
-    left, right = text.split("x")
-    ds = [int(t) for t in left.split(",") if t]
-    Ds = [int(t) for t in right.split(",") if t]
-    return [(d, D) for d in ds for D in Ds]
+def _spec_ints(option: str, text: str, pattern: str) -> list[list[int]]:
+    """Positive integer lists captured by the groups of a lemma spec."""
+    match = re.fullmatch(pattern, text.replace(" ", ""))
+    if match is None:
+        raise click.BadParameter(f"cannot parse {text!r}", param_hint=option)
+    groups = [[int(t) for t in g.split(",")] for g in match.groups()]
+    if min(min(g) for g in groups) < 1:
+        raise click.BadParameter(f"values in {text!r} must be positive", param_hint=option)
+    return groups
 
 
 @main.command("verify-lemmas")
@@ -165,40 +170,24 @@ def verify_lemmas_cmd(a1_spec, a2_spec, l2_spec, out):
     """Exact-arithmetic verification of the combinatorial bounds."""
     if not any((a1_spec, a2_spec, l2_spec)):
         raise click.UsageError("pass at least one of --a1 / --a2 / --l2")
-    reports = []
+    jobs = []
     if a1_spec:
-        for d, D in _parse_a1(a1_spec):
-            reports.append({"lemma": "a1", **reduction.multinomial_square_ratio_report(d, D)})
+        ds, Ds = _spec_ints("--a1", a1_spec, r"(\d+(?:,\d+)*),?x(\d+(?:,\d+)*),?")
+        jobs += [("a1", reduction.multinomial_square_ratio_report, (d, D)) for d in ds for D in Ds]
     if a2_spec:
-        k = int(a2_spec.replace("d<=", "").strip())
-        for d in range(1, k + 1):
-            reports.append({"lemma": "a2", **reduction.mgf_bound_report(d, Fraction(1, 48 * d))})
+        [[k]] = _spec_ints("--a2", a2_spec, r"d<=(\d+)")
+        jobs += [("a2", reduction.mgf_bound_report, (d, Fraction(1, 48 * d))) for d in range(1, k + 1)]
     if l2_spec:
-        params = dict(part.split("=") for part in l2_spec.split(","))
-        d, D = int(params["d"]), int(params["D"])
-        bound = Fraction(64, 4 ** (4 * d + D))
-        worst = Fraction(0)
-        ok = True
-        for xi in range(2**d):
-            for yi in range(2**d):
-                xb = [(xi >> j) & 1 for j in range(d)]
-                yb = [(yi >> j) & 1 for j in range(d)]
-                val = reduction.exact_l2_norm_squared(xb, yb, D)
-                worst = max(worst, val / bound)
-                ok = ok and val <= bound
-        reports.append(
-            {
-                "lemma": "l2",
-                "check": "pair-law-l2-norm",
-                "parameters": {"d": d, "D": D},
-                "max_ratio": float(worst),
-                "bound_armed": D >= 100 * d,
-                "pass": ok if D >= 100 * d else True,
-            }
-        )
-    doc = json.dumps({"reports": reports, "pass": all(r["pass"] for r in reports)}, sort_keys=True)
+        [d], [D] = _spec_ints("--l2", l2_spec, r"d=(\d+),D=(\d+)")
+        jobs.append(("l2", reduction.l2_bound_report, (d, D)))
+    try:
+        reports = [{"lemma": lemma, **run(*args)} for lemma, run, args in jobs]
+    except (ValueError, reduction.EnumerationBudget) as exc:
+        raise click.UsageError(str(exc)) from exc
+    ok = bool(reports) and all(r["pass"] for r in reports)
+    doc = json.dumps({"reports": reports, "pass": ok}, sort_keys=True)
     _write(out, doc) if out else click.echo(doc)
-    if not all(r["pass"] for r in reports):
+    if not ok:
         sys.exit(1)
 
 

@@ -269,15 +269,10 @@ def _check_a2(seed: int) -> dict:
 
 
 def _check_l2(seed: int) -> dict:
-    bound = Fraction(64, 4**104)
-    worst = Fraction(0)
-    for xb in ((0,), (1,)):
-        for yb in ((0,), (1,)):
-            val = reduction.exact_l2_norm_squared(xb, yb, D=100)
-            worst = max(worst, val / bound)
-            if val > bound:
-                raise AssertionError(f"l2 bound fails at (x,y)=({xb},{yb})")
-    return {"detail": f"max l2^2/bound ratio {float(worst):.4f} at d=1, D=100"}
+    rep = reduction.l2_bound_report(1, 100)
+    if not rep["pass"]:
+        raise AssertionError(f"l2 bound fails at (x,y)={rep['worst_input']}")
+    return {"detail": f"max l2^2/bound ratio {rep['max_ratio']:.4f} at d=1, D=100"}
 
 
 def _check_equivalences(seed: int) -> dict:

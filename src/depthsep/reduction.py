@@ -21,6 +21,7 @@ analysis rests on.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -45,6 +46,7 @@ __all__ = [
     "block_signatures",
     "exact_count_distribution",
     "exact_l2_norm_squared",
+    "l2_bound_report",
     "multinomial_square_ratio_report",
     "mgf_bound_report",
     "block_input_map",
@@ -315,13 +317,12 @@ def exact_count_distribution(x, y, D: int) -> CountDistribution:
     y = as_bits(y, length=x.size)
     d = x.size
     _enum_guard(d, D)
-    sigs = block_signatures(x, y)
     pad_weights = _even_pad_weights(D)
     numerators: dict[tuple[int, int, int, int], int] = {}
-    for sig in map(tuple, sigs.tolist()):
+    for sig, mult in Counter(map(tuple, block_signatures(x, y).tolist())).items():
         for psig, w in pad_weights.items():
             key = (sig[0] + psig[0], sig[1] + psig[1], sig[2] + psig[2], sig[3] + psig[3])
-            numerators[key] = numerators.get(key, 0) + w
+            numerators[key] = numerators.get(key, 0) + mult * w
     denom = 4**d * (4**D + 2**D) // 2
     return CountDistribution(numerators=numerators, denominator=denom, total_length=4 * d + D)
 
@@ -333,13 +334,30 @@ def exact_l2_norm_squared(x, y, D: int) -> Fraction:
     over the multinomial(4d+D; n1..n4) arrangements, so the squared norm is
     sum_sig P[sig]^2 / multinomial(4d+D; sig).  For D >= 100 d this is at
     most 64 * 4^{-(4d+D)}, eight times the uniform law's norm, squared.
+    With P[sig] = num / denom: sum_sig num^2 n1! n2! n3! n4! / (N! denom^2).
     """
     law = exact_count_distribution(x, y, D)
-    N = law.total_length
-    acc = Fraction(0)
-    for sig, num in law.numerators.items():
-        acc += Fraction(num * num, _multinom(N, sig))
-    return acc / (law.denominator**2)
+    f = [math.factorial(k) for k in range(law.total_length + 1)]
+    acc = sum(num * num * f[a] * f[b] * f[c] * f[e] for (a, b, c, e), num in law.numerators.items())
+    return Fraction(acc, f[-1] * law.denominator**2)
+
+
+def l2_bound_report(d: int, D: int) -> dict:
+    """Check exact_l2_norm_squared(x, y, D) <= 64 * 4^{-(4d+D)} over all 4^d inputs;
+    the bound is armed only for D >= 100 d, below it the worst ratio is reported."""
+    bound = Fraction(64, 4 ** (4 * d + D))
+    vecs = [[(i >> j) & 1 for j in range(d)] for i in range(2**d)]
+    ratios = [(exact_l2_norm_squared(x, y, D) / bound, [x, y]) for x in vecs for y in vecs]
+    worst, worst_input = max(ratios, key=lambda r: r[0])
+    armed = D >= 100 * d
+    return {
+        "check": "pair-law-l2-norm",
+        "parameters": {"d": d, "D": D},
+        "max_ratio": float(worst),
+        "worst_input": worst_input,
+        "bound_armed": armed,
+        "pass": worst <= 1 or not armed,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +365,19 @@ def exact_l2_norm_squared(x, y, D: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _splits4(total: int) -> Iterator[tuple[int, int, int, int]]:
-    return _compositions4(total)
+@lru_cache(maxsize=4)
+def _squared_multinomials(D: int) -> tuple[tuple[tuple[int, int, int, int], int], ...]:
+    return tuple((comp, _multinom(D, comp) ** 2) for comp in _compositions4(D))
+
+
+def _a1_lhs(split: tuple[int, int, int, int], D: int) -> Fraction:
+    """Exact LHS of the ratio bound for one split of d, as one integer sum over
+    (D + d)!: sum_comp multinomial(D; comp)^2 prod_i (comp_i + split_i)!."""
+    f = [math.factorial(k) for k in range(D + sum(split) + 1)]
+    s0, s1, s2, s3 = split
+    terms = (sq * f[a + s0] * f[b + s1] * f[c + s2] * f[e + s3]
+             for (a, b, c, e), sq in _squared_multinomials(D))
+    return Fraction(sum(terms), f[-1])
 
 
 def multinomial_square_ratio_report(d: int, D: int) -> dict:
@@ -370,11 +399,8 @@ def multinomial_square_ratio_report(d: int, D: int) -> dict:
     worst_split = None
     failures = []
     with mp.workprec(220):
-        for split in _splits4(d):
-            lhs = Fraction(0)
-            for comp in _compositions4(D):
-                shifted = tuple(comp[i] + split[i] for i in range(4))
-                lhs += Fraction(_multinom(D, comp) ** 2, _multinom(D + d, shifted))
+        for split in _compositions4(d):
+            lhs = _a1_lhs(split, D)
             spread = sum((mp.mpf(di) - mp.mpf(d) / 4) ** 2 for di in split)
             rhs = (
                 mp.e ** (mp.mpf(4) / D * spread)

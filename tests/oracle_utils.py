@@ -1,12 +1,14 @@
 """Shared brute-force oracles used by the unit and acceptance suites.
 
 These deliberately avoid the library's own code paths (convolutions,
-count-signature shortcuts) so they can arbitrate disagreements.
+count-signature shortcuts, common-denominator sums) so they can arbitrate
+disagreements.
 """
 
 import itertools
 from collections import defaultdict
 from fractions import Fraction
+from math import factorial
 
 
 def brute_force_pair_law(xbits, ybits, D):
@@ -36,3 +38,57 @@ def brute_force_pair_law(xbits, ybits, D):
                     law[(X, Y)] += 1
                     total += 1
     return {k: Fraction(v, total) for k, v in law.items()}
+
+
+def multinomial(n, parts):
+    out = factorial(n)
+    for p in parts:
+        out //= factorial(p)
+    return out
+
+
+def compositions4(total):
+    return [c for c in itertools.product(range(total + 1), repeat=4) if sum(c) == total]
+
+
+def per_mask_count_numerators(xbits, ybits, D):
+    """Integer numerators of the count-signature law: every one of the 4^d
+    mask arrangements is convolved on its own with the even-pad
+    multinomials, repeated signatures included.  The numerators sum to the
+    law's common denominator."""
+    d = len(xbits)
+    pads = {c: multinomial(D, c) for c in compositions4(D) if c[3] % 2 == 0}
+    law = defaultdict(int)
+    for xm in itertools.product((0, 1), repeat=d):
+        for ym in itertools.product((0, 1), repeat=d):
+            xs = tuple(a ^ m for a, m in zip(xbits, xm))
+            ys = tuple(a ^ m for a, m in zip(ybits, ym))
+            base = [0, 0, 0, 0]
+            for a, b in zip(xs + xm + xs + xm, ys + ym + ym + ys):
+                base[2 * a + b] += 1
+            for pad, w in pads.items():
+                law[tuple(b + p for b, p in zip(base, pad))] += w
+    return dict(law)
+
+
+def fraction_l2_norm_squared(xbits, ybits, D):
+    """Squared L2 norm of the randomized pair law with one Fraction per
+    signature: sum_sig P[sig]^2 / multinomial(4d + D; sig)."""
+    numerators = per_mask_count_numerators(xbits, ybits, D)
+    N = 4 * len(xbits) + D
+    denom = sum(numerators.values())
+    acc = Fraction(0)
+    for sig, num in numerators.items():
+        acc += Fraction(num * num, multinomial(N, sig))
+    return acc / denom**2
+
+
+def fraction_a1_lhs(split, D):
+    """LHS of the multinomial square-ratio bound for one split of d, one
+    Fraction per composition of D."""
+    d = sum(split)
+    acc = Fraction(0)
+    for comp in compositions4(D):
+        shifted = tuple(c + s for c, s in zip(comp, split))
+        acc += Fraction(multinomial(D, comp) ** 2, multinomial(D + d, shifted))
+    return acc

@@ -123,10 +123,29 @@ class TestVerifyLemmas:
         assert {r["lemma"] for r in doc["reports"]} == {"a1", "a2", "l2"}
         for r in doc["reports"]:
             assert {"lemma", "parameters", "max_ratio", "pass"} <= set(r)
+        [l2] = [r for r in doc["reports"] if r["lemma"] == "l2"]
+        assert l2["worst_input"] in ([[x], [y]] for x in (0, 1) for y in (0, 1))
 
     def test_requires_a_selection(self, runner):
         result = runner.invoke(main, ["verify-lemmas"])
         assert result.exit_code != 0
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--a2", "d<=0"],
+            ["--a1", "4x"],
+            ["--a2", "d<=x"],
+            ["--l2", "d=1"],
+            ["--a1", "3x4"],
+            ["--l2", "d=7,D=4"],
+        ],
+    )
+    def test_bad_spec_is_a_usage_error(self, runner, args):
+        result = runner.invoke(main, ["verify-lemmas", *args])
+        assert result.exit_code == 2, result.output
+        assert "Error:" in result.output
+        assert '"pass"' not in result.output
 
 
 class TestTrainBaseline:

@@ -6,18 +6,25 @@ establishes the conditional-uniformity fact the closed form relies on.
 """
 
 import itertools
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction
 from math import comb, factorial
 
 import numpy as np
 import pytest
+from oracle_utils import (
+    compositions4,
+    fraction_a1_lhs,
+    fraction_l2_norm_squared,
+    per_mask_count_numerators,
+)
 
 from depthsep.bits import ip_mod2
 from depthsep.networks import RELU, DenseNetwork
 from depthsep.reduction import (
     EnumerationBudget,
     ReductionConfig,
+    _a1_lhs,
     block_input_map,
     block_signatures,
     build_averaged_network,
@@ -26,6 +33,7 @@ from depthsep.reduction import (
     exact_l2_norm_squared,
     expand_pair,
     hoeffding_block_count,
+    l2_bound_report,
     mgf_bound_report,
     multinomial_square_ratio_report,
     output_bound,
@@ -277,6 +285,22 @@ class TestExactLaw:
         with pytest.raises(EnumerationBudget):
             exact_count_distribution([1] * 7, [0] * 7, D=4)
 
+    def test_numerators_match_per_mask_convolution(self):
+        """Convolving each distinct mask signature once, weighted by its
+        multiplicity, gives the numerators of convolving all 4^d rows; the
+        grid holds inputs with all-distinct and with repeated signatures."""
+        repeats_seen = set()
+        for d, Ds in ((1, (1, 4, 9)), (2, (1, 3, 6))):
+            for x, y in itertools.product(itertools.product((0, 1), repeat=d), repeat=2):
+                mults = Counter(map(tuple, block_signatures(x, y).tolist())).values()
+                repeats_seen.add(max(mults) > 1)
+                for D in Ds:
+                    law = exact_count_distribution(x, y, D=D)
+                    oracle = per_mask_count_numerators(x, y, D)
+                    assert law.numerators == oracle
+                    assert law.denominator == sum(oracle.values())
+        assert repeats_seen == {False, True}
+
 
 class TestL2Oracle:
     def test_matches_brute_force_at_tiny_size(self):
@@ -312,6 +336,25 @@ class TestL2Oracle:
             b = exact_l2_norm_squared([1, 1], [0, 1], D=D)
             assert b == exact_l2_norm_squared([0, 1], [1, 1], D=D)  # swap
             assert b == exact_l2_norm_squared([1, 1], [1, 0], D=D)  # reverse both
+
+    def test_matches_fraction_per_signature_sum(self):
+        for d in (1, 2):
+            for x, y in itertools.product(itertools.product((0, 1), repeat=d), repeat=2):
+                for D in range(1, 13):
+                    assert exact_l2_norm_squared(x, y, D) == fraction_l2_norm_squared(x, y, D)
+
+    def test_bound_report_sweeps_every_input(self):
+        d, D = 2, 6
+        bound = Fraction(64, 4 ** (4 * d + D))
+        vecs = list(itertools.product((0, 1), repeat=d))
+        ratios = {(x, y): exact_l2_norm_squared(x, y, D) / bound for x in vecs for y in vecs}
+        rep = l2_bound_report(d, D)
+        assert rep["max_ratio"] == float(max(ratios.values()))
+        x, y = (tuple(v) for v in rep["worst_input"])
+        assert ratios[(x, y)] == max(ratios.values())
+        assert rep["pass"] and not rep["bound_armed"]
+        armed = l2_bound_report(1, 100)
+        assert armed["pass"] and armed["bound_armed"] and armed["max_ratio"] < 1
 
     def test_uniform_baseline(self):
         # the uniform law on pairs would give exactly 4^-(4d+D)
@@ -350,6 +393,11 @@ class TestRatioBound:
             assert report["pass"]
             assert report["max_ratio"] < 1.0
             assert report["n_splits"] == comb(d + 3, 3)
+
+    def test_integer_lhs_matches_fraction_per_composition_sum(self):
+        for d, D in [(4, 4), (4, 8), (8, 4)]:
+            for split in compositions4(d):
+                assert _a1_lhs(split, D) == fraction_a1_lhs(split, D)
 
     def test_divisibility_enforced(self):
         with pytest.raises(ValueError):
