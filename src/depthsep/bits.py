@@ -58,6 +58,13 @@ def round_half_away(v) -> np.ndarray:
     numpy's ``round`` uses banker's rounding; the fixed away-from-zero rule
     keeps the target function total on all inputs (ties never occur on the
     sampled support, where scaled coordinates lie in [0, 1/4] u [3/4, 1]).
+    Raises ValueError on non-finite entries and on magnitudes of 2^53 or
+    more, where float64 no longer holds every integer.
     """
     arr = np.asarray(v, dtype=np.float64)
-    return np.where(arr >= 0, np.floor(arr + 0.5), np.ceil(arr - 0.5)).astype(np.int64)
+    if not (np.abs(arr) < 2.0**53).all():
+        raise ValueError("rounding needs finite entries of magnitude below 2^53")
+    # trunc and the fraction are exact, unlike floor(v + 0.5), which rounds
+    # 0.49999999999999994 and odd integers above 2^52 up by one
+    whole = np.trunc(arr)
+    return (whole + np.where(np.abs(arr - whole) >= 0.5, np.sign(arr), 0.0)).astype(np.int64)

@@ -58,14 +58,17 @@ def eval_cmd(d, net_path, points):
     """Evaluate the hard target or a serialized network at given points."""
     if (d is None) == (net_path is None):
         raise click.UsageError("pass exactly one of --d or --net")
+    if net_path is not None:
+        net = networks.network_from_json(Path(net_path).read_text(encoding="utf-8"))
     vals = []
     for text in points:
-        p = np.array([float(t) for t in text.split(",")])
-        if d is not None:
-            vals.append(instance.eval_f(d, p))
-        else:
-            net = networks.network_from_json(Path(net_path).read_text(encoding="utf-8"))
-            vals.append(net.evaluate(p))
+        try:
+            p = np.array([float(t) for t in text.split(",")])
+            if not np.isfinite(p).all():
+                raise ValueError("coordinates must be finite")
+            vals.append(instance.eval_f(d, p) if d is not None else net.evaluate(p))
+        except ValueError as exc:
+            raise click.BadParameter(f"{text!r}: {exc}", param_hint="--point") from exc
     click.echo(json.dumps({"values": vals}, sort_keys=True))
 
 
@@ -253,11 +256,9 @@ def report_cmd(d, widths, epochs, seed, config_path, out):
 @click.option("--out", type=str, default=None, help="JSON summary path.")
 def verify_all_cmd(seed, only, instance_path, out):
     """Run the full verification battery; nonzero exit on any failure."""
-    spec_override = None
-    if instance_path:
-        spec_override = instance.spec_from_json(Path(instance_path).read_text(encoding="utf-8"))
     only_list = [t for t in only.split(",") if t] if only else None
-    summary = harness.verify_all(seed=seed, only=only_list, spec_override=spec_override)
+    text = Path(instance_path).read_text(encoding="utf-8") if instance_path else None
+    summary = harness.verify_all(seed=seed, only=only_list, spec_override=text)
     doc = json.dumps(summary, sort_keys=True, indent=2)
     _write(out, doc) if out else click.echo(doc)
     if not summary["pass"]:

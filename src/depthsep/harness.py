@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,8 +30,9 @@ def measure_sup_error(
     seed: int,
     batch: int = 10_000,
 ) -> float:
-    """Max |net - target| over n fresh support samples, evaluated in chunks
-    so wide networks stay within memory."""
+    """Max |net - target| over n fresh support samples, drawn in chunks of
+    ``batch`` with one seed per chunk: ``batch`` only fixes those seeds, as
+    ``evaluate_batch`` bounds its own memory with row blocks."""
     worst = 0.0
     drawn = 0
     chunk_id = 0
@@ -159,6 +161,8 @@ def run_separation_experiment(
 
 
 def _check_packing(seed: int, spec_override=None) -> dict:
+    if isinstance(spec_override, str):
+        spec_override = instance.spec_from_json(spec_override)  # validates on load
     if spec_override is not None:
         spec_override.packing.validate()
         return {"detail": "override instance packing invariants hold"}
@@ -363,19 +367,21 @@ CHECK_NAMES = tuple(_CHECKS)
 
 def verify_all(seed: int = 0, only=None, spec_override=None) -> dict:
     """Run the verification battery; returns a JSON-ready summary with one
-    entry per check and an overall pass flag."""
+    entry per check and an overall pass flag.  Each entry carries its wall
+    time ``elapsed_s``; a failed one also the exception type as ``error``.
+    ``spec_override`` (an InstanceSpec or its JSON text) replaces the
+    packing check's instances."""
     names = CHECK_NAMES if not only else tuple(only)
     unknown = [n for n in names if n not in _CHECKS]
     if unknown:
         raise ValueError(f"unknown checks: {unknown}; valid: {list(CHECK_NAMES)}")
     results = []
     for name in names:
+        start = time.perf_counter()
         try:
-            if name == "packing":
-                info = _CHECKS[name](seed, spec_override)
-            else:
-                info = _CHECKS[name](seed)
-            results.append({"name": name, "pass": True, **info})
+            args = (seed, spec_override) if name == "packing" else (seed,)
+            entry = {"pass": True, **_CHECKS[name](*args)}
         except Exception as exc:  # noqa: BLE001 - aggregate and report
-            results.append({"name": name, "pass": False, "detail": str(exc)})
+            entry = {"pass": False, "error": type(exc).__name__, "detail": str(exc)}
+        results.append({"name": name, **entry, "elapsed_s": time.perf_counter() - start})
     return {"seed": seed, "pass": all(r["pass"] for r in results), "checks": results}

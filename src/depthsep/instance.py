@@ -53,6 +53,11 @@ PACKING_SPHERE_RADIUS = 0.76
 MIN_PAIRWISE_DISTANCE = 0.4
 NORM_BOUND = 0.8
 
+# Greedy packing: proposals drawn and Gram-screened per matmul, and the band
+# around 0.4^2 in which a screened squared distance is recomputed exactly.
+_PROPOSAL_BLOCK = 512
+_SCREEN_SLACK = 1e-9
+
 
 class PackingInfeasible(RuntimeError):
     """Raised when greedy placement exhausts its proposal budget."""
@@ -90,18 +95,24 @@ class Packing:
 
 
 def _min_pairwise(points: np.ndarray, block: int = 512) -> float:
-    """Minimum distance over unordered point pairs, blocked to bound memory."""
-    n = points.shape[0]
+    """Minimum distance over unordered point pairs, blocked to bound memory.
+
+    The Gram screen |a|^2 + |b|^2 - 2 a.b errs by less than ``slack``; rows
+    within 2 slack of the screened minimum are recomputed as ((a - b)**2).sum(),
+    so the result is that difference formula's."""
+    n, dim = points.shape
     if n < 2:
         return math.inf
-    best = math.inf
-    for i in range(0, n, block):
-        blk = points[i : i + block]
-        d2 = ((blk[:, None, :] - points[None, :, :]) ** 2).sum(-1)
-        for r in range(blk.shape[0]):
-            g = i + r
-            if g + 1 < n:
-                best = min(best, float(d2[r, g + 1 :].min()))
+    sq = (points * points).sum(1)
+    row_min = np.empty(n - 1)
+    for i in range(0, n - 1, block):
+        m = min(block, n - 1 - i)
+        d2 = sq[i : i + m, None] + sq[None, i:] - 2.0 * (points[i : i + m] @ points[i:].T)
+        d2[np.tril_indices(m, 0, n - i)] = np.inf
+        row_min[i : i + m] = d2.min(1)
+    slack = 64 * dim * np.finfo(np.float64).eps * sq.max()
+    rows = np.flatnonzero(row_min <= row_min.min() + 2 * slack)
+    best = min(float(((points[i] - points[i + 1 :]) ** 2).sum(-1).min()) for i in rows)
     return math.sqrt(best)
 
 
@@ -127,17 +138,26 @@ def build_packing(d: int, seed: int, max_attempts: int | None = None) -> Packing
     rng = np.random.default_rng(seed)
     dim = 2 * d
     pts = np.empty((n, dim))
-    placed = 0
-    for _ in range(max_attempts):
-        v = rng.standard_normal(dim)
-        v *= PACKING_SPHERE_RADIUS / np.linalg.norm(v)
-        if placed == 0 or (
-            np.linalg.norm(pts[:placed] - v, axis=1) > MIN_PAIRWISE_DISTANCE
-        ).all():
-            pts[placed] = v
-            placed += 1
-            if placed == n:
-                break
+    placed = drawn = 0
+    close = MIN_PAIRWISE_DISTANCE**2 - _SCREEN_SLACK
+    while placed < n and drawn < max_attempts:
+        # A block of draws is the same stream as single draws.  The screen
+        # 2r^2 - 2 v.p is the squared distance to points placed before the
+        # block to ~1e-15; survivors are rescaled and tested as single draws.
+        raw = rng.standard_normal((min(_PROPOSAL_BLOCK, max_attempts - drawn), dim))
+        drawn += raw.shape[0]
+        start = placed
+        approx = raw * (PACKING_SPHERE_RADIUS / np.linalg.norm(raw, axis=1))[:, None]
+        screen = 2 * PACKING_SPHERE_RADIUS**2 - 2.0 * (approx @ pts[:start].T)
+        for k in np.flatnonzero((screen >= close).all(axis=1)):
+            v = raw[k] * (PACKING_SPHERE_RADIUS / np.linalg.norm(raw[k]))
+            near = np.flatnonzero(screen[k] <= close + 2 * _SCREEN_SLACK)
+            others = np.concatenate((pts[near], pts[start:placed]))
+            if (np.linalg.norm(others - v, axis=1) > MIN_PAIRWISE_DISTANCE).all():
+                pts[placed] = v
+                placed += 1
+                if placed == n:
+                    break
     if placed < n:
         raise PackingInfeasible(
             f"placed {placed}/{n} points in {max_attempts} attempts "
@@ -305,16 +325,21 @@ def spec_to_json(spec: InstanceSpec) -> str:
 
 
 def spec_from_json(text: str) -> InstanceSpec:
+    """Load an instance; ValueError if d disagrees with the points or they break an invariant."""
     doc = json.loads(text)
+    d = int(doc["d"])
     pts = np.asarray(doc["points"], dtype=np.float64)
+    if not (1 <= d <= MAX_SUPPORTED_D and pts.shape == (4**d, 2 * d) and np.isfinite(pts).all()):
+        raise ValueError(f"d={d} needs 4^d finite points in dim 2d, got shape {pts.shape}")
     packing = Packing(
         dim=pts.shape[1],
         points=pts,
         min_pairwise_distance=_min_pairwise(pts),
         radius_bound=float(np.linalg.norm(pts, axis=1).max()),
     )
+    packing.validate()
     return InstanceSpec(
-        d=int(doc["d"]),
+        d=d,
         packing=packing,
         matching=np.asarray(doc["matching"], dtype=np.int64),
         seed=int(doc["seed"]),

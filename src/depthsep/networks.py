@@ -78,6 +78,10 @@ SIGMOID = Activation(
     "sigmoid", _sigmoid, lipschitz=0.25, variation=(1.0, 0.0), monotone=True
 )
 
+# Rows are evaluated in blocks so that one hidden activation block holds
+# about this many float64 values, which bounds the temporaries.
+_ACTIVATION_BLOCK = 1 << 18
+
 _BUILTIN_ACTIVATIONS = {"relu": RELU, "threshold": THRESHOLD, "sigmoid": SIGMOID}
 
 
@@ -138,10 +142,16 @@ class DenseNetwork:
             X = X[None, :]
         if X.shape[1] != self.input_dim:
             raise ValueError(f"input dim {X.shape[1]} != {self.input_dim}")
-        h = X
-        for W, b in self.hidden:
-            h = self.activation(h @ W.T + b)
-        return h @ self.out_w + self.out_b
+        rows = max(1, _ACTIVATION_BLOCK // max(self.widths, default=1))
+        out = np.empty(X.shape[0])
+        for i in range(0, X.shape[0], rows):
+            h = X[i : i + rows]
+            for W, b in self.hidden:
+                z = h @ W.T
+                z += b
+                h = self.activation(z)
+            out[i : i + rows] = h @ self.out_w + self.out_b
+        return out
 
     def evaluate(self, x: np.ndarray) -> float:
         return float(self.evaluate_batch(np.asarray(x, dtype=np.float64)[None, :])[0])
@@ -157,17 +167,13 @@ class ThresholdCircuit:
     """
 
     base: DenseNetwork
-    output_threshold: bool = True
 
     def __post_init__(self):
         if self.base.activation.tag != "threshold":
             raise ValueError("circuit base must use the threshold activation")
 
     def evaluate_batch(self, X: np.ndarray) -> np.ndarray:
-        out = self.base.evaluate_batch(X)
-        if not self.output_threshold:
-            return out
-        return np.where(out >= 0.5, 1, 0).astype(np.int64)
+        return np.where(self.base.evaluate_batch(X) >= 0.5, 1, 0).astype(np.int64)
 
     def evaluate(self, x: np.ndarray) -> int:
         return int(self.evaluate_batch(np.asarray(x, dtype=np.float64)[None, :])[0])
@@ -258,15 +264,16 @@ def network_to_json(net: DenseNetwork) -> str:
 
 
 def network_from_json(text: str) -> DenseNetwork:
+    """Load a network; raise ValueError naming the layer of a non-finite value."""
     doc = json.loads(text)
     hidden = tuple(
         (np.asarray(layer["W"], dtype=np.float64), np.asarray(layer["b"], dtype=np.float64))
         for layer in doc["layers"]
     )
-    return DenseNetwork(
-        int(doc["input_dim"]),
-        hidden,
-        np.asarray(doc["output"]["w"], dtype=np.float64),
-        float(doc["output"]["b"]),
-        activation_by_tag(doc["activation"]),
-    )
+    out_w, out_b = np.asarray(doc["output"]["w"], dtype=np.float64), float(doc["output"]["b"])
+    layers = {f"layer {i}": layer for i, layer in enumerate(hidden)} | {"output": (out_w, out_b)}
+    for name, arrays in layers.items():
+        if not all(np.isfinite(a).all() for a in arrays):
+            raise ValueError(f"{name} holds a non-finite weight or bias")
+    act = activation_by_tag(doc["activation"])
+    return DenseNetwork(int(doc["input_dim"]), hidden, out_w, out_b, act)

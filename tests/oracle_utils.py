@@ -1,14 +1,17 @@
 """Shared brute-force oracles used by the unit and acceptance suites.
 
 These deliberately avoid the library's own code paths (convolutions,
-count-signature shortcuts, common-denominator sums) so they can arbitrate
-disagreements.
+count-signature shortcuts, common-denominator sums, Gram screens, row
+blocks) so they can arbitrate disagreements.
 """
 
 import itertools
+import math
 from collections import defaultdict
 from fractions import Fraction
 from math import factorial
+
+import numpy as np
 
 
 def brute_force_pair_law(xbits, ybits, D):
@@ -92,3 +95,49 @@ def fraction_a1_lhs(split, D):
         shifted = tuple(c + s for c, s in zip(comp, split))
         acc += Fraction(multinomial(D, comp) ** 2, multinomial(D + d, shifted))
     return acc
+
+
+def sequential_greedy_packing(d, seed, max_attempts=None):
+    """The greedy packing one proposal at a time: each proposal is scaled
+    onto the sphere of radius 0.76 and kept when np.linalg.norm puts it more
+    than 0.4 from every placed point.  Returns (points, attempts used to
+    place the last point), or (None, max_attempts) when the budget runs out."""
+    n = 4**d
+    if max_attempts is None:
+        max_attempts = max(10_000, 200 * n)
+    rng = np.random.default_rng(seed)
+    pts = np.empty((n, 2 * d))
+    placed = 0
+    for attempt in range(1, max_attempts + 1):
+        v = rng.standard_normal(2 * d)
+        v *= 0.76 / np.linalg.norm(v)
+        if placed == 0 or (np.linalg.norm(pts[:placed] - v, axis=1) > 0.4).all():
+            pts[placed] = v
+            placed += 1
+            if placed == n:
+                return pts, attempt
+    return None, max_attempts
+
+
+def difference_min_pairwise(points, block=512):
+    """Minimum pairwise distance from the full difference tensor
+    ((a - b)**2).sum() of each block of rows against all points."""
+    n = points.shape[0]
+    if n < 2:
+        return math.inf
+    best = math.inf
+    for i in range(0, n, block):
+        blk = points[i : i + block]
+        d2 = ((blk[:, None, :] - points[None, :, :]) ** 2).sum(-1)
+        for r in range(blk.shape[0]):
+            if i + r + 1 < n:
+                best = min(best, float(d2[r, i + r + 1 :].min()))
+    return math.sqrt(best)
+
+
+def dense_forward(net, X):
+    """One-shot forward pass of a DenseNetwork over all rows at once."""
+    h = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    for W, b in net.hidden:
+        h = net.activation(h @ W.T + b)
+    return h @ net.out_w + net.out_b

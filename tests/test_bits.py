@@ -108,6 +108,19 @@ class TestRounding:
         assert np.all(np.abs(out - np.asarray(vals)) <= 0.5 + 1e-12)
 
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300, 2.0**53, -(2.0**53)])
+    def test_rejects_non_finite_and_huge(self, bad):
+        with pytest.raises(ValueError, match="2\\^53"):
+            round_half_away([0.25, bad])
+
+    def test_exact_near_representation_limits(self):
+        top = 2.0**53 - 1
+        assert round_half_away([top, -top]).tolist() == [2**53 - 1, -(2**53 - 1)]
+        below_half = np.nextafter(0.5, 0.0)
+        assert round_half_away([below_half, -below_half]).tolist() == [0, 0]
+        assert round_half_away([2.0**52 + 1, 2.0**52 - 0.5]).tolist() == [2**52 + 1, 2**52]
+
+
 def test_as_bits_validation():
     assert as_bits((1, 0, 1)).dtype == np.int8
     with pytest.raises(ValueError):

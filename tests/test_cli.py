@@ -69,6 +69,25 @@ class TestEval:
         result = runner.invoke(main, ["eval", "--point", "1"])
         assert result.exit_code != 0
 
+    @pytest.mark.parametrize(
+        "point",
+        ["nan,0,0.25,0.25", "0,inf,0.25,0.25", "0,0,1e300,0.25", "0,0,0.25", "0,0,x,0.25", ""],
+    )
+    def test_bad_target_point_is_a_usage_error(self, runner, point):
+        result = runner.invoke(main, ["eval", "--d", "1", "--point", point], catch_exceptions=False)
+        assert result.exit_code == 2, result.output
+        assert "--point" in result.output
+
+    @pytest.mark.parametrize("point", ["nan,1", "2,-inf", "2", "2,9,1"])
+    def test_bad_network_point_is_a_usage_error(self, runner, tmp_path, point):
+        net = networks.DenseNetwork(
+            2, ((np.ones((1, 2)), np.zeros(1)),), np.ones(1), 0.0, networks.RELU
+        )
+        p = tmp_path / "net.json"
+        p.write_text(networks.network_to_json(net))
+        result = runner.invoke(main, ["eval", "--net", str(p), "--point", point], catch_exceptions=False)
+        assert result.exit_code == 2, result.output
+
 
 class TestCompileThreshold:
     def test_files_and_report(self, runner, tmp_path, rng):
@@ -209,3 +228,17 @@ class TestVerifyAllCommand:
         )
         assert result.exit_code == 1
         assert not json.loads(result.output)["pass"]
+
+    def test_corrupted_instance_reports_the_error(self, runner, tmp_path):
+        spec = instance.build_instance(1, seed=4)
+        doc = json.loads(instance.spec_to_json(spec))
+        doc["d"] = 2
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        result = runner.invoke(
+            main, ["verify-all", "--only", "packing", "--instance", str(bad)], catch_exceptions=False
+        )
+        assert result.exit_code == 1
+        [check] = json.loads(result.output)["checks"]
+        assert check["name"] == "packing" and check["error"] == "ValueError"
+        assert "d=2" in check["detail"] and check["elapsed_s"] >= 0

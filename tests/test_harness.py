@@ -92,6 +92,9 @@ class TestVerifyAll:
     def test_fast_subset_passes(self):
         summary = verify_all(seed=0, only=["packing", "centers", "equivalences", "gradient"])
         assert summary["pass"]
+        for check in summary["checks"]:
+            assert isinstance(check["elapsed_s"], float) and check["elapsed_s"] >= 0
+            assert "error" not in check
 
     def test_corrupted_packing_fails(self, spec_module):
         good = spec_module.packing
@@ -111,6 +114,8 @@ class TestVerifyAll:
         summary = verify_all(seed=0, only=["packing"], spec_override=corrupted)
         assert not summary["pass"]
         assert "pairwise distance" in summary["checks"][0]["detail"]
+        assert summary["checks"][0]["error"] == "ValueError"
+        assert summary["checks"][0]["elapsed_s"] >= 0
 
     def test_check_names_exported(self):
         assert "l2" in CHECK_NAMES

@@ -2,8 +2,11 @@
 
 import math
 
+import json
+
 import numpy as np
 import pytest
+from oracle_utils import difference_min_pairwise, sequential_greedy_packing
 
 from depthsep import instance
 from depthsep.bits import ip_mod2
@@ -42,6 +45,7 @@ class TestPacking:
     def test_infeasible_budget(self):
         with pytest.raises(PackingInfeasible):
             build_packing(1, seed=7, max_attempts=3)
+        assert sequential_greedy_packing(1, 7, max_attempts=3)[0] is None
 
     def test_deterministic(self):
         a = build_packing(2, seed=42)
@@ -64,6 +68,43 @@ class TestPacking:
         )
         with pytest.raises(ValueError, match="pairwise distance"):
             corrupted.validate()
+
+
+class TestScreenedPacking:
+    """The Gram-screened, block-drawn packing against the sequential greedy
+    and the difference-tensor minimum distance, byte for byte."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+    def test_byte_identical_to_sequential_greedy(self, d):
+        for seed in (1, 2, 3):
+            want, _ = sequential_greedy_packing(d, seed)
+            got = build_packing(d, seed)
+            assert got.points.tobytes() == want.tobytes()
+            assert repr(got.min_pairwise_distance) == repr(difference_min_pairwise(want))
+
+    @pytest.mark.parametrize("d,seed", [(1, 7), (2, 1), (3, 4)])
+    def test_smallest_budget_matches_oracle(self, d, seed):
+        want, used = sequential_greedy_packing(d, seed)
+        assert build_packing(d, seed, max_attempts=used).points.tobytes() == want.tobytes()
+        with pytest.raises(PackingInfeasible, match=f"in {used - 1} attempts"):
+            build_packing(d, seed, max_attempts=used - 1)
+        assert sequential_greedy_packing(d, seed, max_attempts=used - 1)[0] is None
+
+    @pytest.mark.parametrize("n,dim,scale", [(2, 3, 1.0), (5, 1, 1e3), (700, 4, 1.0), (1100, 12, 1e-3)])
+    def test_min_pairwise_matches_difference_formula(self, n, dim, scale):
+        pts = np.random.default_rng(n).normal(size=(n, dim)) * scale
+        assert repr(instance._min_pairwise(pts)) == repr(difference_min_pairwise(pts))
+
+    def test_min_pairwise_with_ties_and_duplicates(self):
+        grid = np.array([[i, j] for i in range(30) for j in range(30)], dtype=np.float64) * 0.1
+        assert repr(instance._min_pairwise(grid)) == repr(difference_min_pairwise(grid))
+        dup = np.vstack([grid, grid[17:18]])
+        assert instance._min_pairwise(dup) == 0.0
+        assert instance._min_pairwise(grid[:1]) == math.inf
+
+    def test_centers_distance_matches_difference_formula(self, spec_d2):
+        centers = spec_d2.centers()
+        assert repr(instance._min_pairwise(centers)) == repr(difference_min_pairwise(centers))
 
 
 class TestEvalF:
@@ -172,6 +213,24 @@ class TestSerialization:
         assert np.array_equal(back.packing.points, spec_d2.packing.points)
         assert np.array_equal(back.matching, spec_d2.matching)
         assert spec_to_json(back) == text
+
+    def test_rejects_d_that_disagrees_with_packing(self, spec_d1):
+        doc = json.loads(spec_to_json(spec_d1))
+        doc["d"] = 2
+        with pytest.raises(ValueError, match=r"d=2 needs 4\^d .* got shape \(4, 2\)"):
+            spec_from_json(json.dumps(doc))
+
+    def test_rejects_moved_point(self, spec_d1):
+        doc = json.loads(spec_to_json(spec_d1))
+        doc["points"][1] = [c * 0.9 for c in doc["points"][0]]
+        with pytest.raises(ValueError, match="pairwise distance"):
+            spec_from_json(json.dumps(doc))
+
+    def test_rejects_non_finite_point(self, spec_d1):
+        doc = json.loads(spec_to_json(spec_d1))
+        doc["points"][2][0] = float("nan")
+        with pytest.raises(ValueError, match="finite"):
+            spec_from_json(json.dumps(doc))
 
     def test_samples_csv(self, spec_d1):
         batch = sample_a4d(spec_d1, 5, seed=1)

@@ -1,10 +1,15 @@
 """Network IR: evaluation semantics, absorption transforms, serialization."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle_utils import dense_forward
 
+from depthsep import networks
 from depthsep.networks import (
     RELU,
     SIGMOID,
@@ -17,6 +22,7 @@ from depthsep.networks import (
     network_from_json,
     network_to_json,
 )
+from depthsep.threshold import compile_scalar
 
 
 def single_neuron(w=1.0, b=0.0, v=1.0, out_b=0.0, activation=RELU):
@@ -42,6 +48,48 @@ def random_net(rng, input_dim=4, width=8, activation=RELU, scale=1.0):
         float(rng.normal(0, scale)),
         activation,
     )
+
+
+def block_rows(net):
+    return max(1, networks._ACTIVATION_BLOCK // max(net.widths))
+
+
+def wide_net(rng, activation, widths=(4096, 24), input_dim=4):
+    fan_in, hidden = input_dim, []
+    for w in widths:
+        hidden.append((rng.normal(size=(w, fan_in)) / np.sqrt(fan_in), rng.normal(size=w)))
+        fan_in = w
+    return DenseNetwork(input_dim, tuple(hidden), rng.normal(size=fan_in), 0.25, activation)
+
+
+class TestRowBlocks:
+    """Row-blocked evaluate_batch against a one-shot dense forward pass."""
+
+    @pytest.mark.parametrize("activation", [RELU, SIGMOID, THRESHOLD], ids=lambda a: a.tag)
+    @pytest.mark.parametrize("widths", [(4096,), (4096, 24), (24, 4096)])
+    def test_matches_one_shot_forward(self, activation, widths):
+        rng = np.random.default_rng(len(widths) + widths[0])
+        net = wide_net(rng, activation, widths)
+        block = block_rows(net)
+        assert block == 64
+        for n in (0, 1, block - 1, block, block + 1, 3 * block + 5):
+            X = rng.normal(size=(n, 4))
+            got = net.evaluate_batch(X)
+            assert got.shape == (n,)
+            np.testing.assert_allclose(got, dense_forward(net, X), rtol=0, atol=1e-12)
+            assert np.array_equal(got, net.evaluate_batch(X))
+        x = rng.normal(size=4)
+        np.testing.assert_allclose(net.evaluate_batch(x), dense_forward(net, x), rtol=0, atol=1e-12)
+        assert net.evaluate_batch(x).shape == (1,)
+
+    def test_threshold_staircase_is_exact(self):
+        net, _ = compile_scalar(RELU, R=10.0, delta=0.01)
+        block = block_rows(net)
+        xs = np.linspace(-10.0, 10.0, 3 * block + 7)
+        for n in (0, 1, block - 1, block, block + 1, xs.size):
+            X = xs[:n, None]
+            assert np.array_equal(net.evaluate_batch(X), dense_forward(net, X))
+        assert np.array_equal(net.evaluate_batch(xs[3:4]), dense_forward(net, xs[3:4]))
 
 
 class TestEvaluate:
@@ -234,6 +282,30 @@ class TestSerialization:
         assert np.array_equal(back.out_w, net.out_w)
         assert back.out_b == net.out_b
 
+    @pytest.mark.parametrize(
+        "where,name",
+        [(("layers", 0, "W"), "layer 0"), (("layers", 1, "b"), "layer 1"), (("output", "w"), "output")],
+    )
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_values(self, rng, where, name, bad):
+        net = wide_net(rng, RELU, widths=(3, 2), input_dim=2)
+        doc = json.loads(network_to_json(net))
+        *path, key = where
+        target = doc
+        for k in path:
+            target = target[k]
+        arr = np.asarray(target[key], dtype=np.float64)
+        arr.flat[0] = bad
+        target[key] = arr.tolist()
+        with pytest.raises(ValueError, match=name):
+            network_from_json(json.dumps(doc))
+
+    def test_rejects_non_finite_output_bias(self, rng):
+        doc = json.loads(network_to_json(random_net(rng)))
+        doc["output"]["b"] = float("nan")
+        with pytest.raises(ValueError, match="output"):
+            network_from_json(json.dumps(doc))
+
     def test_custom_activation_not_serializable(self):
         from depthsep.networks import Activation
 
@@ -251,6 +323,12 @@ class TestCircuit:
         low = single_neuron(w=0.0, b=1.0, v=0.0, out_b=0.2, activation=THRESHOLD)
         assert ThresholdCircuit(high).evaluate([0.0]) == 1
         assert ThresholdCircuit(low).evaluate([0.0]) == 0
+
+    def test_output_step_is_unconditional(self):
+        assert [f.name for f in dataclasses.fields(ThresholdCircuit)] == ["base"]
+        net = single_neuron(w=1.0, b=0.0, v=0.3, out_b=0.2, activation=THRESHOLD)
+        circuit = ThresholdCircuit(net)
+        assert circuit.evaluate_batch(np.array([[0.0], [0.7]])).tolist() == [0, 1]
 
     def test_requires_threshold(self):
         with pytest.raises(ValueError):
