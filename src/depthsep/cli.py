@@ -28,6 +28,14 @@ def _write(path: str | None, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
+def _load_network(path: str, option: str) -> networks.DenseNetwork:
+    """Read a network JSON file; a missing file or a malformed network is a usage error."""
+    try:
+        return networks.network_from_json(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise click.BadParameter(f"{path!r}: {exc}", param_hint=option) from exc
+
+
 @click.group()
 def main():
     """Verification lab for the hard-parity construction."""
@@ -59,7 +67,7 @@ def eval_cmd(d, net_path, points):
     if (d is None) == (net_path is None):
         raise click.UsageError("pass exactly one of --d or --net")
     if net_path is not None:
-        net = networks.network_from_json(Path(net_path).read_text(encoding="utf-8"))
+        net = _load_network(net_path, "--net")
     vals = []
     for text in points:
         try:
@@ -79,7 +87,7 @@ def eval_cmd(d, net_path, points):
 @click.option("--report", "report_path", type=str, default=None, help="JSON report path.")
 def compile_threshold_cmd(net_path, delta, out, report_path):
     """Compile a depth-2 network into a depth-2 threshold network."""
-    net = networks.network_from_json(Path(net_path).read_text(encoding="utf-8"))
+    net = _load_network(net_path, "--net")
     compiled = threshold.compile_network(net, delta)
     _write(out, networks.network_to_json(compiled))
     report = {
@@ -108,9 +116,9 @@ def compile_threshold_cmd(net_path, delta, out, report_path):
 @click.option("--out", type=str, default=None, help="Averaged network JSON path.")
 def reduce_cmd(d, big_d, blocks, seed, base_path, base_width, out):
     """Build the averaged re-randomized network and spot-check parity."""
-    cfg = reduction.ReductionConfig(d=d, D=big_d, n_blocks=blocks, seed=seed)
+    cfg = reduction.ReductionConfig(d=d, D=big_d, n_blocks=blocks)
     if base_path:
-        base = networks.network_from_json(Path(base_path).read_text(encoding="utf-8"))
+        base = _load_network(base_path, "--base")
     else:
         rng = np.random.default_rng([seed, 99])
         n_in = 2 * cfg.expanded_dim
@@ -258,7 +266,10 @@ def verify_all_cmd(seed, only, instance_path, out):
     """Run the full verification battery; nonzero exit on any failure."""
     only_list = [t for t in only.split(",") if t] if only else None
     text = Path(instance_path).read_text(encoding="utf-8") if instance_path else None
-    summary = harness.verify_all(seed=seed, only=only_list, spec_override=text)
+    try:
+        summary = harness.verify_all(seed=seed, only=only_list, spec_override=text)
+    except ValueError as exc:  # an unknown check name; failed checks are reported, not raised
+        raise click.BadParameter(str(exc), param_hint="--only") from exc
     doc = json.dumps(summary, sort_keys=True, indent=2)
     _write(out, doc) if out else click.echo(doc)
     if not summary["pass"]:

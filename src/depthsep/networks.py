@@ -264,16 +264,20 @@ def network_to_json(net: DenseNetwork) -> str:
 
 
 def network_from_json(text: str) -> DenseNetwork:
-    """Load a network; raise ValueError naming the layer of a non-finite value."""
+    """Load a network; raise ValueError naming a missing field or the layer
+    of a non-finite value."""
     doc = json.loads(text)
-    hidden = tuple(
-        (np.asarray(layer["W"], dtype=np.float64), np.asarray(layer["b"], dtype=np.float64))
-        for layer in doc["layers"]
-    )
-    out_w, out_b = np.asarray(doc["output"]["w"], dtype=np.float64), float(doc["output"]["b"])
+    try:
+        hidden = tuple(
+            (np.asarray(layer["W"], dtype=np.float64), np.asarray(layer["b"], dtype=np.float64))
+            for layer in doc["layers"]
+        )
+        out_w, out_b = np.asarray(doc["output"]["w"], dtype=np.float64), float(doc["output"]["b"])
+        tag, input_dim = doc["activation"], int(doc["input_dim"])
+    except KeyError as exc:
+        raise ValueError(f"network JSON lacks the field {exc.args[0]!r}") from None
     layers = {f"layer {i}": layer for i, layer in enumerate(hidden)} | {"output": (out_w, out_b)}
     for name, arrays in layers.items():
         if not all(np.isfinite(a).all() for a in arrays):
             raise ValueError(f"{name} holds a non-finite weight or bias")
-    act = activation_by_tag(doc["activation"])
-    return DenseNetwork(int(doc["input_dim"]), hidden, out_w, out_b, act)
+    return DenseNetwork(input_dim, hidden, out_w, out_b, activation_by_tag(tag))

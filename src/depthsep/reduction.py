@@ -75,7 +75,6 @@ class ReductionConfig:
     d: int
     D: int | None = None
     n_blocks: int = 1
-    seed: int = 0
 
     def __post_init__(self):
         if self.d < 1:
@@ -113,27 +112,50 @@ class RandomizationRecord:
             raise ValueError("padding must have an even number of (1,1) positions")
 
 
-def draw_record(d: int, D: int, rng: np.random.Generator) -> RandomizationRecord:
-    """Sample one randomization; the pads are rejection-sampled until the
-    number of positions with both bits 1 is even (acceptance >= 1/2)."""
-    x_mask = rng.integers(0, 2, size=d, dtype=np.int8)
-    y_mask = rng.integers(0, 2, size=d, dtype=np.int8)
+# Block order of the arrangement, one row per side (X, then Y): True where a
+# block holds the input bits xor the mask, False where it holds the mask.
+_BLOCK_ORDER = ((True, False, True, False), (True, False, False, True))
+
+
+def _sample(n: int, d: int, D: int, rng: np.random.Generator):
+    """n draws of (x_mask, y_mask, x_pad, y_pad, perm), one row per draw.
+
+    Rows whose pads have an odd number of positions with both bits 1 are
+    redrawn until every row is even (acceptance >= 1/2 per row).
+    """
+    x_mask = rng.integers(0, 2, size=(n, d), dtype=np.int8)
+    y_mask = rng.integers(0, 2, size=(n, d), dtype=np.int8)
+    x_pad = rng.integers(0, 2, size=(n, D), dtype=np.int8)
+    y_pad = rng.integers(0, 2, size=(n, D), dtype=np.int8)
     while True:
-        x_pad = rng.integers(0, 2, size=D, dtype=np.int8)
-        y_pad = rng.integers(0, 2, size=D, dtype=np.int8)
-        if int(np.sum(x_pad & y_pad)) % 2 == 0:
+        odd = (np.sum(x_pad & y_pad, axis=1) % 2).astype(bool)
+        if not odd.any():
             break
-    perm = rng.permutation(4 * d + D)
-    return RandomizationRecord(x_mask, y_mask, x_pad, y_pad, perm)
+        k = int(odd.sum())
+        x_pad[odd] = rng.integers(0, 2, size=(k, D), dtype=np.int8)
+        y_pad[odd] = rng.integers(0, 2, size=(k, D), dtype=np.int8)
+    L = 4 * d + D
+    perm = rng.permuted(np.broadcast_to(np.arange(L), (n, L)), axis=1)
+    return x_mask, y_mask, x_pad, y_pad, perm
 
 
-def _arrange(x: np.ndarray, mask: np.ndarray, pad: np.ndarray, flip_order: bool) -> np.ndarray:
-    masked = x ^ mask
-    if flip_order:
-        blocks = (masked, mask, mask, masked)
-    else:
-        blocks = (masked, mask, masked, mask)
-    return np.concatenate(blocks + (pad,))
+def draw_record(d: int, D: int, rng: np.random.Generator) -> RandomizationRecord:
+    """Sample one randomization: the one-row case of the batched sampler,
+    drawing the same random stream."""
+    return RandomizationRecord(*(a[0] for a in _sample(1, d, D, rng)))
+
+
+def _arrange(side: int, bits: np.ndarray, mask: np.ndarray, pad: np.ndarray) -> np.ndarray:
+    """The four blocks of one side followed by its pad, along the last axis."""
+    masked = bits ^ mask
+    return np.concatenate([masked if m else mask for m in _BLOCK_ORDER[side]] + [pad], axis=-1)
+
+
+def _expand(x, y, x_mask, y_mask, x_pad, y_pad, perm) -> tuple[np.ndarray, np.ndarray]:
+    """Arrange both sides and permute their coordinates by the same perm."""
+    X_pre = _arrange(0, x, x_mask, x_pad)
+    Y_pre = _arrange(1, y, y_mask, y_pad)
+    return np.take_along_axis(X_pre, perm, axis=-1), np.take_along_axis(Y_pre, perm, axis=-1)
 
 
 def expand_pair(
@@ -142,9 +164,7 @@ def expand_pair(
     """Apply a fixed randomization record to (x, y)."""
     x = as_bits(x)
     y = as_bits(y, length=x.size)
-    X_pre = _arrange(x, record.x_mask, record.x_pad, flip_order=False)
-    Y_pre = _arrange(y, record.y_mask, record.y_pad, flip_order=True)
-    return X_pre[record.perm], Y_pre[record.perm]
+    return _expand(x, y, record.x_mask, record.y_mask, record.x_pad, record.y_pad, record.perm)
 
 
 def randomize_input(
@@ -170,27 +190,7 @@ def randomize_batch(
     xs = np.asarray(xs, dtype=np.int8)
     ys = np.asarray(ys, dtype=np.int8)
     n, d = xs.shape
-    x_mask = rng.integers(0, 2, size=(n, d), dtype=np.int8)
-    y_mask = rng.integers(0, 2, size=(n, d), dtype=np.int8)
-    x_pad = rng.integers(0, 2, size=(n, D), dtype=np.int8)
-    y_pad = rng.integers(0, 2, size=(n, D), dtype=np.int8)
-    while True:
-        odd = (np.sum(x_pad & y_pad, axis=1) % 2).astype(bool)
-        if not odd.any():
-            break
-        k = int(odd.sum())
-        x_pad[odd] = rng.integers(0, 2, size=(k, D), dtype=np.int8)
-        y_pad[odd] = rng.integers(0, 2, size=(k, D), dtype=np.int8)
-    xm = xs ^ x_mask
-    ym = ys ^ y_mask
-    X_pre = np.concatenate([xm, x_mask, xm, x_mask, x_pad], axis=1)
-    Y_pre = np.concatenate([ym, y_mask, y_mask, ym, y_pad], axis=1)
-    L = 4 * d + D
-    perm = rng.permuted(np.broadcast_to(np.arange(L), (n, L)), axis=1)
-    return (
-        np.take_along_axis(X_pre, perm, axis=1),
-        np.take_along_axis(Y_pre, perm, axis=1),
-    )
+    return _expand(xs, ys, *_sample(n, d, D, rng))
 
 
 def count_signature(X, Y) -> tuple[int, int, int, int]:
@@ -235,23 +235,10 @@ def block_signatures(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     d = x.size
     if d > _MAX_ENUM_D:
         raise EnumerationBudget(f"mask enumeration needs 4^{d} rows; d <= {_MAX_ENUM_D}")
-    out = np.zeros((4**d, 4), dtype=np.int64)
-    row = 0
-    for ym in range(2**d):
-        for xm in range(2**d):
-            c = [0, 0, 0, 0]
-            for j in range(d):
-                a = (xm >> j) & 1
-                b = (ym >> j) & 1
-                xa = x[j] ^ a
-                yb = y[j] ^ b
-                c[2 * xa + yb] += 1
-                c[2 * a + b] += 1
-                c[2 * xa + b] += 1
-                c[2 * a + yb] += 1
-            out[row] = c
-            row += 1
-    return out
+    masks = ((np.arange(4**d)[:, None] >> np.arange(2 * d)) & 1).astype(np.int8)
+    no_pad = np.zeros((4**d, 0), dtype=np.int8)
+    codes = 2 * _arrange(0, x, masks[:, :d], no_pad) + _arrange(1, y, masks[:, d:], no_pad)
+    return (codes[:, :, None] == np.arange(4)).sum(axis=1, dtype=np.int64)
 
 
 @lru_cache(maxsize=4)
@@ -495,37 +482,18 @@ def block_input_map(record: RandomizationRecord, d: int) -> tuple[np.ndarray, np
 
     Mask bit 0 keeps a coordinate (row +e_k), mask bit 1 flips it
     (row -e_k, offset 1); mask and pad positions become constant rows.
-    Feeding the result to absorb_input_map re-wires a network on the
-    expanded pair into one reading the original (x, y).
+    Every expanded coordinate reads at most one input bit, so the map is
+    exact read off the arrangement itself: c is the expansion of the zero
+    input and column k of P the change at the unit vector e_k.  Feeding the
+    result to absorb_input_map re-wires a network on the expanded pair into
+    one reading the original (x, y).
     """
-    D = record.x_pad.size
-    L = 4 * d + D
-    P_pre = np.zeros((2 * L, 2 * d))
-    c_pre = np.zeros(2 * L)
-
-    def fill(base: int, src_offset: int, mask: np.ndarray, pad: np.ndarray, flip_order: bool):
-        # blocks of the pre-permutation arrangement
-        masked_blocks = (0, 2) if not flip_order else (0, 3)
-        const_blocks = (1, 3) if not flip_order else (1, 2)
-        for blk in masked_blocks:
-            for k in range(d):
-                row = base + blk * d + k
-                if mask[k]:
-                    P_pre[row, src_offset + k] = -1.0
-                    c_pre[row] = 1.0
-                else:
-                    P_pre[row, src_offset + k] = 1.0
-        for blk in const_blocks:
-            for k in range(d):
-                c_pre[base + blk * d + k] = float(mask[k])
-        for k in range(D):
-            c_pre[base + 4 * d + k] = float(pad[k])
-
-    fill(0, 0, record.x_mask, record.x_pad, flip_order=False)
-    fill(L, d, record.y_mask, record.y_pad, flip_order=True)
-
-    gather = np.concatenate([record.perm, L + record.perm])
-    return P_pre[gather], c_pre[gather]
+    n = 2 * d + 1
+    units = np.eye(n, 2 * d, k=-1, dtype=np.int8)  # the zero input, then each unit vector
+    fields = (record.x_mask, record.y_mask, record.x_pad, record.y_pad, record.perm)
+    X, Y = _expand(units[:, :d], units[:, d:], *(np.broadcast_to(a, (n, a.size)) for a in fields))
+    at = np.concatenate([X, Y], axis=1).T.astype(np.float64, order="C")
+    return at[:, 1:] - at[:, :1], at[:, 0]
 
 
 def build_averaged_network(

@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own code paths (convolutions,
 count-signature shortcuts, common-denominator sums, Gram screens, row
-blocks) so they can arbitrate disagreements.
+blocks, the shared arrangement table and batched sampler) so they can
+arbitrate disagreements.
 """
 
 import itertools
@@ -141,3 +142,114 @@ def dense_forward(net, X):
     for W, b in net.hidden:
         h = net.activation(h @ W.T + b)
     return h @ net.out_w + net.out_b
+
+
+def per_row_draw_record(d, D, rng):
+    """One randomization drawn on its own: masks, then (x_pad, y_pad) pairs
+    until the number of positions with both bits 1 is even, then a
+    permutation.  Returns (x_mask, y_mask, x_pad, y_pad, perm)."""
+    x_mask = rng.integers(0, 2, size=d, dtype=np.int8)
+    y_mask = rng.integers(0, 2, size=d, dtype=np.int8)
+    while True:
+        x_pad = rng.integers(0, 2, size=D, dtype=np.int8)
+        y_pad = rng.integers(0, 2, size=D, dtype=np.int8)
+        if int(np.sum(x_pad & y_pad)) % 2 == 0:
+            break
+    perm = rng.permutation(4 * d + D)
+    return x_mask, y_mask, x_pad, y_pad, perm
+
+
+def flip_order_arrange(x, mask, pad, flip_order):
+    """(x^m, m, x^m, m, pad), or (x^m, m, m, x^m, pad) with flip_order."""
+    masked = x ^ mask
+    if flip_order:
+        blocks = (masked, mask, mask, masked)
+    else:
+        blocks = (masked, mask, masked, mask)
+    return np.concatenate(blocks + (pad,))
+
+
+def flip_order_expand_pair(x, y, record):
+    """The expanded pair of one record: both arrangements, indexed by perm."""
+    X_pre = flip_order_arrange(x, record.x_mask, record.x_pad, flip_order=False)
+    Y_pre = flip_order_arrange(y, record.y_mask, record.y_pad, flip_order=True)
+    return X_pre[record.perm], Y_pre[record.perm]
+
+
+def concatenated_randomize_batch(xs, ys, D, rng):
+    """Batched randomization with rejection-redrawn odd pad rows and the
+    arrangement written out as one concatenation per side."""
+    n, d = xs.shape
+    x_mask = rng.integers(0, 2, size=(n, d), dtype=np.int8)
+    y_mask = rng.integers(0, 2, size=(n, d), dtype=np.int8)
+    x_pad = rng.integers(0, 2, size=(n, D), dtype=np.int8)
+    y_pad = rng.integers(0, 2, size=(n, D), dtype=np.int8)
+    while True:
+        odd = (np.sum(x_pad & y_pad, axis=1) % 2).astype(bool)
+        if not odd.any():
+            break
+        k = int(odd.sum())
+        x_pad[odd] = rng.integers(0, 2, size=(k, D), dtype=np.int8)
+        y_pad[odd] = rng.integers(0, 2, size=(k, D), dtype=np.int8)
+    xm = xs ^ x_mask
+    ym = ys ^ y_mask
+    X_pre = np.concatenate([xm, x_mask, xm, x_mask, x_pad], axis=1)
+    Y_pre = np.concatenate([ym, y_mask, y_mask, ym, y_pad], axis=1)
+    L = 4 * d + D
+    perm = rng.permuted(np.broadcast_to(np.arange(L), (n, L)), axis=1)
+    return np.take_along_axis(X_pre, perm, axis=1), np.take_along_axis(Y_pre, perm, axis=1)
+
+
+def filled_block_input_map(record, d):
+    """(P, c) filled coordinate by coordinate: a masked position reads its
+    input bit (+1) or its flip (-1, offset 1), a mask or pad position is
+    a constant; rows are then gathered by the permutation."""
+    D = record.x_pad.size
+    L = 4 * d + D
+    P_pre = np.zeros((2 * L, 2 * d))
+    c_pre = np.zeros(2 * L)
+
+    def fill(base, src_offset, mask, pad, flip_order):
+        masked_blocks = (0, 2) if not flip_order else (0, 3)
+        const_blocks = (1, 3) if not flip_order else (1, 2)
+        for blk in masked_blocks:
+            for k in range(d):
+                row = base + blk * d + k
+                if mask[k]:
+                    P_pre[row, src_offset + k] = -1.0
+                    c_pre[row] = 1.0
+                else:
+                    P_pre[row, src_offset + k] = 1.0
+        for blk in const_blocks:
+            for k in range(d):
+                c_pre[base + blk * d + k] = float(mask[k])
+        for k in range(D):
+            c_pre[base + 4 * d + k] = float(pad[k])
+
+    fill(0, 0, record.x_mask, record.x_pad, flip_order=False)
+    fill(L, d, record.y_mask, record.y_pad, flip_order=True)
+    gather = np.concatenate([record.perm, L + record.perm])
+    return P_pre[gather], c_pre[gather]
+
+
+def looped_block_signatures(x, y):
+    """Count signatures of the 4d-entry arrangement, one mask pair at a
+    time in row order x_mask + 2^d y_mask, bits least-significant first."""
+    d = len(x)
+    out = np.zeros((4**d, 4), dtype=np.int64)
+    row = 0
+    for ym in range(2**d):
+        for xm in range(2**d):
+            c = [0, 0, 0, 0]
+            for j in range(d):
+                a = (xm >> j) & 1
+                b = (ym >> j) & 1
+                xa = x[j] ^ a
+                yb = y[j] ^ b
+                c[2 * xa + yb] += 1
+                c[2 * a + b] += 1
+                c[2 * xa + b] += 1
+                c[2 * a + yb] += 1
+            out[row] = c
+            row += 1
+    return out

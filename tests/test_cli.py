@@ -21,6 +21,41 @@ def invoke(runner, args, expect_exit=0):
     return result
 
 
+def _broken_network_file(tmp_path, fault):
+    """Path to a network file that is missing, lacks its layers, or holds a NaN weight."""
+    p = tmp_path / "net.json"
+    if fault == "missing":
+        return p
+    net = networks.DenseNetwork(
+        2, ((np.ones((1, 2)), np.zeros(1)),), np.ones(1), 0.0, networks.RELU
+    )
+    doc = json.loads(networks.network_to_json(net))
+    if fault == "schema":
+        del doc["layers"]
+    else:
+        doc["layers"][0]["W"][0][0] = float("nan")
+    p.write_text(json.dumps(doc))
+    return p
+
+
+@pytest.mark.parametrize("fault", ["missing", "schema", "nan"])
+@pytest.mark.parametrize(
+    "args, option",
+    [
+        (["eval", "--point", "1,2", "--net"], "--net"),
+        (["compile-threshold", "--delta", "0.1", "--net"], "--net"),
+        (["reduce", "--d", "1", "--D", "2", "--base"], "--base"),
+    ],
+)
+def test_bad_network_file_is_a_usage_error(runner, tmp_path, fault, args, option):
+    path = _broken_network_file(tmp_path, fault)
+    result = runner.invoke(main, [*args, str(path)], catch_exceptions=False)
+    assert result.exit_code == 2, result.output
+    assert option in result.output
+    if fault == "schema":
+        assert "'layers'" in result.output
+
+
 class TestBuildInstance:
     def test_writes_instance_and_samples(self, runner, tmp_path):
         inst = tmp_path / "inst.json"
@@ -214,6 +249,15 @@ class TestVerifyAllCommand:
         result = invoke(runner, ["verify-all", "--only", "baseline,gradient"])
         doc = json.loads(result.output)
         assert doc["pass"]
+
+    def test_unknown_check_is_a_usage_error(self, runner):
+        result = runner.invoke(
+            main, ["verify-all", "--only", "baseline,nonsense"], catch_exceptions=False
+        )
+        assert result.exit_code == 2, result.output
+        assert "--only" in result.output and "nonsense" in result.output
+        assert "baseline" in result.output and "packing" in result.output
+        assert '"pass"' not in result.output
 
     def test_corrupted_packing_exits_nonzero(self, runner, tmp_path):
         spec = instance.build_instance(1, seed=4)

@@ -306,6 +306,19 @@ class TestSerialization:
         with pytest.raises(ValueError, match="output"):
             network_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "where", [("layers",), ("layers", 0, "b"), ("output", "w"), ("activation",), ("input_dim",)]
+    )
+    def test_missing_field_names_it(self, rng, where):
+        doc = json.loads(network_to_json(random_net(rng)))
+        *path, key = where
+        target = doc
+        for k in path:
+            target = target[k]
+        del target[key]
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            network_from_json(json.dumps(doc))
+
     def test_custom_activation_not_serializable(self):
         from depthsep.networks import Activation
 

@@ -14,9 +14,14 @@ import numpy as np
 import pytest
 from oracle_utils import (
     compositions4,
+    concatenated_randomize_batch,
+    filled_block_input_map,
+    flip_order_expand_pair,
     fraction_a1_lhs,
     fraction_l2_norm_squared,
+    looped_block_signatures,
     per_mask_count_numerators,
+    per_row_draw_record,
 )
 
 from depthsep.bits import ip_mod2
@@ -29,6 +34,7 @@ from depthsep.reduction import (
     block_signatures,
     build_averaged_network,
     count_signature,
+    draw_record,
     exact_count_distribution,
     exact_l2_norm_squared,
     expand_pair,
@@ -196,6 +202,63 @@ class TestRandomizeInput:
                 y_pad=np.array([1, 0], dtype=np.int8),
                 perm=np.arange(6),
             )
+
+
+def assert_same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+RECORD_FIELDS = ("x_mask", "y_mask", "x_pad", "y_pad", "perm")
+
+
+class TestReferenceImplementations:
+    """The one arrangement table and the one batched sampler reproduce the
+    written-out arrangements and the per-row rejection sampler byte for
+    byte, and leave the generator where they left it."""
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_sampler_and_expansion_match(self, d):
+        for D in (1, 5, 100 * d):
+            for seed in range(3):
+                inputs = np.random.default_rng([seed, d])
+                xs, ys = inputs.integers(0, 2, size=(2, 40, d), dtype=np.int8)
+                rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                for got, want in zip(
+                    randomize_batch(xs, ys, D, rng), concatenated_randomize_batch(xs, ys, D, ref)
+                ):
+                    assert_same_bytes(got, want)
+                assert rng.bit_generator.state == ref.bit_generator.state
+                for x, y in zip(xs[:4], ys[:4]):
+                    rec = draw_record(d, D, rng)
+                    for name, want in zip(RECORD_FIELDS, per_row_draw_record(d, D, ref)):
+                        assert_same_bytes(getattr(rec, name), want)
+                    assert rng.bit_generator.state == ref.bit_generator.state
+                    for got, want in zip(expand_pair(x, y, rec), flip_order_expand_pair(x, y, rec)):
+                        assert_same_bytes(got, want)
+                    for got, want in zip(block_input_map(rec, d), filled_block_input_map(rec, d)):
+                        assert_same_bytes(got, want)
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_draw_record_is_the_one_row_batch(self, d):
+        for D in (1, 2, 3, 7, 100 * d):
+            for seed in range(4):
+                x, y = np.random.default_rng([seed, d]).integers(0, 2, size=(2, d), dtype=np.int8)
+                rng, batch_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                for _ in range(3):
+                    one = expand_pair(x, y, draw_record(d, D, rng))
+                    batch = randomize_batch(x[None], y[None], D, batch_rng)
+                    for got, want in zip(one, batch):
+                        assert_same_bytes(got, want[0])
+                    assert rng.bit_generator.state == batch_rng.bit_generator.state
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_block_signatures_match_loop(self, d):
+        rng = np.random.default_rng(d)
+        inputs = [([0] * d, [0] * d), ([1] * d, [1] * d)]
+        inputs += [tuple(rng.integers(0, 2, size=(2, d))) for _ in range(4)]
+        for x, y in inputs:
+            assert_same_bytes(block_signatures(x, y), looped_block_signatures(x, y))
 
 
 class TestCountSignature:
@@ -465,6 +528,30 @@ class TestAveragedNetwork:
             [x, np.zeros(d), x, np.zeros(d), np.zeros(D), y, np.zeros(d), np.zeros(d), y, np.zeros(D)]
         )
         assert abs(block.evaluate(np.concatenate([x, y])) - base.evaluate(expanded)) <= 1e-9
+
+    @pytest.mark.parametrize("d", (1, 2, 3))
+    def test_input_map_is_exact_on_every_input(self, d):
+        """P (x, y) + c equals the expanded pair exactly for every input,
+        under records whose masks and pads hold ones and whose permutation
+        moves coordinates."""
+        D = 5
+        L = 4 * d + D
+        records = [
+            RandomizationRecord(
+                x_mask=np.array([1, 0, 1][:d], dtype=np.int8),
+                y_mask=np.array([1, 1, 0][:d], dtype=np.int8),
+                x_pad=np.array([1, 1, 0, 1, 0], dtype=np.int8),
+                y_pad=np.array([1, 1, 1, 0, 0], dtype=np.int8),
+                perm=np.roll(np.arange(L), 3)[::-1].copy(),
+            )
+        ] + [draw_record(d, D, np.random.default_rng([seed, d])) for seed in range(3)]
+        assert not np.array_equal(records[0].perm, np.arange(L))
+        for rec in records:
+            P, c = block_input_map(rec, d)
+            for bits in itertools.product((0, 1), repeat=2 * d):
+                xy = np.array(bits, dtype=np.int8)
+                expanded = np.concatenate(expand_pair(xy[:d], xy[d:], rec))
+                assert np.array_equal(P @ xy + c, expanded)
 
     def test_blocks_equal_direct_evaluation(self, rng):
         d, D, n_blocks = 2, 12, 8
