@@ -28,10 +28,10 @@ def _write(path: str | None, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
-def _load_network(path: str, option: str) -> networks.DenseNetwork:
-    """Read a network JSON file; a missing file or a malformed network is a usage error."""
+def _load(path: str, option: str, parse=str):
+    """Parse a file's text; a missing file or malformed content is a usage error."""
     try:
-        return networks.network_from_json(Path(path).read_text(encoding="utf-8"))
+        return parse(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise click.BadParameter(f"{path!r}: {exc}", param_hint=option) from exc
 
@@ -67,7 +67,7 @@ def eval_cmd(d, net_path, points):
     if (d is None) == (net_path is None):
         raise click.UsageError("pass exactly one of --d or --net")
     if net_path is not None:
-        net = _load_network(net_path, "--net")
+        net = _load(net_path, "--net", networks.network_from_json)
     vals = []
     for text in points:
         try:
@@ -87,7 +87,7 @@ def eval_cmd(d, net_path, points):
 @click.option("--report", "report_path", type=str, default=None, help="JSON report path.")
 def compile_threshold_cmd(net_path, delta, out, report_path):
     """Compile a depth-2 network into a depth-2 threshold network."""
-    net = _load_network(net_path, "--net")
+    net = _load(net_path, "--net", networks.network_from_json)
     compiled = threshold.compile_network(net, delta)
     _write(out, networks.network_to_json(compiled))
     report = {
@@ -106,9 +106,10 @@ def compile_threshold_cmd(net_path, delta, out, report_path):
 
 
 @main.command("reduce")
-@click.option("--d", "d", type=int, required=True)
-@click.option("--D", "big_d", type=int, default=None, help="Padding length; defaults to 100 d.")
-@click.option("--blocks", type=int, default=8, show_default=True)
+@click.option("--d", "d", type=click.IntRange(min=1), required=True)
+@click.option("--D", "big_d", type=click.IntRange(min=1), default=None,
+              help="Padding length; defaults to 100 d.")
+@click.option("--blocks", type=click.IntRange(min=1), default=8, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--base", "base_path", type=str, default=None,
               help="Depth-2 base network JSON on 2(4d+D) inputs; random if omitted.")
@@ -118,7 +119,7 @@ def reduce_cmd(d, big_d, blocks, seed, base_path, base_width, out):
     """Build the averaged re-randomized network and spot-check parity."""
     cfg = reduction.ReductionConfig(d=d, D=big_d, n_blocks=blocks)
     if base_path:
-        base = _load_network(base_path, "--base")
+        base = _load(base_path, "--base", networks.network_from_json)
     else:
         rng = np.random.default_rng([seed, 99])
         n_in = 2 * cfg.expanded_dim
@@ -129,7 +130,10 @@ def reduce_cmd(d, big_d, blocks, seed, base_path, base_width, out):
             0.0,
             networks.RELU,
         )
-    averaged, records = reduction.build_averaged_network(base, cfg, seed=seed)
+    try:
+        averaged, records = reduction.build_averaged_network(base, cfg, seed=seed)
+    except ValueError as exc:  # a --base network of the wrong depth or input size
+        raise click.BadParameter(str(exc), param_hint="--base") from exc
     if out:
         _write(out, networks.network_to_json(averaged))
     rng = np.random.default_rng([seed, 100])
@@ -203,17 +207,20 @@ def verify_lemmas_cmd(a1_spec, a2_spec, l2_spec, out):
 
 
 def _load_train_config(config_path: str | None, **overrides) -> training.TrainConfig:
-    base = {}
-    if config_path:
-        base = json.loads(Path(config_path).read_text(encoding="utf-8"))
-    base.update({k: v for k, v in overrides.items() if v is not None})
-    return training.TrainConfig(**base)
+    """TrainConfig from an optional JSON object, overridden by the flags given;
+    an unknown field or a bad value is a usage error."""
+    base = _load(config_path, "--config", json.loads) if config_path else {}
+    flags = {k: v for k, v in overrides.items() if v is not None}
+    try:
+        return training.TrainConfig(**{**base, **flags})
+    except (TypeError, ValueError) as exc:
+        raise click.BadParameter(str(exc), param_hint="--config") from exc
 
 
 @main.command("train-baseline")
 @click.option("--d", "d", type=int, required=True)
-@click.option("--width", type=int, default=None)
-@click.option("--epochs", type=int, default=None)
+@click.option("--width", type=click.IntRange(min=1), default=None)
+@click.option("--epochs", type=click.IntRange(min=1), default=None)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--config", "config_path", type=str, default=None, help="TrainConfig JSON file.")
 @click.option("--out", type=str, default=None, help="JSON report path.")
@@ -240,7 +247,7 @@ def train_baseline_cmd(d, width, epochs, seed, config_path, out):
 @main.command("report")
 @click.option("--d", "d", type=int, required=True)
 @click.option("--widths", type=str, default="4,16,64", show_default=True)
-@click.option("--epochs", type=int, default=None)
+@click.option("--epochs", type=click.IntRange(min=1), default=None)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--config", "config_path", type=str, default=None, help="TrainConfig JSON file.")
 @click.option("--out", type=str, required=True, help="Output prefix; writes <out>.csv and <out>.json.")
@@ -265,7 +272,7 @@ def report_cmd(d, widths, epochs, seed, config_path, out):
 def verify_all_cmd(seed, only, instance_path, out):
     """Run the full verification battery; nonzero exit on any failure."""
     only_list = [t for t in only.split(",") if t] if only else None
-    text = Path(instance_path).read_text(encoding="utf-8") if instance_path else None
+    text = _load(instance_path, "--instance") if instance_path else None
     try:
         summary = harness.verify_all(seed=seed, only=only_list, spec_override=text)
     except ValueError as exc:  # an unknown check name; failed checks are reported, not raised

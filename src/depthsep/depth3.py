@@ -6,8 +6,9 @@ hidden layer computes, per coordinate pair, a clamp gadget that equals the
 AND of the rounded bits, and the second layer folds their sum through a
 truncated triangle wave whose integer values alternate 0, 1, 0, 1, ...
 ``build_generic`` assembles the same composition from any 1-d approximation
-primitive: d approximants of the clamp ramp feed one approximant of the
-triangle wave, with the intermediate affine stage absorbed into the second
+primitive.  Both are one composition: d copies of a clamp-ramp network feed
+one triangle-wave network, each spliced into an affine layer in place of
+its neurons, with the intermediate affine stage absorbed into the second
 hidden layer so the result stays depth 3.
 """
 
@@ -19,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .networks import RELU, Activation, DenseNetwork
+from .networks import RELU, Activation, DenseNetwork, splice
 
 __all__ = [
     "Approx1DSpec",
@@ -74,35 +75,34 @@ def build_exact_relu(d: int) -> DenseNetwork:
     """Depth-3 ReLU network equal to the target on the whole support.
 
     Input layout is (ignored 2d block, x block of length d, y block of
-    length d).  Hidden widths are (2d, d + 1):
+    length d).  It is the composition of two exact 1-d ReLU networks, with
+    hidden widths (2d, d + 1):
 
-    * layer 1, pair i: relu(12 sqrt(d) (x_i + y_i) - 5) and the same with
-      bias -6.  On the support 12 sqrt(d) (x_i + y_i) lands in
-      [0,2] u [3,5] u [6,8], so the difference of the pair is exactly the
-      AND of the rounded bits.
-    * layer 2, neuron k (k = 0..d): relu(sum_i (pair difference) - k); the
-      output neuron combines them with weights 1, 2(-1)^k, realizing the
-      triangle wave of the integer inner product.
+    * the ramp relu(s - 5) - relu(s - 6) on s_i = 12 sqrt(d) (x_i + y_i).
+      On the support s_i lands in [0,2] u [3,5] u [6,8], so the ramp is
+      exactly the AND of the rounded bits.
+    * the wave relu(z) + sum_{k=1}^{d} 2 (-1)^k relu(z - k) on the ramp sum
+      z, the triangle wave of the integer inner product.
     """
     if d < 1:
         raise ValueError("d must be a positive integer")
-    n_in = 4 * d
-    scale = 12.0 * math.sqrt(d)
-    W1 = np.zeros((2 * d, n_in))
-    b1 = np.zeros(2 * d)
-    for i in range(d):
-        for row, bias in ((2 * i, -5.0), (2 * i + 1, -6.0)):
-            W1[row, 2 * d + i] = scale
-            W1[row, 3 * d + i] = scale
-            b1[row] = bias
-    W2 = np.zeros((d + 1, 2 * d))
-    b2 = np.zeros(d + 1)
-    for k in range(d + 1):
-        W2[k, 0::2] = 1.0
-        W2[k, 1::2] = -1.0
-        b2[k] = -float(k)
-    out_w = np.array([1.0] + [2.0 * (-1.0) ** k for k in range(1, d + 1)])
-    return DenseNetwork(n_in, ((W1, b1), (W2, b2)), out_w, 0.0, RELU)
+    ramp_out = np.array([1.0, -1.0])
+    ramp = DenseNetwork(1, ((np.ones((2, 1)), np.array([-5.0, -6.0])),), ramp_out, 0.0, RELU)
+    wave_out = np.r_[1.0, 2.0 * (-1.0) ** np.arange(1, d + 1)]
+    wave = DenseNetwork(1, ((np.ones((d + 1, 1)), -np.arange(d + 1.0)),), wave_out, 0.0, RELU)
+    return _compose(d, ramp, wave)
+
+
+def _compose(d: int, h1: DenseNetwork, h2: DenseNetwork) -> DenseNetwork:
+    """h2(sum_i h1(12 sqrt(d) (x_i + y_i))) as one depth-3 network on 4d inputs.
+
+    h1 is spliced into the d pair neurons; h2 is spliced into the single
+    neuron that reads their outputs, which absorbs h1's output layer.
+    """
+    pairs = 12.0 * math.sqrt(d) * np.hstack([np.zeros((d, 2 * d)), np.eye(d), np.eye(d)])
+    layer1 = splice(pairs, np.zeros(d), h1)
+    layer2 = splice(np.tile(h1.out_w, d)[None, :], np.array([d * h1.out_b]), h2)
+    return DenseNetwork(4 * d, (layer1, layer2), h2.out_w, h2.out_b, h1.activation)
 
 
 @dataclass(frozen=True)
@@ -226,34 +226,11 @@ def build_generic(
     if h1.activation.tag != h2.activation.tag:
         raise ValueError("approximator must use one activation consistently")
 
-    n_in = 4 * d
-    scale = 12.0 * math.sqrt(d)
-    m1 = h1.widths[0]
-    w1_col, b1_vec = h1.hidden[0]
-    w1_col = w1_col[:, 0]
-
-    # layer 1: d shifted copies of the ramp approximant's hidden layer
-    W1 = np.zeros((d * m1, n_in))
-    b1 = np.tile(b1_vec, d)
-    for i in range(d):
-        rows = slice(i * m1, (i + 1) * m1)
-        W1[rows, 2 * d + i] = w1_col * scale
-        W1[rows, 3 * d + i] = w1_col * scale
-
-    # layer 2: wave approximant's hidden layer, ramp outputs absorbed
-    m2 = h2.widths[0]
-    w2_col, b2_vec = h2.hidden[0]
-    w2_col = w2_col[:, 0]
-    W2 = np.outer(w2_col, np.tile(h1.out_w, d))
-    b2 = b2_vec + w2_col * (d * h1.out_b)
-
-    net = DenseNetwork(
-        n_in, ((W1, b1), (W2, b2)), h2.out_w.copy(), h2.out_b, h1.activation
-    )
+    net = _compose(d, h1, h2)
     return GenericBuildReport(
         net=net,
         d=d,
         accuracy=eps,
         widths=net.widths,
-        max_weights=(_layer_max_weight(W1, b1), _layer_max_weight(W2, b2)),
+        max_weights=tuple(_layer_max_weight(W, b) for W, b in net.hidden),
     )

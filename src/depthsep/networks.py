@@ -250,6 +250,17 @@ def average_ensemble(
     return DenseNetwork(first.input_dim, ((W, b),), out_w, out_b, first.activation)
 
 
+def splice(W: np.ndarray, b: np.ndarray, h: DenseNetwork) -> tuple[np.ndarray, np.ndarray]:
+    """Put the scalar depth-2 network h in place of every neuron of the layer (W, b).
+
+    Neuron i becomes h's k hidden units, rows i k .. i k + k - 1 of the
+    returned layer, so sum_i a_i h(W[i] x + b[i]) reads the new layer
+    through output weights kron(a, h.out_w) and offset h.out_b sum(a).
+    """
+    h_w, h_b = h.hidden[0][0][:, 0], h.hidden[0][1]
+    return np.kron(W, h_w[:, None]), (np.outer(b, h_w) + h_b).ravel()
+
+
 def network_to_json(net: DenseNetwork) -> str:
     """Serialize to JSON; round-trips bit-exactly for finite doubles."""
     if net.activation.tag not in _BUILTIN_ACTIVATIONS:

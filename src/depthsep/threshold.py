@@ -10,11 +10,11 @@ every neuron, at per-neuron accuracy delta / (width * weight_bound).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .networks import Activation, DenseNetwork, THRESHOLD, ThresholdCircuit
+from .networks import Activation, DenseNetwork, THRESHOLD, ThresholdCircuit, splice
 
 __all__ = [
     "BudgetExceeded",
@@ -193,14 +193,7 @@ def _certify_plan(plan: SegmentPlan, sigma: Activation, n_points: int = 20001) -
         raise RuntimeError(
             f"staircase certification failed: {err:.3e} > {plan.tolerance:.3e}"
         )
-    return SegmentPlan(
-        breakpoints=plan.breakpoints,
-        levels=plan.levels,
-        jump_signs=plan.jump_signs,
-        tolerance=plan.tolerance,
-        domain=plan.domain,
-        certified_error=err,
-    )
+    return replace(plan, certified_error=err)
 
 
 def _plan_to_network(plan: SegmentPlan) -> DenseNetwork:
@@ -264,51 +257,28 @@ def compile_network(net: DenseNetwork, delta: float) -> DenseNetwork:
 
     Each hidden neuron's pre-activation on {0,1}^n is confined to
     [-(n+1)C, (n+1)C] for weight bound C, so one staircase of the shared
-    activation at accuracy delta/(mC) serves all m neurons; output weights
-    of magnitude <= C make the contributions add up to at most delta.
+    activation at accuracy delta/(mC) serves all m neurons and is spliced
+    into each of them; output weights of magnitude <= C make the
+    contributions add up to at most delta.  A threshold network is already
+    exact and is returned as it is.
     """
     if net.depth != 2:
         raise ValueError("only depth-2 networks are compiled")
     if delta <= 0:
         raise ValueError("delta must be positive")
     if net.activation.tag == "threshold":
-        return DenseNetwork(
-            net.input_dim,
-            tuple((W.copy(), b.copy()) for W, b in net.hidden),
-            net.out_w.copy(),
-            net.out_b,
-            THRESHOLD,
-        )
+        return net
     m = net.widths[0]
     C = net.max_weight
     if m == 0 or C == 0.0:
-        return DenseNetwork(
-            net.input_dim,
-            ((np.zeros((0, net.input_dim)), np.zeros(0)),),
-            np.zeros(0),
-            net.out_b,
-            THRESHOLD,
-        )
+        empty = (np.zeros((0, net.input_dim)), np.zeros(0))
+        return DenseNetwork(net.input_dim, (empty,), np.zeros(0), net.out_b, THRESHOLD)
     R_pre = (net.input_dim + 1) * C
     scalar_net, _plan = compile_scalar(net.activation, R_pre, delta / (m * C))
-    s_w = scalar_net.hidden[0][0][:, 0]
-    s_b = scalar_net.hidden[0][1]
-    W, b = net.hidden[0]
-    W_rows = []
-    b_rows = []
-    out_rows = []
-    for i in range(m):
-        W_rows.append(np.outer(s_w, W[i]))
-        b_rows.append(s_w * b[i] + s_b)
-        out_rows.append(net.out_w[i] * scalar_net.out_w)
+    layer = splice(*net.hidden[0], scalar_net)
+    out_w = np.kron(net.out_w, scalar_net.out_w)
     out_b = net.out_b + float(net.out_w.sum()) * scalar_net.out_b
-    return DenseNetwork(
-        net.input_dim,
-        ((np.vstack(W_rows), np.concatenate(b_rows)),),
-        np.concatenate(out_rows),
-        out_b,
-        THRESHOLD,
-    )
+    return DenseNetwork(net.input_dim, (layer,), out_w, out_b, THRESHOLD)
 
 
 def to_circuit(net: DenseNetwork) -> ThresholdCircuit:

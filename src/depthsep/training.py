@@ -7,6 +7,7 @@ finite-difference test) instead of pulling in an autodiff stack.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,8 +38,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.width, self.epochs, self.batch_size, self.samples_per_epoch) < 1:
+        counts = (self.width, self.epochs, self.batch_size, self.samples_per_epoch)
+        if not all(isinstance(n, numbers.Integral) for n in counts):
+            raise ValueError("width, epochs, batch_size and samples_per_epoch must be integers")
+        if min(counts) < 1:
             raise ValueError("hyperparameters must be positive")
+        activation_by_tag(self.activation)
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
         if self.optimizer not in ("sgd", "adam"):

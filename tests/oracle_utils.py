@@ -2,8 +2,8 @@
 
 These deliberately avoid the library's own code paths (convolutions,
 count-signature shortcuts, common-denominator sums, Gram screens, row
-blocks, the shared arrangement table and batched sampler) so they can
-arbitrate disagreements.
+blocks, the shared arrangement table and batched sampler, the layer
+splice) so they can arbitrate disagreements.
 """
 
 import itertools
@@ -13,6 +13,9 @@ from fractions import Fraction
 from math import factorial
 
 import numpy as np
+
+from depthsep.networks import RELU, THRESHOLD, DenseNetwork
+from depthsep.threshold import compile_scalar
 
 
 def brute_force_pair_law(xbits, ybits, D):
@@ -253,3 +256,95 @@ def looped_block_signatures(x, y):
             out[row] = c
             row += 1
     return out
+
+
+def looped_exact_relu(d):
+    """The exact depth-3 ReLU network written out index by index: pair i
+    holds rows 2i (bias -5) and 2i + 1 (bias -6) reading 12 sqrt(d) x_i and
+    y_i; wave neuron k reads the pair differences with bias -k."""
+    n_in = 4 * d
+    scale = 12.0 * math.sqrt(d)
+    W1 = np.zeros((2 * d, n_in))
+    b1 = np.zeros(2 * d)
+    for i in range(d):
+        for row, bias in ((2 * i, -5.0), (2 * i + 1, -6.0)):
+            W1[row, 2 * d + i] = scale
+            W1[row, 3 * d + i] = scale
+            b1[row] = bias
+    W2 = np.zeros((d + 1, 2 * d))
+    b2 = np.zeros(d + 1)
+    for k in range(d + 1):
+        W2[k, 0::2] = 1.0
+        W2[k, 1::2] = -1.0
+        b2[k] = -float(k)
+    out_w = np.array([1.0] + [2.0 * (-1.0) ** k for k in range(1, d + 1)])
+    return DenseNetwork(n_in, ((W1, b1), (W2, b2)), out_w, 0.0, RELU)
+
+
+def assembled_generic(d, h1, h2):
+    """The generic depth-3 network assembled block by block from the ramp
+    approximant h1 and the wave approximant h2: d shifted copies of h1's
+    hidden layer, then h2's hidden layer with h1's outputs absorbed as one
+    outer product.  Returns (net, max_weights)."""
+    n_in = 4 * d
+    scale = 12.0 * math.sqrt(d)
+    m1 = h1.widths[0]
+    w1_col, b1_vec = h1.hidden[0]
+    w1_col = w1_col[:, 0]
+    W1 = np.zeros((d * m1, n_in))
+    b1 = np.tile(b1_vec, d)
+    for i in range(d):
+        rows = slice(i * m1, (i + 1) * m1)
+        W1[rows, 2 * d + i] = w1_col * scale
+        W1[rows, 3 * d + i] = w1_col * scale
+    w2_col, b2_vec = h2.hidden[0]
+    w2_col = w2_col[:, 0]
+    W2 = np.outer(w2_col, np.tile(h1.out_w, d))
+    b2 = b2_vec + w2_col * (d * h1.out_b)
+    net = DenseNetwork(n_in, ((W1, b1), (W2, b2)), h2.out_w.copy(), h2.out_b, h1.activation)
+    max_weights = tuple(
+        float(max(np.abs(W).max(initial=0.0), np.abs(b).max(initial=0.0)))
+        for W, b in ((W1, b1), (W2, b2))
+    )
+    return net, max_weights
+
+
+def per_neuron_compile_network(net, delta):
+    """Threshold compilation of a depth-2 network one hidden neuron at a
+    time: each neuron's row is scaled by every staircase step weight, and
+    its output weight by the staircase's output weights."""
+    if net.activation.tag == "threshold":
+        return DenseNetwork(
+            net.input_dim,
+            tuple((W.copy(), b.copy()) for W, b in net.hidden),
+            net.out_w.copy(),
+            net.out_b,
+            THRESHOLD,
+        )
+    m = net.widths[0]
+    C = net.max_weight
+    if m == 0 or C == 0.0:
+        return DenseNetwork(
+            net.input_dim,
+            ((np.zeros((0, net.input_dim)), np.zeros(0)),),
+            np.zeros(0),
+            net.out_b,
+            THRESHOLD,
+        )
+    scalar_net, _plan = compile_scalar(net.activation, (net.input_dim + 1) * C, delta / (m * C))
+    s_w = scalar_net.hidden[0][0][:, 0]
+    s_b = scalar_net.hidden[0][1]
+    W, b = net.hidden[0]
+    W_rows, b_rows, out_rows = [], [], []
+    for i in range(m):
+        W_rows.append(np.outer(s_w, W[i]))
+        b_rows.append(s_w * b[i] + s_b)
+        out_rows.append(net.out_w[i] * scalar_net.out_w)
+    out_b = net.out_b + float(net.out_w.sum()) * scalar_net.out_b
+    return DenseNetwork(
+        net.input_dim,
+        ((np.vstack(W_rows), np.concatenate(b_rows)),),
+        np.concatenate(out_rows),
+        out_b,
+        THRESHOLD,
+    )

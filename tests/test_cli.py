@@ -21,15 +21,17 @@ def invoke(runner, args, expect_exit=0):
     return result
 
 
+SMALL_NET = networks.network_to_json(
+    networks.DenseNetwork(2, ((np.ones((1, 2)), np.zeros(1)),), np.ones(1), 0.0, networks.RELU)
+)
+
+
 def _broken_network_file(tmp_path, fault):
     """Path to a network file that is missing, lacks its layers, or holds a NaN weight."""
     p = tmp_path / "net.json"
     if fault == "missing":
         return p
-    net = networks.DenseNetwork(
-        2, ((np.ones((1, 2)), np.zeros(1)),), np.ones(1), 0.0, networks.RELU
-    )
-    doc = json.loads(networks.network_to_json(net))
+    doc = json.loads(SMALL_NET)
     if fault == "schema":
         del doc["layers"]
     else:
@@ -54,6 +56,52 @@ def test_bad_network_file_is_a_usage_error(runner, tmp_path, fault, args, option
     assert option in result.output
     if fault == "schema":
         assert "'layers'" in result.output
+
+
+@pytest.mark.parametrize(
+    "args, contents, option",
+    [
+        (["verify-all", "--only", "packing", "--instance"], None, "--instance"),
+        (["train-baseline", "--d", "1", "--config"], None, "--config"),
+        (["report", "--d", "1", "--out", "OUT", "--config"], None, "--config"),
+        (["reduce", "--d", "1", "--D", "2", "--base"], SMALL_NET, "--base"),
+        (["train-baseline", "--d", "1", "--config"], '{"width": 2, "bogus": 1}', "--config"),
+        (["train-baseline", "--d", "1", "--config"], '{"width": 0}', "--config"),
+        (["train-baseline", "--d", "1", "--config"], '{"width": 2.5}', "--config"),
+        (["train-baseline", "--d", "1", "--config"], '{"width": 2, "activation": "tanh"}', "--config"),
+        (["train-baseline", "--d", "1", "--config"], "[2]", "--config"),
+        (["train-baseline", "--d", "1", "--config"], "{", "--config"),
+        (["report", "--d", "1", "--out", "OUT", "--config"], '{"optimizer": "lbfgs"}', "--config"),
+    ],
+)
+def test_bad_input_file_is_a_usage_error(runner, tmp_path, args, contents, option):
+    """A missing file, a wrong-size base network and a config with an unknown
+    field or a bad value exit 2 naming the option, with no traceback."""
+    path = tmp_path / "input.json"
+    if contents is not None:
+        path.write_text(contents)
+    args = [str(tmp_path / "out") if a == "OUT" else a for a in args]
+    result = runner.invoke(main, [*args, str(path)], catch_exceptions=False)
+    assert result.exit_code == 2, result.output
+    assert option in result.output and "Traceback" not in result.output
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize(
+    "args, option",
+    [
+        (["reduce", "--d", "0"], "--d"),
+        (["reduce", "--d", "1", "--D", "0"], "--D"),
+        (["reduce", "--d", "1", "--blocks", "0"], "--blocks"),
+        (["train-baseline", "--d", "1", "--width", "0"], "--width"),
+        (["train-baseline", "--d", "1"], "width"),
+        (["report", "--d", "1", "--epochs", "0", "--out", "unused"], "--epochs"),
+    ],
+)
+def test_bad_flag_is_a_usage_error(runner, args, option):
+    result = runner.invoke(main, args, catch_exceptions=False)
+    assert result.exit_code == 2, result.output
+    assert option in result.output
 
 
 class TestBuildInstance:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracle_utils import assembled_generic, looped_exact_relu
 
 from depthsep import DenseNetwork, build_instance, eval_f_batch, sample_a4d
 from depthsep.depth3 import (
@@ -213,3 +214,47 @@ class TestGenericBuilder:
             build_generic(0, 0.1)
         with pytest.raises(ValueError):
             build_generic(1, -0.5)
+
+
+def assert_same_network(net, ref, X):
+    """Equal widths, equal weights (up to the sign of zero) and bit-identical outputs."""
+    assert net.widths == ref.widths and net.input_dim == ref.input_dim
+    assert net.activation.tag == ref.activation.tag
+    for (W, b), (W_ref, b_ref) in zip(net.hidden, ref.hidden, strict=True):
+        assert np.array_equal(W, W_ref) and np.array_equal(b, b_ref)
+    assert np.array_equal(net.out_w, ref.out_w) and net.out_b == ref.out_b
+    assert net.evaluate_batch(X).tobytes() == ref.evaluate_batch(X).tobytes()
+
+
+def random_inputs(d, seed, n=2000):
+    """Support samples plus uniform points of [-1, 1]^{4d}."""
+    batch = sample_a4d(build_instance(d, seed=seed), n, seed=seed)
+    uniform = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(n, 4 * d))
+    return np.vstack([batch.points, uniform])
+
+
+class TestReferenceBuilders:
+    """The spliced builders against the parent's index-by-index assembly."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+    def test_exact_network(self, d):
+        X = np.random.default_rng(d).uniform(-1.0, 1.0, size=(2000, 4 * d))
+        if d <= 3:
+            X = np.vstack([X, random_inputs(d, 70 + d)])
+        assert_same_network(build_exact_relu(d), looped_exact_relu(d), X)
+
+    @pytest.mark.parametrize(
+        "d, eps, approximator",
+        [(d, eps, relu_1d_approximator) for d in (1, 2, 3) for eps in (0.1, 0.05)]
+        + [(1, 0.1, threshold_1d_approximator)],
+    )
+    def test_generic_network(self, d, eps, approximator):
+        h1 = approximator(Approx1DSpec(reference_g1, 0.0, 8.0, 1.0, eps / (2.0 * d)))
+        h2 = approximator(
+            Approx1DSpec(reference_g2, -(2.0 * d + 1.0), 2.0 * d + 1.0, 1.0, eps / 2.0)
+        )
+        ref, ref_max_weights = assembled_generic(d, h1, h2)
+        report = build_generic(d, eps, approximator)
+        assert report.widths == ref.widths
+        assert report.max_weights == ref_max_weights
+        assert_same_network(report.net, ref, random_inputs(d, 80 + d))

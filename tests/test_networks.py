@@ -21,7 +21,9 @@ from depthsep.networks import (
     average_ensemble,
     network_from_json,
     network_to_json,
+    splice,
 )
+from depthsep.depth3 import Approx1DSpec, reference_g2, relu_1d_approximator
 from depthsep.threshold import compile_scalar
 
 
@@ -122,6 +124,31 @@ class TestEvaluate:
             RELU,
         )
         assert net.max_weight == 4.0
+
+
+class TestSplice:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("kind", ["relu-interpolant", "threshold-staircase"])
+    def test_spliced_layer_sums_h_over_neurons(self, seed, kind):
+        """act(W' x + b') . kron(a, h.out_w) + h.out_b sum(a) = sum_i a_i h(W[i] x + b[i])."""
+        if kind == "relu-interpolant":
+            h = relu_1d_approximator(Approx1DSpec(reference_g2, -4.0, 4.0, 1.0, 0.1))
+        else:
+            h, _plan = compile_scalar(SIGMOID, 4.0, 0.05)
+        rng = np.random.default_rng(seed)
+        n, m = 3 + seed, 5
+        W, b, a = rng.normal(size=(n, m)), rng.normal(size=n), rng.normal(size=n)
+        X = rng.uniform(-1.0, 1.0, size=(500, m))
+        W_s, b_s = splice(W, b, h)
+        assert W_s.shape == (n * h.widths[0], m) and b_s.shape == (n * h.widths[0],)
+        out_w, out_b = np.kron(a, h.out_w), h.out_b * a.sum()
+        spliced = DenseNetwork(m, ((W_s, b_s),), out_w, out_b, h.activation)
+        pre = X @ W.T + b
+        direct = sum(a[i] * h.evaluate_batch(pre[:, i : i + 1]) for i in range(n))
+        np.testing.assert_allclose(spliced.evaluate_batch(X), direct, rtol=0, atol=1e-12)
+
+    def test_not_exported(self):
+        assert "splice" not in networks.__all__
 
 
 class TestAbsorbShift:

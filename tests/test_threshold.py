@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from oracle_utils import per_neuron_compile_network
 
 from depthsep.bits import ip_mod2
 from depthsep.instance import hypercube_enumeration
 from depthsep.networks import (
     RELU,
+    SIGMOID,
     THRESHOLD,
     Activation,
     DenseNetwork,
@@ -167,6 +169,47 @@ class TestCompileNetwork:
         )
         with pytest.raises(ValueError):
             compile_network(deep, delta=0.1)
+
+
+def layer_bytes(net):
+    return [a.tobytes() for W, b in net.hidden for a in (W, b)] + [net.out_w.tobytes()]
+
+
+class TestReferenceCompileNetwork:
+    """The spliced compiler against the parent's per-neuron loop."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_per_neuron_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        activation = RELU if seed % 2 == 0 else SIGMOID
+        net = DenseNetwork(
+            6,
+            ((rng.uniform(-2, 2, (5, 6)), rng.uniform(-2, 2, 5)),),
+            rng.uniform(-2, 2, 5),
+            float(rng.uniform(-2, 2)),
+            activation,
+        )
+        compiled = compile_network(net, delta=0.1)
+        ref = per_neuron_compile_network(net, delta=0.1)
+        assert compiled.widths == ref.widths
+        assert layer_bytes(compiled) == layer_bytes(ref) and compiled.out_b == ref.out_b
+        X = hypercube_enumeration(6).astype(np.float64)
+        assert compiled.evaluate_batch(X).tobytes() == ref.evaluate_batch(X).tobytes()
+
+    def test_threshold_input_returned_as_is(self, rng):
+        layer = (rng.uniform(-1, 1, (4, 3)), rng.uniform(-1, 1, 4))
+        net = DenseNetwork(3, (layer,), rng.uniform(-1, 1, 4), 0.3, THRESHOLD)
+        compiled = compile_network(net, delta=0.05)
+        ref = per_neuron_compile_network(net, delta=0.05)
+        assert compiled is net
+        assert layer_bytes(compiled) == layer_bytes(ref) and compiled.out_b == ref.out_b
+
+    def test_zero_weights_match(self):
+        net = DenseNetwork(3, ((np.zeros((2, 3)), np.zeros(2)),), np.zeros(2), 0.0, RELU)
+        compiled = compile_network(net, delta=0.05)
+        ref = per_neuron_compile_network(net, delta=0.05)
+        assert compiled.widths == ref.widths == (0,)
+        assert layer_bytes(compiled) == layer_bytes(ref) and compiled.out_b == ref.out_b
 
 
 class TestCircuit:

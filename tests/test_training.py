@@ -109,6 +109,11 @@ class TestTraining:
             TrainConfig(width=1, optimizer="lbfgs")
         with pytest.raises(ValueError):
             TrainConfig(width=1, weight_clip=-1.0)
+        with pytest.raises(ValueError):
+            TrainConfig(width=2.5)
+        with pytest.raises(ValueError):
+            TrainConfig(width=1, activation="tanh")
+        assert TrainConfig(width=np.int64(3)).width == 3
 
 
 class TestPopulationLoss:
