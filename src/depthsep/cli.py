@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -36,17 +37,39 @@ def _load(path: str, option: str, parse=str):
         raise click.BadParameter(f"{path!r}: {exc}", param_hint=option) from exc
 
 
+_SEED = click.IntRange(min=0)
+_SIZE = click.IntRange(min=1)
+
+
+def _positive_finite(ctx, param, value):
+    if value is not None and not (math.isfinite(value) and value > 0):
+        raise click.BadParameter(f"{value} is not a positive finite number")
+    return value
+
+
+def _width_list(ctx, param, value):
+    """Comma-separated positive widths, at least one."""
+    try:
+        widths = [int(t) for t in value.split(",") if t.strip()]
+    except ValueError as exc:
+        raise click.BadParameter(f"{value!r}: {exc}") from exc
+    if not widths or min(widths) < 1:
+        raise click.BadParameter(f"{value!r} must list at least one positive width")
+    return widths
+
+
 @click.group()
 def main():
     """Verification lab for the hard-parity construction."""
 
 
 @main.command("build-instance")
-@click.option("--d", "d", type=int, required=True, help="Pair-count parameter; input dim is 4d.")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--max-attempts", type=int, default=None, help="Greedy packing proposal budget.")
+@click.option("--d", "d", type=_SIZE, required=True, help="Pair-count parameter; input dim is 4d.")
+@click.option("--seed", type=_SEED, default=0, show_default=True)
+@click.option("--max-attempts", type=_SIZE, default=None, help="Greedy packing proposal budget.")
 @click.option("--out", type=str, default="-", help="Instance JSON path ('-' for stdout).")
-@click.option("--samples", type=int, default=0, help="Also draw this many support samples.")
+@click.option("--samples", type=click.IntRange(min=0), default=0,
+              help="Also draw this many support samples.")
 @click.option("--samples-out", type=str, default=None, help="CSV path for the samples.")
 def build_instance_cmd(d, seed, max_attempts, out, samples, samples_out):
     """Construct the packing, matching, and support description."""
@@ -58,7 +81,7 @@ def build_instance_cmd(d, seed, max_attempts, out, samples, samples_out):
 
 
 @main.command("eval")
-@click.option("--d", "d", type=int, default=None, help="Evaluate the hard target at dimension d.")
+@click.option("--d", "d", type=_SIZE, default=None, help="Evaluate the hard target at dimension d.")
 @click.option("--net", "net_path", type=str, default=None, help="Evaluate a network JSON instead.")
 @click.option("--point", "points", type=str, multiple=True, required=True,
               help="Comma-separated coordinates; repeatable.")
@@ -82,7 +105,8 @@ def eval_cmd(d, net_path, points):
 
 @main.command("compile-threshold")
 @click.option("--net", "net_path", type=str, required=True, help="Depth-2 network JSON.")
-@click.option("--delta", type=float, required=True, help="Target sup accuracy on the Boolean cube.")
+@click.option("--delta", type=float, required=True, callback=_positive_finite,
+              help="Target sup accuracy on the Boolean cube.")
 @click.option("--out", type=str, default="-", help="Compiled network JSON path.")
 @click.option("--report", "report_path", type=str, default=None, help="JSON report path.")
 def compile_threshold_cmd(net_path, delta, out, report_path):
@@ -106,14 +130,13 @@ def compile_threshold_cmd(net_path, delta, out, report_path):
 
 
 @main.command("reduce")
-@click.option("--d", "d", type=click.IntRange(min=1), required=True)
-@click.option("--D", "big_d", type=click.IntRange(min=1), default=None,
-              help="Padding length; defaults to 100 d.")
-@click.option("--blocks", type=click.IntRange(min=1), default=8, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--d", "d", type=_SIZE, required=True)
+@click.option("--D", "big_d", type=_SIZE, default=None, help="Padding length; defaults to 100 d.")
+@click.option("--blocks", type=_SIZE, default=8, show_default=True)
+@click.option("--seed", type=_SEED, default=0, show_default=True)
 @click.option("--base", "base_path", type=str, default=None,
               help="Depth-2 base network JSON on 2(4d+D) inputs; random if omitted.")
-@click.option("--base-width", type=int, default=8, show_default=True)
+@click.option("--base-width", type=_SIZE, default=8, show_default=True)
 @click.option("--out", type=str, default=None, help="Averaged network JSON path.")
 def reduce_cmd(d, big_d, blocks, seed, base_path, base_width, out):
     """Build the averaged re-randomized network and spot-check parity."""
@@ -185,20 +208,24 @@ def verify_lemmas_cmd(a1_spec, a2_spec, l2_spec, out):
     """Exact-arithmetic verification of the combinatorial bounds."""
     if not any((a1_spec, a2_spec, l2_spec)):
         raise click.UsageError("pass at least one of --a1 / --a2 / --l2")
-    jobs = []
+    jobs = []  # (lemma, size check, report, arguments)
     if a1_spec:
         ds, Ds = _spec_ints("--a1", a1_spec, r"(\d+(?:,\d+)*),?x(\d+(?:,\d+)*),?")
-        jobs += [("a1", reduction.multinomial_square_ratio_report, (d, D)) for d in ds for D in Ds]
+        jobs += [("a1", reduction.check_a1_size, reduction.multinomial_square_ratio_report, (d, D))
+                 for d in ds for D in Ds]
     if a2_spec:
         [[k]] = _spec_ints("--a2", a2_spec, r"d<=(\d+)")
-        jobs += [("a2", reduction.mgf_bound_report, (d, Fraction(1, 48 * d))) for d in range(1, k + 1)]
+        jobs += [("a2", reduction.check_a2_size, reduction.mgf_bound_report, (d, Fraction(1, 48 * d)))
+                 for d in range(1, k + 1)]
     if l2_spec:
         [d], [D] = _spec_ints("--l2", l2_spec, r"d=(\d+),D=(\d+)")
-        jobs.append(("l2", reduction.l2_bound_report, (d, D)))
-    try:
-        reports = [{"lemma": lemma, **run(*args)} for lemma, run, args in jobs]
-    except (ValueError, reduction.EnumerationBudget) as exc:
-        raise click.UsageError(str(exc)) from exc
+        jobs.append(("l2", reduction.check_l2_size, reduction.l2_bound_report, (d, D)))
+    for lemma, check, _, args in jobs:  # every size is checked before any report runs
+        try:
+            check(*args)
+        except (ValueError, reduction.EnumerationBudget) as exc:
+            raise click.BadParameter(str(exc), param_hint=f"--{lemma}") from exc
+    reports = [{"lemma": lemma, **run(*args)} for lemma, _, run, args in jobs]
     ok = bool(reports) and all(r["pass"] for r in reports)
     doc = json.dumps({"reports": reports, "pass": ok}, sort_keys=True)
     _write(out, doc) if out else click.echo(doc)
@@ -218,10 +245,10 @@ def _load_train_config(config_path: str | None, **overrides) -> training.TrainCo
 
 
 @main.command("train-baseline")
-@click.option("--d", "d", type=int, required=True)
-@click.option("--width", type=click.IntRange(min=1), default=None)
-@click.option("--epochs", type=click.IntRange(min=1), default=None)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--d", "d", type=_SIZE, required=True)
+@click.option("--width", type=_SIZE, default=None)
+@click.option("--epochs", type=_SIZE, default=None)
+@click.option("--seed", type=_SEED, default=0, show_default=True)
 @click.option("--config", "config_path", type=str, default=None, help="TrainConfig JSON file.")
 @click.option("--out", type=str, default=None, help="JSON report path.")
 def train_baseline_cmd(d, width, epochs, seed, config_path, out):
@@ -245,25 +272,24 @@ def train_baseline_cmd(d, width, epochs, seed, config_path, out):
 
 
 @main.command("report")
-@click.option("--d", "d", type=int, required=True)
-@click.option("--widths", type=str, default="4,16,64", show_default=True)
-@click.option("--epochs", type=click.IntRange(min=1), default=None)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--d", "d", type=_SIZE, required=True)
+@click.option("--widths", type=str, default="4,16,64", show_default=True, callback=_width_list)
+@click.option("--epochs", type=_SIZE, default=None)
+@click.option("--seed", type=_SEED, default=0, show_default=True)
 @click.option("--config", "config_path", type=str, default=None, help="TrainConfig JSON file.")
 @click.option("--out", type=str, required=True, help="Output prefix; writes <out>.csv and <out>.json.")
 def report_cmd(d, widths, epochs, seed, config_path, out):
     """Width sweep with trivial and exact reference rows."""
     cfg = _load_train_config(config_path, width=1, epochs=epochs, seed=seed)
     spec = instance.build_instance(d, seed=seed)
-    width_list = [int(t) for t in widths.split(",") if t]
-    rep = harness.run_separation_experiment(spec, width_list, cfg, seed=seed)
+    rep = harness.run_separation_experiment(spec, widths, cfg, seed=seed)
     Path(out + ".csv").write_text(rep.to_csv(), encoding="utf-8")
     Path(out + ".json").write_text(rep.to_json(), encoding="utf-8")
     click.echo(f"wrote {out}.csv and {out}.json")
 
 
 @main.command("verify-all")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=_SEED, default=0, show_default=True)
 @click.option("--only", type=str, default=None,
               help=f"Comma-separated subset of: {', '.join(harness.CHECK_NAMES)}.")
 @click.option("--instance", "instance_path", type=str, default=None,

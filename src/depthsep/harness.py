@@ -273,10 +273,13 @@ def _check_a2(seed: int) -> dict:
 
 
 def _check_l2(seed: int) -> dict:
-    rep = reduction.l2_bound_report(1, 100)
-    if not rep["pass"]:
-        raise AssertionError(f"l2 bound fails at (x,y)={rep['worst_input']}")
-    return {"detail": f"max l2^2/bound ratio {rep['max_ratio']:.4f} at d=1, D=100"}
+    worst = 0.0
+    for d in (1, 2, 3):
+        rep = reduction.l2_bound_report(d, 100 * d)
+        if not (rep["pass"] and rep["bound_armed"]):
+            raise AssertionError(f"l2 bound fails at d={d}, D={100 * d}, (x,y)={rep['worst_input']}")
+        worst = max(worst, rep["max_ratio"])
+    return {"detail": f"max l2^2/bound ratio {worst:.4f} at D=100d for d=1,2,3"}
 
 
 def _check_equivalences(seed: int) -> dict:

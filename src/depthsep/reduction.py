@@ -21,6 +21,7 @@ analysis rests on.
 from __future__ import annotations
 
 import math
+import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -57,6 +58,7 @@ __all__ = [
 ]
 
 _MAX_ENUM_D = 6
+_MAX_L2_LENGTH = 200_000
 _RHS_SLACK = 1e-10
 
 
@@ -250,9 +252,12 @@ def _even_pad_weights(D: int) -> dict[tuple[int, int, int, int], int]:
     4^D equally likely pads.
     """
     weights = {}
-    for sig in _compositions4(D):
-        if sig[3] % 2 == 0:
-            weights[sig] = _multinom(D, sig)
+    for a in range(D + 1):
+        ca = math.comb(D, a)
+        for b in range(D - a + 1):
+            cab, rest = ca * math.comb(D - a, b), D - a - b
+            for c in range(rest % 2, rest + 1, 2):  # rest - c, the (1,1) count, is even
+                weights[(a, b, c, rest - c)] = cab * math.comb(rest, c)
     assert sum(weights.values()) == (4**D + 2**D) // 2
     return weights
 
@@ -293,6 +298,17 @@ def _enum_guard(d: int, D: int) -> None:
         )
 
 
+def check_l2_size(d: int, D: int) -> None:
+    """Reject an exact L2 norm beyond the mask enumeration or with integers
+    of more than about 2 _MAX_L2_LENGTH bits."""
+    if D < 0:
+        raise ValueError("D must be non-negative")
+    if d > _MAX_ENUM_D:
+        raise EnumerationBudget(f"mask enumeration needs 4^{d} rows; d <= {_MAX_ENUM_D}")
+    if 4 * d + D > _MAX_L2_LENGTH:
+        raise EnumerationBudget(f"exact L2 norm needs 4d + D <= {_MAX_L2_LENGTH}, got {4 * d + D}")
+
+
 def exact_count_distribution(x, y, D: int) -> CountDistribution:
     """Exact law of the randomized pair's count signature.
 
@@ -314,6 +330,76 @@ def exact_count_distribution(x, y, D: int) -> CountDistribution:
     return CountDistribution(numerators=numerators, denominator=denom, total_length=4 * d + D)
 
 
+def _pair_poly(a: int, b: int) -> list[int]:
+    """Coefficients, by degree, of sum_k C(a,k) C(b,k) k! t^(a+b-k): the
+    polynomial p with sum_n ff(n,a) ff(n,b) t^n / n! = p(t) e^t, where
+    ff(n,k) = n!/(n-k)! is the falling factorial (ff(n,a) ff(n,b) expands
+    as sum_k C(a,k) C(b,k) k! ff(n, a+b-k))."""
+    p = [0] * (a + b + 1)
+    for k in range(min(a, b) + 1):
+        p[a + b - k] = math.comb(a, k) * math.comb(b, k) * math.factorial(k)
+    return p
+
+
+def _poly_mul(p: list[int], q: list[int]) -> list[int]:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _l2_closed_form(x, y, D: int) -> tuple[Fraction, int]:
+    """Exact squared L2 norm of the pair law and the number of shift pairs
+    summed; the cost does not depend on D beyond the size of its integers.
+
+    With N = 4d + D, the mask signatures s of multiplicity m_s and the
+    falling factorial ff, the count law's numerator is
+    num(sig) = (D! / prod sig_i!) Q(sig) with
+    Q(sig) = sum_s m_s [sig_4 = s_4 mod 2] prod_i ff(sig_i, s_i), so
+
+        ||P||^2 = (D!)^2 / (N! denom^2) * sum_sig Q(sig)^2 / prod_i sig_i!.
+
+    Expanding Q^2 over shift pairs (s, s') with s_4 = s'_4 (mod 2), the sum
+    over sig of prod_i ff(sig_i, s_i) ff(sig_i, s'_i) / sig_i! is the
+    t^N coefficient of g_1 g_2 g_3 e^{3t} g_4 (e^t +- e^{-t}) / 2, where
+    g_i = _pair_poly(s_i, s'_i) and the parity condition on sig_4 gives a
+    monomial t^j of g_4 the sign (-1)^(s_4 - j).  A monomial c t^p
+    therefore adds c perm(N, p) (4^(N-p) +- 2^(N-p)) / (2 N!), and with
+    N!/D! = perm(N, 4d) the norm is one integer sum over shift pairs and
+    degrees p <= 8d divided by 2 perm(N, 4d)^2 denom^2.
+    """
+    x = as_bits(x)
+    y = as_bits(y, length=x.size)
+    d = x.size
+    check_l2_size(d, D)
+    N = 4 * d + D
+    shifts = sorted(Counter(map(tuple, block_signatures(x, y).tolist())).items())
+    plain = [0] * (8 * d + 1)  # coefficients against e^{4t}
+    signed = [0] * (8 * d + 1)  # coefficients against e^{2t}, sign included
+    n_pairs = 0
+    for i, (s, m) in enumerate(shifts):
+        for t, mt in shifts[i:]:
+            if (s[3] - t[3]) % 2:
+                continue
+            n_pairs += 1
+            w = m * mt * (1 if t == s else 2)
+            g = _poly_mul(_poly_mul(_pair_poly(s[0], t[0]), _pair_poly(s[1], t[1])),
+                          _pair_poly(s[2], t[2]))
+            g4 = _pair_poly(s[3], t[3])
+            g4_signed = [-c if (s[3] - j) % 2 else c for j, c in enumerate(g4)]
+            for p, c in enumerate(_poly_mul(g, g4)):
+                plain[p] += w * c
+            for p, c in enumerate(_poly_mul(g, g4_signed)):
+                signed[p] += w * c
+    total = sum(
+        math.perm(N, p) * (plain[p] * 4 ** (N - p) + signed[p] * 2 ** (N - p))
+        for p in range(min(N, 8 * d) + 1)
+    )
+    denom = 4**d * (4**D + 2**D) // 2
+    return Fraction(total, 2 * math.perm(N, 4 * d) ** 2 * denom**2), n_pairs
+
+
 def exact_l2_norm_squared(x, y, D: int) -> Fraction:
     """Exact squared L2 norm of the randomized pair's law on bit-vector pairs.
 
@@ -321,29 +407,37 @@ def exact_l2_norm_squared(x, y, D: int) -> Fraction:
     over the multinomial(4d+D; n1..n4) arrangements, so the squared norm is
     sum_sig P[sig]^2 / multinomial(4d+D; sig).  For D >= 100 d this is at
     most 64 * 4^{-(4d+D)}, eight times the uniform law's norm, squared.
-    With P[sig] = num / denom: sum_sig num^2 n1! n2! n3! n4! / (N! denom^2).
+    The sum is taken in closed form over pairs of mask signatures (see
+    _l2_closed_form), with no count law built.
     """
-    law = exact_count_distribution(x, y, D)
-    f = [math.factorial(k) for k in range(law.total_length + 1)]
-    acc = sum(num * num * f[a] * f[b] * f[c] * f[e] for (a, b, c, e), num in law.numerators.items())
-    return Fraction(acc, f[-1] * law.denominator**2)
+    return _l2_closed_form(x, y, D)[0]
 
 
 def l2_bound_report(d: int, D: int) -> dict:
     """Check exact_l2_norm_squared(x, y, D) <= 64 * 4^{-(4d+D)} over all 4^d inputs;
     the bound is armed only for D >= 100 d, below it the worst ratio is reported."""
+    check_l2_size(d, D)
+    start = time.perf_counter()
     bound = Fraction(64, 4 ** (4 * d + D))
     vecs = [[(i >> j) & 1 for j in range(d)] for i in range(2**d)]
-    ratios = [(exact_l2_norm_squared(x, y, D) / bound, [x, y]) for x in vecs for y in vecs]
-    worst, worst_input = max(ratios, key=lambda r: r[0])
+    worst, worst_input, n_pairs = None, None, 0
+    for x in vecs:
+        for y in vecs:
+            value, pairs = _l2_closed_form(x, y, D)
+            n_pairs += pairs
+            if worst is None or value / bound > worst:
+                worst, worst_input = value / bound, [x, y]
     armed = D >= 100 * d
     return {
         "check": "pair-law-l2-norm",
         "parameters": {"d": d, "D": D},
+        "n_inputs": len(vecs) ** 2,
+        "n_shift_pairs": n_pairs,
         "max_ratio": float(worst),
         "worst_input": worst_input,
         "bound_armed": armed,
         "pass": worst <= 1 or not armed,
+        "elapsed_s": time.perf_counter() - start,
     }
 
 
@@ -367,6 +461,12 @@ def _a1_lhs(split: tuple[int, int, int, int], D: int) -> Fraction:
     return Fraction(sum(terms), f[-1])
 
 
+def check_a1_size(d: int, D: int) -> None:
+    """The ratio bound is stated for d and D divisible by 4."""
+    if d < 1 or D < 1 or d % 4 != 0 or D % 4 != 0:
+        raise ValueError("d and D must both be positive and divisible by 4")
+
+
 def multinomial_square_ratio_report(d: int, D: int) -> dict:
     """Check, for every 4-part split of d, that the exact sum
 
@@ -380,8 +480,7 @@ def multinomial_square_ratio_report(d: int, D: int) -> dict:
     precision with multiplicative slack 1e-10, orders of magnitude below
     the bound's actual gap.
     """
-    if d % 4 != 0 or D % 4 != 0:
-        raise ValueError("d and D must both be divisible by 4")
+    check_a1_size(d, D)
     worst = 0.0
     worst_split = None
     failures = []
@@ -410,6 +509,19 @@ def multinomial_square_ratio_report(d: int, D: int) -> dict:
     }
 
 
+def check_a2_size(d: int, s: Fraction, mode: str = "exhaustive") -> None:
+    """Reject an MGF sweep outside 0 < s < 1/(24 d), of an unknown mode, or
+    exhaustive beyond d = 3."""
+    if d < 1:
+        raise ValueError("d must be positive")
+    if not 0 < s < Fraction(1, 24 * d):
+        raise ValueError("need 0 < s < 1/(24 d)")
+    if mode not in ("exhaustive", "sampled"):
+        raise ValueError("mode must be 'exhaustive' or 'sampled'")
+    if mode == "exhaustive" and d > 3:
+        raise EnumerationBudget("exhaustive input sweep requires d <= 3")
+
+
 def mgf_bound_report(
     d: int,
     s: Fraction,
@@ -425,25 +537,20 @@ def mgf_bound_report(
     n_samples input pairs instead.
     """
     s = Fraction(s)
-    if not 0 < s < Fraction(1, 24 * d):
-        raise ValueError("need 0 < s < 1/(24 d)")
+    check_a2_size(d, s, mode)
     if mode == "exhaustive":
-        if d > 3:
-            raise EnumerationBudget("exhaustive input sweep requires d <= 3")
         pairs = [
             (np.array([(xi >> j) & 1 for j in range(d)], dtype=np.int8),
              np.array([(yi >> j) & 1 for j in range(d)], dtype=np.int8))
             for xi in range(2**d)
             for yi in range(2**d)
         ]
-    elif mode == "sampled":
+    else:
         rng = np.random.default_rng(seed)
         pairs = [
             (rng.integers(0, 2, size=d, dtype=np.int8), rng.integers(0, 2, size=d, dtype=np.int8))
             for _ in range(n_samples)
         ]
-    else:
-        raise ValueError("mode must be 'exhaustive' or 'sampled'")
     worst = 0.0
     worst_pair = None
     failures = 0

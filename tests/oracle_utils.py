@@ -15,6 +15,7 @@ from math import factorial
 import numpy as np
 
 from depthsep.networks import RELU, THRESHOLD, DenseNetwork
+from depthsep.reduction import exact_count_distribution
 from depthsep.threshold import compile_scalar
 
 
@@ -88,6 +89,58 @@ def fraction_l2_norm_squared(xbits, ybits, D):
     for sig, num in numerators.items():
         acc += Fraction(num * num, multinomial(N, sig))
     return acc / denom**2
+
+
+def convolution_l2_norm_squared(x, y, D):
+    """Squared L2 norm from the whole count law (each distinct mask
+    signature convolved with the even-pad table), as one integer sum
+    sum_sig num^2 n1! n2! n3! n4! over N! denom^2."""
+    law = exact_count_distribution(x, y, D)
+    f = [factorial(k) for k in range(law.total_length + 1)]
+    acc = sum(num * num * f[a] * f[b] * f[c] * f[e] for (a, b, c, e), num in law.numerators.items())
+    return Fraction(acc, f[-1] * law.denominator**2)
+
+
+def float_l2_ratio_to_uniform(xbits, ybits, D):
+    """4^(4d+D) ||P||^2 in float64, summed over every count signature with
+    log-factorial tables, one slice of signatures (n1 fixed) at a time.
+
+    Every term is positive, so the relative error stays within a small
+    multiple of the number of terms times the unit roundoff, plus the
+    exp/log error of each term (about 1e-13 at N = 4d + D ~ 200).
+    """
+    d = len(xbits)
+    N = 4 * d + D
+    shifts = defaultdict(int)
+    for xm in itertools.product((0, 1), repeat=d):
+        for ym in itertools.product((0, 1), repeat=d):
+            xs = tuple(a ^ m for a, m in zip(xbits, xm))
+            ys = tuple(a ^ m for a, m in zip(ybits, ym))
+            c = [0, 0, 0, 0]
+            for a, b in zip(xs + xm + xs + xm, ys + ym + ym + ys):
+                c[2 * a + b] += 1
+            shifts[tuple(c)] += 1
+    logf = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, N + 1)))])
+    # P[sig] = sum_s m_s 4^-d multinomial(D; sig - s) 4^-D / (1/2 + 2^(-D-1))
+    scale = -d * np.log(4) - D * np.log(4) - np.log1p(2.0**-D) + np.log(2)
+    total = 0.0
+    for n1 in range(N + 1):
+        n2, n3 = np.triu_indices(N - n1 + 1)  # n2 + n3 <= N - n1, as (n2, n3 - n2)
+        n3 = n3 - n2
+        n4 = N - n1 - n2 - n3
+        sig = (n1, n2, n3, n4)
+        prob = np.zeros(n2.size)
+        for s, m in shifts.items():
+            parts = [k - si for k, si in zip(sig, s)]
+            ok = np.ones(n2.size, dtype=bool)
+            for part in parts:
+                ok &= np.asarray(part >= 0)
+            ok &= parts[3] % 2 == 0
+            log_w = logf[D] - sum(logf[np.where(ok, part, 0)] for part in parts)
+            prob += np.where(ok, m * np.exp(log_w + scale), 0.0)
+        log_multi = logf[N] - sum(logf[k] for k in sig)
+        total += float(np.sum(prob * prob * np.exp(N * np.log(4) - log_multi)))
+    return total
 
 
 def fraction_a1_lhs(split, D):

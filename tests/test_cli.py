@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from depthsep import instance, networks
+from depthsep import instance, networks, reduction
 from depthsep.cli import main
 
 
@@ -96,12 +96,37 @@ def test_bad_input_file_is_a_usage_error(runner, tmp_path, args, contents, optio
         (["train-baseline", "--d", "1", "--width", "0"], "--width"),
         (["train-baseline", "--d", "1"], "width"),
         (["report", "--d", "1", "--epochs", "0", "--out", "unused"], "--epochs"),
+        (["build-instance", "--d", "0"], "--d"),
+        (["build-instance", "--d", "1", "--seed", "-1"], "--seed"),
+        (["build-instance", "--d", "1", "--max-attempts", "0"], "--max-attempts"),
+        (["build-instance", "--d", "1", "--samples", "-2"], "--samples"),
+        (["train-baseline", "--d", "1", "--width", "2", "--seed", "-1"], "--seed"),
+        (["train-baseline", "--d", "0", "--width", "2"], "--d"),
+        (["compile-threshold", "--net", "NET", "--delta", "0"], "--delta"),
+        (["compile-threshold", "--net", "NET", "--delta", "nan"], "--delta"),
+        (["compile-threshold", "--net", "NET", "--delta", "inf"], "--delta"),
+        (["report", "--d", "1", "--widths", "2,x", "--out", "OUT"], "--widths"),
+        (["report", "--d", "1", "--widths", "2,0", "--out", "OUT"], "--widths"),
+        (["report", "--d", "1", "--widths", ",", "--out", "OUT"], "--widths"),
+        (["report", "--d", "0", "--out", "OUT"], "--d"),
+        (["report", "--d", "1", "--seed", "-1", "--out", "OUT"], "--seed"),
+        (["reduce", "--d", "1", "--seed", "-1"], "--seed"),
+        (["reduce", "--d", "1", "--base-width", "0"], "--base-width"),
+        (["verify-all", "--seed", "-1", "--only", "baseline"], "--seed"),
+        (["eval", "--d", "0", "--point", "1"], "--d"),
     ],
 )
-def test_bad_flag_is_a_usage_error(runner, args, option):
-    result = runner.invoke(main, args, catch_exceptions=False)
+def test_bad_flag_is_a_usage_error(runner, tmp_path, args, option):
+    """Out-of-range flags exit 2 naming the flag, with no traceback and no
+    output written (some once ended in a traceback, and `report --widths ,`
+    wrote a sweep with no trained rows)."""
+    net = tmp_path / "net.json"
+    net.write_text(SMALL_NET)
+    subs = {"NET": str(net), "OUT": str(tmp_path / "out")}
+    result = runner.invoke(main, [subs.get(a, a) for a in args], catch_exceptions=False)
     assert result.exit_code == 2, result.output
-    assert option in result.output
+    assert option in result.output and "Traceback" not in result.output
+    assert not (tmp_path / "out.json").exists() and not (tmp_path / "out.csv").exists()
 
 
 class TestBuildInstance:
@@ -227,6 +252,33 @@ class TestVerifyLemmas:
             assert {"lemma", "parameters", "max_ratio", "pass"} <= set(r)
         [l2] = [r for r in doc["reports"] if r["lemma"] == "l2"]
         assert l2["worst_input"] in ([[x], [y]] for x in (0, 1) for y in (0, 1))
+
+    def test_paper_regime_l2_at_d2(self, runner):
+        result = invoke(runner, ["verify-lemmas", "--l2", "d=2,D=200"])
+        doc = json.loads(result.output)
+        [l2] = doc["reports"]
+        assert doc["pass"] and l2["pass"] and l2["bound_armed"]
+        assert l2["parameters"] == {"d": 2, "D": 200}
+        assert 0 < l2["max_ratio"] < 1
+        assert l2["n_inputs"] == 16 and l2["n_shift_pairs"] > 0 and l2["elapsed_s"] >= 0
+
+    @pytest.mark.parametrize(
+        "args, option",
+        [
+            (["--a2", "d<=4"], "--a2"),
+            (["--a1", "4x4", "--l2", "d=7,D=4"], "--l2"),
+            (["--a1", "4x4,6", "--a2", "d<=1"], "--a1"),
+            (["--a2", "d<=1", "--l2", "d=1,D=300000"], "--l2"),
+        ],
+    )
+    def test_every_size_is_checked_before_any_report(self, runner, monkeypatch, args, option):
+        ran = []
+        for name in ("multinomial_square_ratio_report", "mgf_bound_report", "l2_bound_report"):
+            monkeypatch.setattr(reduction, name, lambda *a, name=name: ran.append(name))
+        result = runner.invoke(main, ["verify-lemmas", *args], catch_exceptions=False)
+        assert result.exit_code == 2, result.output
+        assert option in result.output and '"pass"' not in result.output
+        assert ran == []
 
     def test_requires_a_selection(self, runner):
         result = runner.invoke(main, ["verify-lemmas"])

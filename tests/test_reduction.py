@@ -15,11 +15,14 @@ import pytest
 from oracle_utils import (
     compositions4,
     concatenated_randomize_batch,
+    convolution_l2_norm_squared,
     filled_block_input_map,
     flip_order_expand_pair,
+    float_l2_ratio_to_uniform,
     fraction_a1_lhs,
     fraction_l2_norm_squared,
     looped_block_signatures,
+    multinomial,
     per_mask_count_numerators,
     per_row_draw_record,
 )
@@ -30,9 +33,13 @@ from depthsep.reduction import (
     EnumerationBudget,
     ReductionConfig,
     _a1_lhs,
+    _even_pad_weights,
     block_input_map,
     block_signatures,
     build_averaged_network,
+    check_a1_size,
+    check_a2_size,
+    check_l2_size,
     count_signature,
     draw_record,
     exact_count_distribution,
@@ -428,6 +435,84 @@ class TestL2Oracle:
         # and the randomized law's norm is within 64x of it at full scale
         val = exact_l2_norm_squared([1], [1], D=100)
         assert val <= 64 * Fraction(1, 4 ** (4 + 100))
+
+
+def _bit_inputs(d):
+    return list(itertools.product(itertools.product((0, 1), repeat=d), repeat=2))
+
+
+class TestL2ClosedForm:
+    """The closed-form norm against the count-law convolution it replaced."""
+
+    @pytest.mark.parametrize(
+        "d, Ds", [(1, [*range(1, 25), 100]), (2, range(1, 13)), (3, range(1, 7))]
+    )
+    def test_equals_convolution_oracle(self, d, Ds):
+        for D in Ds:
+            for x, y in _bit_inputs(d):
+                assert exact_l2_norm_squared(x, y, D) == convolution_l2_norm_squared(x, y, D)
+
+    def test_paper_regime_d2_passes_exactly(self):
+        """d = 2, D = 200: the bound 64 4^-(4d+D) holds on every input, with a
+        float sum over all 1.5M count signatures agreeing on the worst one."""
+        rep = l2_bound_report(2, 200)
+        assert rep["pass"] and rep["bound_armed"] and rep["max_ratio"] < 1
+        assert rep["n_inputs"] == 16 and rep["elapsed_s"] >= 0
+        pairs = 0
+        for x, y in _bit_inputs(2):
+            parity = Counter(s[3] % 2 for s in set(map(tuple, block_signatures(x, y).tolist())))
+            pairs += sum(k * (k + 1) // 2 for k in parity.values())
+        assert rep["n_shift_pairs"] == pairs
+        x, y = (tuple(v) for v in rep["worst_input"])
+        exact = exact_l2_norm_squared(x, y, 200) * 4**208
+        assert rep["max_ratio"] == float(exact / 64)
+        assert float(exact) == pytest.approx(float_l2_ratio_to_uniform(x, y, 200), rel=1e-9)
+        for x, y in _bit_inputs(2):
+            assert exact_l2_norm_squared(x, y, 200) * 4**208 <= exact
+
+    def test_report_fields_kept(self):
+        for d, D in ((1, 100), (2, 6)):
+            rep = l2_bound_report(d, D)
+            bound = Fraction(64, 4 ** (4 * d + D))
+            vecs = [[(i >> j) & 1 for j in range(d)] for i in range(2**d)]  # the report's order
+            ratios = [(convolution_l2_norm_squared(x, y, D) / bound, [x, y]) for x in vecs for y in vecs]
+            worst, worst_input = max(ratios, key=lambda r: r[0])
+            assert rep["check"] == "pair-law-l2-norm"
+            assert rep["parameters"] == {"d": d, "D": D}
+            assert rep["max_ratio"] == float(worst)
+            assert rep["worst_input"] == worst_input
+            assert rep["bound_armed"] == (D >= 100 * d)
+            assert rep["pass"] is True
+            assert rep["n_inputs"] == 4**d
+
+    def test_size_checks(self):
+        check_l2_size(6, 1000)
+        with pytest.raises(EnumerationBudget):
+            check_l2_size(7, 1)
+        with pytest.raises(EnumerationBudget):
+            exact_l2_norm_squared([1], [0], 200_000)
+        with pytest.raises(EnumerationBudget):
+            l2_bound_report(1, 200_000)
+        with pytest.raises(ValueError):
+            check_l2_size(1, -1)
+        check_a1_size(4, 8)
+        for d, D in ((3, 4), (4, 6), (0, 4)):
+            with pytest.raises(ValueError):
+                check_a1_size(d, D)
+        check_a2_size(3, Fraction(1, 144))
+        with pytest.raises(EnumerationBudget):
+            check_a2_size(4, Fraction(1, 192))
+        check_a2_size(4, Fraction(1, 192), "sampled")
+        with pytest.raises(ValueError):
+            check_a2_size(2, Fraction(1, 48), "sampled")
+        with pytest.raises(ValueError):
+            check_a2_size(2, Fraction(1, 96), "grid")
+
+
+def test_even_pad_weights_equal_multinomials():
+    for D in range(0, 21):
+        expected = {c: multinomial(D, c) for c in compositions4(D) if c[3] % 2 == 0}
+        assert _even_pad_weights(D) == expected
 
 
 class TestRatioBound:
