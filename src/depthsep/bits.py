@@ -19,9 +19,9 @@ def as_bits(x, length: int | None = None) -> np.ndarray:
     arr = np.asarray(x)
     if arr.ndim != 1:
         raise ValueError(f"expected a 1-d bit vector, got shape {arr.shape}")
-    out = arr.astype(np.int8)
-    if not np.array_equal(out, arr) or not np.isin(out, (0, 1)).all():
+    if not ((arr == 0) | (arr == 1)).all():
         raise ValueError("bit vector entries must be exactly 0 or 1")
+    out = arr.astype(np.int8)
     if length is not None and out.size != length:
         raise ValueError(f"expected length {length}, got {out.size}")
     return out

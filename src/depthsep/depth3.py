@@ -27,8 +27,6 @@ __all__ = [
     "GenericBuildReport",
     "reference_g1",
     "reference_g2",
-    "parity_wave",
-    "and_gadget",
     "build_exact_relu",
     "relu_1d_approximator",
     "build_generic",
@@ -47,28 +45,6 @@ def reference_g2(z):
     frac = np.mod(z, 1.0)
     odd = np.mod(np.floor(z), 2.0) == 1.0
     return np.where(odd, 1.0 - frac, frac)
-
-
-def parity_wave(d: int, z):
-    """Truncated triangle wave relu(z) + sum_{k=1}^{d} 2 (-1)^k relu(z - k).
-
-    Equals the parity of z at integers 0..d, which is what the second
-    hidden layer applies to the integer-valued gadget sum.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    out = np.maximum(z, 0.0)
-    for k in range(1, d + 1):
-        out = out + 2.0 * (-1.0) ** k * np.maximum(z - k, 0.0)
-    return out
-
-
-def and_gadget(u, v):
-    """relu(4u + 4v - 5) - relu(4u + 4v - 6) on unit-scale inputs.
-
-    For u, v in [0, 1/4] u [3/4, 1] this equals AND(round(u), round(v)).
-    """
-    s = 4.0 * np.asarray(u, dtype=np.float64) + 4.0 * np.asarray(v, dtype=np.float64)
-    return np.maximum(s - 5.0, 0.0) - np.maximum(s - 6.0, 0.0)
 
 
 def build_exact_relu(d: int) -> DenseNetwork:

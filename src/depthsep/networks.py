@@ -4,7 +4,8 @@ A network is a stack of hidden layers (affine map followed by a scalar
 activation) and a final affine output neuron.  Depth is the number of
 hidden layers plus one, so the networks built here are depth 2 or depth 3.
 All transformation helpers return new networks; instances are treated as
-immutable after construction.
+immutable after construction.  A layer made by :func:`splice` keeps its
+factors next to its dense weights and is evaluated through them.
 """
 
 from __future__ import annotations
@@ -114,9 +115,9 @@ class DenseNetwork:
             fan_in = W.shape[0]
         if self.out_w.shape != (fan_in,):
             raise ValueError(f"output weight shape {self.out_w.shape} != ({fan_in},)")
-        for W, b in self.hidden:
-            W.setflags(write=False)
-            b.setflags(write=False)
+        for layer in self.hidden:
+            for a in (*layer, *getattr(layer, "factors", ())):
+                a.setflags(write=False)
         self.out_w.setflags(write=False)
 
     @property
@@ -146,10 +147,8 @@ class DenseNetwork:
         out = np.empty(X.shape[0])
         for i in range(0, X.shape[0], rows):
             h = X[i : i + rows]
-            for W, b in self.hidden:
-                z = h @ W.T
-                z += b
-                h = self.activation(z)
+            for layer in self.hidden:
+                h = self.activation(_pre_activation(layer, h))
             out[i : i + rows] = h @ self.out_w + self.out_b
         return out
 
@@ -250,15 +249,50 @@ def average_ensemble(
     return DenseNetwork(first.input_dim, ((W, b),), out_w, out_b, first.activation)
 
 
+class _SplicedLayer(tuple):
+    """The dense (W', b') pair of a spliced layer, carrying its factors
+    ``(W, b, h_w, h_b)``: unit i k + j has pre-activation
+    (W[i] x + b[i]) h_w[j] + h_b[j].  The dense pair is computed from the
+    factors here and nowhere else: W' = kron(W, h_w) and
+    b' = (outer(b, h_w) + h_b).ravel()."""
+
+    def __new__(cls, W: np.ndarray, b: np.ndarray, h_w: np.ndarray, h_b: np.ndarray):
+        layer = super().__new__(cls, (np.kron(W, h_w[:, None]), (np.outer(b, h_w) + h_b).ravel()))
+        layer.factors = (W, b, h_w, h_b)
+        return layer
+
+    def __getnewargs__(self):
+        return self.factors
+
+
+def _pre_activation(layer: tuple[np.ndarray, np.ndarray], h: np.ndarray) -> np.ndarray:
+    """h W'^T + b' for one block of rows.  A spliced layer computes its r
+    neuron inputs first and scales them by h_w, costing r (fan_in + k)
+    multiply-adds per row instead of r k fan_in."""
+    if isinstance(layer, _SplicedLayer):
+        W, b, h_w, h_b = layer.factors
+        u = h @ W.T
+        u += b
+        z = u[:, :, None] * h_w
+        z += h_b
+        return z.reshape(len(h), len(W) * len(h_w))
+    W, b = layer
+    z = h @ W.T
+    z += b
+    return z
+
+
 def splice(W: np.ndarray, b: np.ndarray, h: DenseNetwork) -> tuple[np.ndarray, np.ndarray]:
     """Put the scalar depth-2 network h in place of every neuron of the layer (W, b).
 
     Neuron i becomes h's k hidden units, rows i k .. i k + k - 1 of the
     returned layer, so sum_i a_i h(W[i] x + b[i]) reads the new layer
     through output weights kron(a, h.out_w) and offset h.out_b sum(a).
+    The returned (W', b') pair keeps W, b and h's hidden layer as its
+    factors, which ``evaluate_batch`` uses; transforms that rebuild the
+    weights return plain pairs.
     """
-    h_w, h_b = h.hidden[0][0][:, 0], h.hidden[0][1]
-    return np.kron(W, h_w[:, None]), (np.outer(b, h_w) + h_b).ravel()
+    return _SplicedLayer(W, b, h.hidden[0][0][:, 0], h.hidden[0][1])
 
 
 def network_to_json(net: DenseNetwork) -> str:

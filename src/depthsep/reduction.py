@@ -59,6 +59,9 @@ __all__ = [
 
 _MAX_ENUM_D = 6
 _MAX_L2_LENGTH = 200_000
+# (d, D) = (4, 100), the largest admitted D at d = 4, sums 6.2e6 terms in
+# about 6 s on a 2-core VM; (4, 200) took 112 s, as the integers lengthen.
+_MAX_A1_TERMS = 6_500_000
 _RHS_SLACK = 1e-10
 
 
@@ -123,19 +126,18 @@ def _sample(n: int, d: int, D: int, rng: np.random.Generator):
     """n draws of (x_mask, y_mask, x_pad, y_pad, perm), one row per draw.
 
     Rows whose pads have an odd number of positions with both bits 1 are
-    redrawn until every row is even (acceptance >= 1/2 per row).
+    redrawn until every row is even (acceptance >= 1/2 per row); each
+    round checks only the rows it redrew.
     """
     x_mask = rng.integers(0, 2, size=(n, d), dtype=np.int8)
     y_mask = rng.integers(0, 2, size=(n, d), dtype=np.int8)
     x_pad = rng.integers(0, 2, size=(n, D), dtype=np.int8)
     y_pad = rng.integers(0, 2, size=(n, D), dtype=np.int8)
-    while True:
-        odd = (np.sum(x_pad & y_pad, axis=1) % 2).astype(bool)
-        if not odd.any():
-            break
-        k = int(odd.sum())
-        x_pad[odd] = rng.integers(0, 2, size=(k, D), dtype=np.int8)
-        y_pad[odd] = rng.integers(0, 2, size=(k, D), dtype=np.int8)
+    odd = np.flatnonzero(np.sum(x_pad & y_pad, axis=1) % 2)
+    while odd.size:
+        x_pad[odd] = rng.integers(0, 2, size=(odd.size, D), dtype=np.int8)
+        y_pad[odd] = rng.integers(0, 2, size=(odd.size, D), dtype=np.int8)
+        odd = odd[np.sum(x_pad[odd] & y_pad[odd], axis=1) % 2 == 1]
     L = 4 * d + D
     perm = rng.permuted(np.broadcast_to(np.arange(L), (n, L)), axis=1)
     return x_mask, y_mask, x_pad, y_pad, perm
@@ -266,8 +268,8 @@ def _even_pad_weights(D: int) -> dict[tuple[int, int, int, int], int]:
 class CountDistribution:
     """Exact rational law over total count signatures (n1, n2, n3, n4).
 
-    Stored as integer numerators over one common denominator, so the mass
-    check and moment computations stay exact.
+    Stored as integer numerators over one common denominator, so sums over
+    the law stay exact.
     """
 
     numerators: dict[tuple[int, int, int, int], int]
@@ -276,16 +278,6 @@ class CountDistribution:
 
     def prob(self, sig: tuple[int, int, int, int]) -> Fraction:
         return Fraction(self.numerators.get(sig, 0), self.denominator)
-
-    def total_mass(self) -> Fraction:
-        return Fraction(sum(self.numerators.values()), self.denominator)
-
-    def expected_counts(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        sums = [0, 0, 0, 0]
-        for sig, num in self.numerators.items():
-            for i in range(4):
-                sums[i] += sig[i] * num
-        return tuple(Fraction(s, self.denominator) for s in sums)
 
 
 def _enum_guard(d: int, D: int) -> None:
@@ -462,9 +454,15 @@ def _a1_lhs(split: tuple[int, int, int, int], D: int) -> Fraction:
 
 
 def check_a1_size(d: int, D: int) -> None:
-    """The ratio bound is stated for d and D divisible by 4."""
+    """The ratio bound is stated for d and D divisible by 4; the sweep sums
+    C(d+3,3) C(D+3,3) big-integer terms, at most _MAX_A1_TERMS."""
     if d < 1 or D < 1 or d % 4 != 0 or D % 4 != 0:
         raise ValueError("d and D must both be positive and divisible by 4")
+    terms = math.comb(d + 3, 3) * math.comb(D + 3, 3)
+    if terms > _MAX_A1_TERMS:
+        raise EnumerationBudget(
+            f"ratio bound at d={d}, D={D} sums {terms:.3e} terms; at most {_MAX_A1_TERMS:.0e}"
+        )
 
 
 def multinomial_square_ratio_report(d: int, D: int) -> dict:

@@ -3,7 +3,9 @@
 These deliberately avoid the library's own code paths (convolutions,
 count-signature shortcuts, common-denominator sums, Gram screens, row
 blocks, the shared arrangement table and batched sampler, the layer
-splice) so they can arbitrate disagreements.
+splice) so they can arbitrate disagreements.  The module also holds the
+parity wave, the AND gadget and the mass and mean of a count law, which
+only the tests use.
 """
 
 import itertools
@@ -401,3 +403,39 @@ def per_neuron_compile_network(net, delta):
         out_b,
         THRESHOLD,
     )
+
+
+def parity_wave(d, z):
+    """Truncated triangle wave relu(z) + sum_{k=1}^{d} 2 (-1)^k relu(z - k).
+
+    Equals the parity of z at integers 0..d, which is what the second
+    hidden layer applies to the integer-valued gadget sum.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    out = np.maximum(z, 0.0)
+    for k in range(1, d + 1):
+        out = out + 2.0 * (-1.0) ** k * np.maximum(z - k, 0.0)
+    return out
+
+
+def and_gadget(u, v):
+    """relu(4u + 4v - 5) - relu(4u + 4v - 6) on unit-scale inputs.
+
+    For u, v in [0, 1/4] u [3/4, 1] this equals AND(round(u), round(v)).
+    """
+    s = 4.0 * np.asarray(u, dtype=np.float64) + 4.0 * np.asarray(v, dtype=np.float64)
+    return np.maximum(s - 5.0, 0.0) - np.maximum(s - 6.0, 0.0)
+
+
+def total_mass(law):
+    """Total probability of a CountDistribution, as an exact Fraction."""
+    return Fraction(sum(law.numerators.values()), law.denominator)
+
+
+def expected_counts(law):
+    """Exact mean of each of the four counts under a CountDistribution."""
+    sums = [0, 0, 0, 0]
+    for sig, num in law.numerators.items():
+        for i in range(4):
+            sums[i] += sig[i] * num
+    return tuple(Fraction(s, law.denominator) for s in sums)

@@ -129,3 +129,9 @@ def test_as_bits_validation():
         as_bits([[0, 1]])
     with pytest.raises(ValueError):
         as_bits([0, 1], length=3)
+    for ok in ([True, False], np.array([0.0, 1.0]), np.array([1, 0], dtype=np.uint64), []):
+        assert as_bits(ok).tolist() == [int(v) for v in ok]
+    # 256 and 257 wrap to 0 and 1 in int8, so the values are checked first
+    for bad in ([256], [257], [-1], [2.0], [float("nan")], ["1"], [None]):
+        with pytest.raises(ValueError):
+            as_bits(bad)

@@ -269,6 +269,7 @@ class TestVerifyLemmas:
             (["--a1", "4x4", "--l2", "d=7,D=4"], "--l2"),
             (["--a1", "4x4,6", "--a2", "d<=1"], "--a1"),
             (["--a2", "d<=1", "--l2", "d=1,D=300000"], "--l2"),
+            (["--a2", "d<=1", "--a1", "4x1000"], "--a1"),
         ],
     )
     def test_every_size_is_checked_before_any_report(self, runner, monkeypatch, args, option):

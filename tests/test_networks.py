@@ -1,6 +1,7 @@
 """Network IR: evaluation semantics, absorption transforms, serialization."""
 
 import dataclasses
+import functools
 import json
 
 import numpy as np
@@ -23,8 +24,15 @@ from depthsep.networks import (
     network_to_json,
     splice,
 )
-from depthsep.depth3 import Approx1DSpec, reference_g2, relu_1d_approximator
-from depthsep.threshold import compile_scalar
+from depthsep import build_instance, sample_a4d
+from depthsep.depth3 import (
+    Approx1DSpec,
+    build_exact_relu,
+    build_generic,
+    reference_g2,
+    relu_1d_approximator,
+)
+from depthsep.threshold import compile_network, compile_scalar, threshold_1d_approximator
 
 
 def single_neuron(w=1.0, b=0.0, v=1.0, out_b=0.0, activation=RELU):
@@ -149,6 +157,105 @@ class TestSplice:
 
     def test_not_exported(self):
         assert "splice" not in networks.__all__
+
+
+@functools.cache
+def spliced_nets():
+    """Every kind of network the package builds through splice, built once."""
+    nets = {f"exact d={d}": build_exact_relu(d) for d in range(1, 7)}
+    for name, approximator in (("relu", relu_1d_approximator), ("threshold", threshold_1d_approximator)):
+        for d in (1, 2, 3):
+            for eps in (0.1, 0.05):
+                nets[f"generic-{name} d={d} eps={eps}"] = build_generic(d, eps, approximator).net
+    rng = np.random.default_rng(5)
+    for k, activation in enumerate((RELU, SIGMOID, RELU)):
+        net = random_net(rng, input_dim=6, width=5, activation=activation, scale=1.5)
+        nets[f"compiled {k} {activation.tag}"] = compile_network(net, delta=0.1)
+    return nets
+
+
+def support_and_uniform(input_dim, seed, n=1500):
+    """Support samples of the hard instance (when it is one) plus uniform
+    points of [-1, 1]^input_dim."""
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1.0, 1.0, size=(n, input_dim))
+    d = input_dim // 4
+    if input_dim % 4 == 0 and d <= 3:
+        X = np.vstack([X, sample_a4d(build_instance(d, seed=seed), n, seed=seed).points])
+    return X
+
+
+class TestFactoredLayers:
+    """Spliced layers are evaluated through their factors, within 1e-12 of
+    a dense forward over the stored weights."""
+
+    @pytest.mark.parametrize("name", list(spliced_nets()))
+    def test_matches_dense_forward(self, name):
+        net = spliced_nets()[name]
+        assert any(isinstance(layer, networks._SplicedLayer) for layer in net.hidden)
+        X = support_and_uniform(net.input_dim, seed=len(name))
+        np.testing.assert_allclose(net.evaluate_batch(X), dense_forward(net, X), rtol=0, atol=1e-12)
+
+    def test_exact_net_is_exact_on_the_support(self):
+        for d in (1, 2, 3):
+            batch = sample_a4d(build_instance(d, seed=d), 2000, seed=d)
+            assert np.array_equal(build_exact_relu(d).evaluate_batch(batch.points), batch.labels)
+
+    def test_row_blocks(self):
+        net = build_generic(2, 0.05).net
+        block = block_rows(net)
+        X = support_and_uniform(net.input_dim, seed=3, n=(3 * block + 5) // 2 + 1)[: 3 * block + 5]
+        full = net.evaluate_batch(X)
+        assert full.shape == (3 * block + 5,)
+        np.testing.assert_allclose(full, dense_forward(net, X), rtol=0, atol=1e-12)
+        for n in (0, 1, block - 1, block, block + 1, 3 * block + 5):
+            got = net.evaluate_batch(X[:n])
+            assert got.shape == (n,)
+            np.testing.assert_allclose(got, full[:n], rtol=0, atol=1e-12)
+            assert np.array_equal(got, net.evaluate_batch(X[:n]))
+        np.testing.assert_allclose(net.evaluate_batch(X[7]), full[7:8], rtol=0, atol=1e-12)
+
+    def test_dense_pair_is_kron_of_factors(self):
+        layer = build_exact_relu(3).hidden[1]
+        (W_s, b_s), (W, b, h_w, h_b) = layer, layer.factors
+        assert np.array_equal(W_s, np.kron(W, h_w[:, None]))
+        assert np.array_equal(b_s, (np.outer(b, h_w) + h_b).ravel())
+
+    def test_pre_activation_reads_the_factors(self):
+        layer = build_generic(2, 0.1).net.hidden[1]
+        W, b, h_w, h_b = layer.factors
+        X = np.random.default_rng(8).uniform(0.0, 1.0, size=(300, W.shape[1]))
+        want = ((X @ W.T + b)[:, :, None] * h_w + h_b).reshape(len(X), -1)
+        assert networks._pre_activation(layer, X).tobytes() == want.tobytes()
+
+    def test_factors_read_only(self):
+        for layer in build_generic(1, 0.1).net.hidden:
+            for a in (*layer, *layer.factors):
+                assert not a.flags.writeable
+
+    def test_copies_keep_factors(self):
+        import copy
+        import pickle
+
+        net = build_generic(1, 0.1).net
+        X = support_and_uniform(net.input_dim, seed=4)
+        for twin in (copy.deepcopy(net), pickle.loads(pickle.dumps(net))):
+            assert all(isinstance(layer, networks._SplicedLayer) for layer in twin.hidden)
+            assert np.array_equal(twin.evaluate_batch(X), net.evaluate_batch(X))
+
+    def test_rebuilt_weights_are_plain_layers(self):
+        net = build_generic(1, 0.1).net
+        X = support_and_uniform(net.input_dim, seed=6)
+        rebuilt = [
+            network_from_json(network_to_json(net)),
+            absorb_input_shift(net, np.zeros(net.input_dim)),
+            absorb_input_map(net, np.eye(net.input_dim), np.zeros(net.input_dim)),
+        ]
+        for other in rebuilt:
+            assert not any(isinstance(layer, networks._SplicedLayer) for layer in other.hidden)
+            for (W, b), (W_ref, b_ref) in zip(other.hidden, net.hidden, strict=True):
+                assert np.array_equal(W, W_ref) and np.array_equal(b, b_ref)
+            np.testing.assert_allclose(other.evaluate_batch(X), net.evaluate_batch(X), rtol=0, atol=1e-12)
 
 
 class TestAbsorbShift:

@@ -16,6 +16,7 @@ from oracle_utils import (
     compositions4,
     concatenated_randomize_batch,
     convolution_l2_norm_squared,
+    expected_counts,
     filled_block_input_map,
     flip_order_expand_pair,
     float_l2_ratio_to_uniform,
@@ -25,6 +26,7 @@ from oracle_utils import (
     multinomial,
     per_mask_count_numerators,
     per_row_draw_record,
+    total_mass,
 )
 
 from depthsep.bits import ip_mod2
@@ -283,7 +285,7 @@ class TestCountSignature:
 class TestExactLaw:
     def test_total_mass_is_one(self):
         law = exact_count_distribution([1], [0], D=8)
-        assert law.total_mass() == 1
+        assert total_mass(law) == 1
 
     def test_even_pad_probability_at_D2(self):
         # 10 of the 16 pads have an even both-ones count: 5/8 = 1/2 + 2^-3
@@ -300,7 +302,7 @@ class TestExactLaw:
         x, y = [1, 0], [1, 1]
         d, D = 2, 8
         law = exact_count_distribution(x, y, D=D)
-        means = law.expected_counts()
+        means = expected_counts(law)
 
         sigs = block_signatures(x, y)
         assert [Fraction(int(s), len(sigs)) for s in sigs.sum(axis=0)] == [Fraction(d)] * 4
@@ -507,6 +509,18 @@ class TestL2ClosedForm:
             check_a2_size(2, Fraction(1, 48), "sampled")
         with pytest.raises(ValueError):
             check_a2_size(2, Fraction(1, 96), "grid")
+
+
+def test_a1_work_budget():
+    """Every ratio-bound size the suite, the benchmark and verify-all run is
+    admitted, up to (4, 100); sizes past the term budget are rejected."""
+    for d, D in [(4, 4), (4, 8), (4, 16), (8, 16), (4, 100)]:
+        check_a1_size(d, D)
+    for d, D in [(4, 104), (4, 1000), (4, 200), (400, 4)]:
+        with pytest.raises(EnumerationBudget):
+            check_a1_size(d, D)
+    with pytest.raises(EnumerationBudget):
+        multinomial_square_ratio_report(4, 1000)
 
 
 def test_even_pad_weights_equal_multinomials():
