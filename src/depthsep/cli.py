@@ -200,9 +200,9 @@ def _spec_ints(option: str, text: str, pattern: str) -> list[list[int]]:
 @click.option("--a1", "a1_spec", type=str, default=None,
               help="Ratio bound sweep as 'd1,d2x D1,D2,...', e.g. '4,8x4,8,16'.")
 @click.option("--a2", "a2_spec", type=str, default=None,
-              help="MGF bound sweep as 'd<=K' (s defaults to 1/(48 d)).")
+              help=f"MGF bound sweep as 'd<=K' (s defaults to 1/(48 d)); K is at most {reduction._MAX_A2_D}.")
 @click.option("--l2", "l2_spec", type=str, default=None,
-              help="Exact norm check as 'd=1,D=100' (sweeps all 4^d inputs).")
+              help="Exact norm check as 'd=1,D=100'.")
 @click.option("--out", type=str, default=None, help="JSON report path.")
 def verify_lemmas_cmd(a1_spec, a2_spec, l2_spec, out):
     """Exact-arithmetic verification of the combinatorial bounds."""

@@ -263,23 +263,23 @@ def _check_a1(seed: int) -> dict:
 
 
 def _check_a2(seed: int) -> dict:
-    worst = 0.0
-    for d in (1, 2):
+    worst, n_classes = 0.0, 0
+    for d in range(1, 9):
         rep = reduction.mgf_bound_report(d, Fraction(1, 48 * d))
         if not rep["pass"]:
-            raise AssertionError(f"mgf bound fails at d={d}")
-        worst = max(worst, rep["max_ratio"])
-    return {"detail": f"max E/RHS ratio {worst:.4f} for d=1,2"}
+            raise AssertionError(f"mgf bound fails at d={d}, (x,y)={rep['worst_input']}")
+        worst, n_classes = max(worst, rep["max_ratio"]), n_classes + rep["n_classes"]
+    return {"detail": f"max E/RHS ratio {worst:.4f} for d=1..8, n_classes={n_classes}"}
 
 
 def _check_l2(seed: int) -> dict:
-    worst = 0.0
+    worst, n_classes = 0.0, 0
     for d in (1, 2, 3):
         rep = reduction.l2_bound_report(d, 100 * d)
         if not (rep["pass"] and rep["bound_armed"]):
             raise AssertionError(f"l2 bound fails at d={d}, D={100 * d}, (x,y)={rep['worst_input']}")
-        worst = max(worst, rep["max_ratio"])
-    return {"detail": f"max l2^2/bound ratio {worst:.4f} at D=100d for d=1,2,3"}
+        worst, n_classes = max(worst, rep["max_ratio"]), n_classes + rep["n_classes"]
+    return {"detail": f"max l2^2/bound ratio {worst:.4f} at D=100d for d=1,2,3, n_classes={n_classes}"}
 
 
 def _check_equivalences(seed: int) -> dict:

@@ -20,6 +20,7 @@ analysis rests on.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from collections import Counter
@@ -44,7 +45,6 @@ __all__ = [
     "randomize_input",
     "randomize_batch",
     "count_signature",
-    "block_signatures",
     "exact_count_distribution",
     "exact_l2_norm_squared",
     "l2_bound_report",
@@ -57,8 +57,9 @@ __all__ = [
     "verify_ip_preservation",
 ]
 
-_MAX_ENUM_D = 6
+_MAX_L2_D = 6  # l2_bound_report(6, 600) sweeps 84 type classes in about 13 s on a 2-core VM
 _MAX_L2_LENGTH = 200_000
+_MAX_A2_D = 16  # mgf_bound_report at d = 16 sweeps 969 type classes in about 1.3 s
 # (d, D) = (4, 100), the largest admitted D at d = 4, sums 6.2e6 terms in
 # about 6 s on a 2-core VM; (4, 200) took 112 s, as the integers lengthen.
 _MAX_A1_TERMS = 6_500_000
@@ -67,6 +68,11 @@ _RHS_SLACK = 1e-10
 
 class EnumerationBudget(RuntimeError):
     """Requested exact enumeration is too large for desk-scale arithmetic."""
+
+
+def _bound_armed(d: int, D: int) -> bool:
+    """The L2-norm bound is stated for D >= 100 d, the regime the analysis covers."""
+    return D >= 100 * d
 
 
 @dataclass(frozen=True)
@@ -97,7 +103,7 @@ class ReductionConfig:
 
     @property
     def bound_armed(self) -> bool:
-        return self.D >= 100 * self.d
+        return _bound_armed(self.d, self.D)
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,22 +233,37 @@ def _compositions4(total: int) -> Iterator[tuple[int, int, int, int]]:
                 yield (a, b, c, total - a - b - c)
 
 
-def block_signatures(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Count signatures of the 4d-entry arrangement for every mask pair.
+def _mask_law(n00: int, n01: int, n10: int, n11: int) -> dict[tuple[int, int, int, int], int]:
+    """Multiplicity of each arrangement count signature over the 4^d mask
+    pairs of an input with n_ab coordinates of type (x_i, y_i) = (a, b).
 
-    Row index encodes (x_mask, y_mask) as x_mask + 2^d * y_mask with the
-    enumeration's least-significant-bit-first convention; all 4^d rows have
-    probability 1/4^d under the randomization.
+    Over its four mask pairs a coordinate of type (0,0) gives 4 e_j for each
+    count cell j, (0,1) gives (2,2,0,0) or (0,0,2,2) twice each, (1,0) gives
+    (2,0,2,0) or (0,2,0,2) twice each and (1,1) gives (1,1,1,1) four times.
+    Their convolution over the coordinates is a multinomial over the (0,0)
+    coordinates times one binomial each over the (0,1) and the (1,0) ones,
+    shifted by n11 (1,1,1,1).
     """
-    x = as_bits(x)
-    y = as_bits(y, length=x.size)
-    d = x.size
-    if d > _MAX_ENUM_D:
-        raise EnumerationBudget(f"mask enumeration needs 4^{d} rows; d <= {_MAX_ENUM_D}")
-    masks = ((np.arange(4**d)[:, None] >> np.arange(2 * d)) & 1).astype(np.int8)
-    no_pad = np.zeros((4**d, 0), dtype=np.int8)
-    codes = 2 * _arrange(0, x, masks[:, :d], no_pad) + _arrange(1, y, masks[:, d:], no_pad)
-    return (codes[:, :, None] == np.arange(4)).sum(axis=1, dtype=np.int64)
+    law: dict[tuple[int, int, int, int], int] = {}
+    for a, b, c, e in _compositions4(n00):
+        m = _multinom(n00, (a, b, c, e)) * 2 ** (n01 + n10) * 4**n11
+        for j, k in itertools.product(range(n01 + 1), range(n10 + 1)):
+            p, q = 2 * (n01 - j), 2 * (n10 - k)
+            sig = (n11 + 4 * a + 2 * (j + k), n11 + 4 * b + 2 * j + q, n11 + 4 * c + p + 2 * k,
+                   n11 + 4 * e + p + q)
+            law[sig] = law.get(sig, 0) + m * math.comb(n01, j) * math.comb(n10, k)
+    return law
+
+
+def _type_classes(d: int) -> Iterator[tuple[tuple[int, int, int, int], list[list[int]]]]:
+    """Each type class (n00, n01, n10, n11) of d-bit inputs with its first
+    input in the order of (x, y) as integers, x major, bits least significant
+    first: x = 1 on the first n10 + n11 coordinates, y = 1 on the first n11
+    and the next n01.  Sorting by (n10 + n11, n01, n11) lists the classes in
+    the order of those inputs."""
+    for n00, n01, n10, n11 in sorted(_compositions4(d), key=lambda t: (t[2] + t[3], t[1], t[3])):
+        x = [1] * (n10 + n11) + [0] * (n00 + n01)
+        yield (n00, n01, n10, n11), [x, [1] * n11 + [0] * n10 + [1] * n01 + [0] * n00]
 
 
 @lru_cache(maxsize=4)
@@ -280,23 +301,14 @@ class CountDistribution:
         return Fraction(self.numerators.get(sig, 0), self.denominator)
 
 
-def _enum_guard(d: int, D: int) -> None:
-    if d > _MAX_ENUM_D:
-        raise EnumerationBudget(f"exact law requires d <= {_MAX_ENUM_D}, got {d}")
-    n_comp = math.comb(D + 3, 3)
-    if n_comp * 4**d > 40_000_000:
-        raise EnumerationBudget(
-            f"exact law would touch ~{n_comp * 4 ** d:.2e} terms; reduce d or D"
-        )
-
-
 def check_l2_size(d: int, D: int) -> None:
-    """Reject an exact L2 norm beyond the mask enumeration or with integers
-    of more than about 2 _MAX_L2_LENGTH bits."""
+    """Reject an exact L2 norm beyond d = _MAX_L2_D, past which the sweep
+    over type classes outgrows seconds, or with integers of more than about
+    2 _MAX_L2_LENGTH bits."""
     if D < 0:
         raise ValueError("D must be non-negative")
-    if d > _MAX_ENUM_D:
-        raise EnumerationBudget(f"mask enumeration needs 4^{d} rows; d <= {_MAX_ENUM_D}")
+    if d > _MAX_L2_D:
+        raise EnumerationBudget(f"the L2 sweep takes about 13 s at d = 6, D = 600; d <= {_MAX_L2_D}")
     if 4 * d + D > _MAX_L2_LENGTH:
         raise EnumerationBudget(f"exact L2 norm needs 4d + D <= {_MAX_L2_LENGTH}, got {4 * d + D}")
 
@@ -305,16 +317,17 @@ def exact_count_distribution(x, y, D: int) -> CountDistribution:
     """Exact law of the randomized pair's count signature.
 
     Convolution of (i) the uniform law over the 4^d mask arrangements of
-    the fixed (x, y) and (ii) the even-conditioned multinomial pad law at
+    the fixed (x, y), which depends only on its coordinate types
+    (_mask_law), and (ii) the even-conditioned multinomial pad law at
     parameter 1/4, whose normalizer is exactly 1/2 + 2^{-D-1}.
     """
-    x = as_bits(x)
-    y = as_bits(y, length=x.size)
-    d = x.size
-    _enum_guard(d, D)
+    types = count_signature(x, y)
+    d, n_comp = sum(types), math.comb(D + 3, 3)
+    if n_comp * 4**d > 40_000_000:
+        raise EnumerationBudget(f"exact law would touch ~{n_comp * 4 ** d:.2e} terms; reduce d or D")
     pad_weights = _even_pad_weights(D)
     numerators: dict[tuple[int, int, int, int], int] = {}
-    for sig, mult in Counter(map(tuple, block_signatures(x, y).tolist())).items():
+    for sig, mult in _mask_law(*types).items():
         for psig, w in pad_weights.items():
             key = (sig[0] + psig[0], sig[1] + psig[1], sig[2] + psig[2], sig[3] + psig[3])
             numerators[key] = numerators.get(key, 0) + mult * w
@@ -341,9 +354,10 @@ def _poly_mul(p: list[int], q: list[int]) -> list[int]:
     return out
 
 
-def _l2_closed_form(x, y, D: int) -> tuple[Fraction, int]:
-    """Exact squared L2 norm of the pair law and the number of shift pairs
-    summed; the cost does not depend on D beyond the size of its integers.
+def _l2_closed_form(types: tuple[int, int, int, int], D: int) -> tuple[Fraction, int]:
+    """Exact squared L2 norm of the pair law of an input with coordinate
+    type counts ``types``, and the number of shift pairs summed; the cost
+    does not depend on D beyond the size of its integers.
 
     With N = 4d + D, the mask signatures s of multiplicity m_s and the
     falling factorial ff, the count law's numerator is
@@ -361,12 +375,9 @@ def _l2_closed_form(x, y, D: int) -> tuple[Fraction, int]:
     N!/D! = perm(N, 4d) the norm is one integer sum over shift pairs and
     degrees p <= 8d divided by 2 perm(N, 4d)^2 denom^2.
     """
-    x = as_bits(x)
-    y = as_bits(y, length=x.size)
-    d = x.size
-    check_l2_size(d, D)
+    d = sum(types)
     N = 4 * d + D
-    shifts = sorted(Counter(map(tuple, block_signatures(x, y).tolist())).items())
+    shifts = sorted(_mask_law(*types).items())
     plain = [0] * (8 * d + 1)  # coefficients against e^{4t}
     signed = [0] * (8 * d + 1)  # coefficients against e^{2t}, sign included
     n_pairs = 0
@@ -402,28 +413,30 @@ def exact_l2_norm_squared(x, y, D: int) -> Fraction:
     The sum is taken in closed form over pairs of mask signatures (see
     _l2_closed_form), with no count law built.
     """
-    return _l2_closed_form(x, y, D)[0]
+    types = count_signature(x, y)
+    check_l2_size(sum(types), D)
+    return _l2_closed_form(types, D)[0]
 
 
 def l2_bound_report(d: int, D: int) -> dict:
-    """Check exact_l2_norm_squared(x, y, D) <= 64 * 4^{-(4d+D)} over all 4^d inputs;
-    the bound is armed only for D >= 100 d, below it the worst ratio is reported."""
+    """Check exact_l2_norm_squared(x, y, D) <= 64 * 4^{-(4d+D)} over all 4^d inputs,
+    one type class at a time (worst_input is the first input of the first worst
+    class); the bound is armed only for D >= 100 d, below it the worst ratio is reported."""
     check_l2_size(d, D)
     start = time.perf_counter()
     bound = Fraction(64, 4 ** (4 * d + D))
-    vecs = [[(i >> j) & 1 for j in range(d)] for i in range(2**d)]
     worst, worst_input, n_pairs = None, None, 0
-    for x in vecs:
-        for y in vecs:
-            value, pairs = _l2_closed_form(x, y, D)
-            n_pairs += pairs
-            if worst is None or value / bound > worst:
-                worst, worst_input = value / bound, [x, y]
-    armed = D >= 100 * d
+    for types, first in _type_classes(d):
+        value, pairs = _l2_closed_form(types, D)
+        n_pairs += pairs
+        if worst is None or value / bound > worst:
+            worst, worst_input = value / bound, first
+    armed = _bound_armed(d, D)
     return {
         "check": "pair-law-l2-norm",
         "parameters": {"d": d, "D": D},
-        "n_inputs": len(vecs) ** 2,
+        "n_inputs": 4**d,
+        "n_classes": math.comb(d + 3, 3),
         "n_shift_pairs": n_pairs,
         "max_ratio": float(worst),
         "worst_input": worst_input,
@@ -479,6 +492,7 @@ def multinomial_square_ratio_report(d: int, D: int) -> dict:
     the bound's actual gap.
     """
     check_a1_size(d, D)
+    start = time.perf_counter()
     worst = 0.0
     worst_split = None
     failures = []
@@ -500,80 +514,63 @@ def multinomial_square_ratio_report(d: int, D: int) -> dict:
         "check": "multinomial-square-ratio",
         "parameters": {"d": d, "D": D},
         "n_splits": math.comb(d + 3, 3),
+        "n_terms": math.comb(d + 3, 3) * math.comb(D + 3, 3),
         "max_ratio": worst,
         "worst_split": list(worst_split),
         "pass": not failures,
         "failures": failures,
+        "elapsed_s": time.perf_counter() - start,
     }
 
 
-def check_a2_size(d: int, s: Fraction, mode: str = "exhaustive") -> None:
-    """Reject an MGF sweep outside 0 < s < 1/(24 d), of an unknown mode, or
-    exhaustive beyond d = 3."""
+def check_a2_size(d: int, s: Fraction) -> None:
+    """Reject an MGF sweep outside 0 < s < 1/(24 d) or beyond d = _MAX_A2_D."""
     if d < 1:
         raise ValueError("d must be positive")
     if not 0 < s < Fraction(1, 24 * d):
         raise ValueError("need 0 < s < 1/(24 d)")
-    if mode not in ("exhaustive", "sampled"):
-        raise ValueError("mode must be 'exhaustive' or 'sampled'")
-    if mode == "exhaustive" and d > 3:
-        raise EnumerationBudget("exhaustive input sweep requires d <= 3")
+    if d > _MAX_A2_D:
+        raise EnumerationBudget(f"MGF sweep over type classes requires d <= {_MAX_A2_D}")
 
 
-def mgf_bound_report(
-    d: int,
-    s: Fraction,
-    mode: str = "exhaustive",
-    n_samples: int = 64,
-    seed: int = 0,
-) -> dict:
-    """Check E over mask pairs of exp(s * sum_i (c_i - d)^2) <= (1/(1-24ds))^2.
+def mgf_bound_report(d: int, s: Fraction) -> dict:
+    """Check E over mask pairs of exp(s * sum_i (c_i - d)^2) <= (1/(1-24ds))^2
+    for every (x, y).
 
-    The counts c_i are the arrangement signature of a fixed (x, y); the
-    expectation runs exactly over all 4^d mask pairs at 220-bit precision.
-    ``exhaustive`` sweeps every (x, y) (requires d <= 3); ``sampled`` draws
-    n_samples input pairs instead.
+    The counts c_i are the arrangement signature of a fixed (x, y), whose law
+    depends only on its type class (_mask_law); the expectation runs exactly
+    over that law at 220-bit precision, once per class.  failures counts the
+    inputs of failing classes; worst_input is the first input of the first
+    worst class.
     """
     s = Fraction(s)
-    check_a2_size(d, s, mode)
-    if mode == "exhaustive":
-        pairs = [
-            (np.array([(xi >> j) & 1 for j in range(d)], dtype=np.int8),
-             np.array([(yi >> j) & 1 for j in range(d)], dtype=np.int8))
-            for xi in range(2**d)
-            for yi in range(2**d)
-        ]
-    else:
-        rng = np.random.default_rng(seed)
-        pairs = [
-            (rng.integers(0, 2, size=d, dtype=np.int8), rng.integers(0, 2, size=d, dtype=np.int8))
-            for _ in range(n_samples)
-        ]
-    worst = 0.0
-    worst_pair = None
-    failures = 0
+    check_a2_size(d, s)
+    start = time.perf_counter()
+    worst, worst_input, failures = 0.0, None, 0
     with mp.workprec(220):
         s_mp = mp.mpf(s.numerator) / mp.mpf(s.denominator)
         rhs = (1 / (1 - 24 * d * s_mp)) ** 2
-        for x, y in pairs:
-            sigs = block_signatures(x, y)
-            dev = ((sigs - d) ** 2).sum(axis=1)
-            total = mp.mpf(0)
-            for val in dev.tolist():
-                total += mp.e ** (s_mp * val)
-            ratio = float(total / len(sigs) / rhs)
+        exp_s = lru_cache(maxsize=None)(lambda dev: mp.e ** (s_mp * dev))  # shared by the classes
+        for types, first in _type_classes(d):
+            mults: Counter[int] = Counter()  # mask pairs per deviation dev = sum_i (c_i - d)^2
+            for sig, mult in _mask_law(*types).items():
+                mults[sum((c - d) ** 2 for c in sig)] += mult
+            total = mp.fsum(mult * exp_s(dev) for dev, mult in mults.items())
+            ratio = float(total / 4**d / rhs)
             if ratio > worst:
-                worst, worst_pair = ratio, (x.tolist(), y.tolist())
+                worst, worst_input = ratio, tuple(first)
             if ratio > 1.0 + _RHS_SLACK:
-                failures += 1
+                failures += _multinom(d, types)
     return {
         "check": "mask-signature-mgf",
-        "parameters": {"d": d, "s": [s.numerator, s.denominator], "mode": mode},
-        "n_inputs": len(pairs),
+        "parameters": {"d": d, "s": [s.numerator, s.denominator]},
+        "n_inputs": 4**d,
+        "n_classes": math.comb(d + 3, 3),
         "max_ratio": worst,
-        "worst_input": worst_pair,
+        "worst_input": worst_input,
         "pass": failures == 0,
         "failures": failures,
+        "elapsed_s": time.perf_counter() - start,
     }
 
 

@@ -3,9 +3,9 @@
 These deliberately avoid the library's own code paths (convolutions,
 count-signature shortcuts, common-denominator sums, Gram screens, row
 blocks, the shared arrangement table and batched sampler, the layer
-splice) so they can arbitrate disagreements.  The module also holds the
-parity wave, the AND gadget and the mass and mean of a count law, which
-only the tests use.
+splice, the mask law by coordinate type) so they can arbitrate
+disagreements.  The module also holds the parity wave, the AND gadget and
+the mass and mean of a count law, which only the tests use.
 """
 
 import itertools
@@ -14,6 +14,7 @@ from collections import defaultdict
 from fractions import Fraction
 from math import factorial
 
+import mpmath as mp
 import numpy as np
 
 from depthsep.networks import RELU, THRESHOLD, DenseNetwork
@@ -288,6 +289,42 @@ def filled_block_input_map(record, d):
     fill(L, d, record.y_mask, record.y_pad, flip_order=True)
     gather = np.concatenate([record.perm, L + record.perm])
     return P_pre[gather], c_pre[gather]
+
+
+def block_signatures(x, y):
+    """Count signatures of the arrangement (x^a, a, x^a, a) / (y^b, b, b, y^b)
+    for every mask pair (a, b), vectorized over the 4^d rows; row
+    a + 2^d b with mask bits least significant first, the row order of
+    looped_block_signatures."""
+    x = np.asarray(x, dtype=np.int8)
+    y = np.asarray(y, dtype=np.int8)
+    d = x.size
+    masks = ((np.arange(4**d)[:, None] >> np.arange(2 * d)) & 1).astype(np.int8)
+    xm, ym = masks[:, :d], masks[:, d:]
+    X = np.concatenate([x ^ xm, xm, x ^ xm, xm], axis=1)
+    Y = np.concatenate([y ^ ym, ym, ym, y ^ ym], axis=1)
+    codes = 2 * X + Y
+    return (codes[:, :, None] == np.arange(4)).sum(axis=1, dtype=np.int64)
+
+
+def per_input_mgf_ratios(d, s):
+    """E over the 4^d mask rows of exp(s sum_i (c_i - d)^2) over the bound
+    (1/(1 - 24 d s))^2, for every input (x, y) in the order of (x, y) as
+    integers, x major, bits least significant first; one 220-bit
+    exponential per row."""
+    vecs = [tuple((i >> j) & 1 for j in range(d)) for i in range(2**d)]
+    ratios = {}
+    with mp.workprec(220):
+        s_mp = mp.mpf(s.numerator) / mp.mpf(s.denominator)
+        rhs = (1 / (1 - 24 * d * s_mp)) ** 2
+        for x in vecs:
+            for y in vecs:
+                sigs = block_signatures(x, y)
+                total = mp.mpf(0)
+                for dev in ((sigs - d) ** 2).sum(axis=1).tolist():
+                    total += mp.e ** (s_mp * dev)
+                ratios[(x, y)] = float(total / len(sigs) / rhs)
+    return ratios
 
 
 def looped_block_signatures(x, y):

@@ -265,7 +265,7 @@ class TestVerifyLemmas:
     @pytest.mark.parametrize(
         "args, option",
         [
-            (["--a2", "d<=4"], "--a2"),
+            (["--a2", "d<=17"], "--a2"),
             (["--a1", "4x4", "--l2", "d=7,D=4"], "--l2"),
             (["--a1", "4x4,6", "--a2", "d<=1"], "--a1"),
             (["--a2", "d<=1", "--l2", "d=1,D=300000"], "--l2"),

@@ -13,6 +13,7 @@ from math import comb, factorial
 import numpy as np
 import pytest
 from oracle_utils import (
+    block_signatures,
     compositions4,
     concatenated_randomize_batch,
     convolution_l2_norm_squared,
@@ -24,6 +25,7 @@ from oracle_utils import (
     fraction_l2_norm_squared,
     looped_block_signatures,
     multinomial,
+    per_input_mgf_ratios,
     per_mask_count_numerators,
     per_row_draw_record,
     total_mass,
@@ -36,8 +38,9 @@ from depthsep.reduction import (
     ReductionConfig,
     _a1_lhs,
     _even_pad_weights,
+    _mask_law,
+    _type_classes,
     block_input_map,
-    block_signatures,
     build_averaged_network,
     check_a1_size,
     check_a2_size,
@@ -270,6 +273,33 @@ class TestReferenceImplementations:
             assert_same_bytes(block_signatures(x, y), looped_block_signatures(x, y))
 
 
+def _enumerated_law(x, y):
+    return dict(Counter(map(tuple, block_signatures(x, y).tolist())))
+
+
+class TestMaskLaw:
+    """The mask law by coordinate type against the 4^d mask enumeration."""
+
+    @pytest.mark.parametrize("d", range(1, 6))
+    def test_every_input(self, d):
+        for x, y in _bit_inputs(d):
+            assert _mask_law(*count_signature(x, y)) == _enumerated_law(x, y)
+
+    def test_d6_every_class_and_random_inputs(self):
+        inputs = [first for _, first in _type_classes(6)]
+        inputs += list(np.random.default_rng(6).integers(0, 2, size=(16, 2, 6)))
+        for x, y in inputs:
+            law = _mask_law(*count_signature(x, y))
+            assert law == _enumerated_law(x, y) and sum(law.values()) == 4**6
+
+    @pytest.mark.parametrize("d", range(1, 5))
+    def test_type_classes_list_first_inputs_in_order(self, d):
+        first = {}
+        for x, y in _bit_inputs(d):  # x-major, bits read most significant first
+            first.setdefault(count_signature(x, y), [list(x[::-1]), list(y[::-1])])
+        assert [(t, f) for t, f in _type_classes(d)] == list(first.items())
+
+
 class TestCountSignature:
     def test_worked_examples(self):
         assert count_signature([1, 1], [1, 0]) == (0, 0, 1, 1)
@@ -354,8 +384,10 @@ class TestExactLaw:
                 assert law.prob(sig) == p
 
     def test_enumeration_budget(self):
+        # d itself is not capped: the budget bounds pad signatures times 4^d
+        assert total_mass(exact_count_distribution([1] * 7, [0] * 7, D=4)) == 1
         with pytest.raises(EnumerationBudget):
-            exact_count_distribution([1] * 7, [0] * 7, D=4)
+            exact_count_distribution([1] * 7, [0] * 7, D=40)
 
     def test_numerators_match_per_mask_convolution(self):
         """Convolving each distinct mask signature once, weighted by its
@@ -459,9 +491,11 @@ class TestL2ClosedForm:
         float sum over all 1.5M count signatures agreeing on the worst one."""
         rep = l2_bound_report(2, 200)
         assert rep["pass"] and rep["bound_armed"] and rep["max_ratio"] < 1
-        assert rep["n_inputs"] == 16 and rep["elapsed_s"] >= 0
+        assert rep["n_inputs"] == 16 and rep["n_classes"] == 10 and rep["elapsed_s"] >= 0
+        classes = {count_signature(x, y): (x, y) for x, y in _bit_inputs(2)}
+        assert len(classes) == 10
         pairs = 0
-        for x, y in _bit_inputs(2):
+        for x, y in classes.values():
             parity = Counter(s[3] % 2 for s in set(map(tuple, block_signatures(x, y).tolist())))
             pairs += sum(k * (k + 1) // 2 for k in parity.values())
         assert rep["n_shift_pairs"] == pairs
@@ -473,11 +507,15 @@ class TestL2ClosedForm:
             assert exact_l2_norm_squared(x, y, 200) * 4**208 <= exact
 
     def test_report_fields_kept(self):
-        for d, D in ((1, 100), (2, 6)):
+        """The class sweep reports what a sweep over every input in x-major
+        order reports, the first worst input included; the count-law
+        convolution is the reference up to d = 2, the per-input norm beyond."""
+        for d, D in ((1, 100), (2, 6), (3, 12), (4, 16)):
             rep = l2_bound_report(d, D)
+            norm = convolution_l2_norm_squared if d <= 2 else exact_l2_norm_squared
             bound = Fraction(64, 4 ** (4 * d + D))
-            vecs = [[(i >> j) & 1 for j in range(d)] for i in range(2**d)]  # the report's order
-            ratios = [(convolution_l2_norm_squared(x, y, D) / bound, [x, y]) for x in vecs for y in vecs]
+            vecs = [[(i >> j) & 1 for j in range(d)] for i in range(2**d)]  # x-major order
+            ratios = [(norm(x, y, D) / bound, [x, y]) for x in vecs for y in vecs]
             worst, worst_input = max(ratios, key=lambda r: r[0])
             assert rep["check"] == "pair-law-l2-norm"
             assert rep["parameters"] == {"d": d, "D": D}
@@ -486,6 +524,7 @@ class TestL2ClosedForm:
             assert rep["bound_armed"] == (D >= 100 * d)
             assert rep["pass"] is True
             assert rep["n_inputs"] == 4**d
+            assert rep["n_classes"] == comb(d + 3, 3)
 
     def test_size_checks(self):
         check_l2_size(6, 1000)
@@ -502,13 +541,11 @@ class TestL2ClosedForm:
             with pytest.raises(ValueError):
                 check_a1_size(d, D)
         check_a2_size(3, Fraction(1, 144))
+        check_a2_size(16, Fraction(1, 768))
         with pytest.raises(EnumerationBudget):
-            check_a2_size(4, Fraction(1, 192))
-        check_a2_size(4, Fraction(1, 192), "sampled")
+            check_a2_size(17, Fraction(1, 816))
         with pytest.raises(ValueError):
-            check_a2_size(2, Fraction(1, 48), "sampled")
-        with pytest.raises(ValueError):
-            check_a2_size(2, Fraction(1, 96), "grid")
+            check_a2_size(2, Fraction(1, 48))
 
 
 def test_a1_work_budget():
@@ -578,15 +615,31 @@ class TestMgfBound:
         for d in (1, 2, 3):
             sigs = block_signatures([1] * d, [1] * d)
             assert np.array_equal(sigs, np.full((4**d, 4), d))
+            assert _mask_law(0, 0, 0, d) == {(d, d, d, d): 4**d}
 
     def test_d3_exhaustive(self):
         report = mgf_bound_report(3, Fraction(1, 144))
         assert report["pass"]
         assert report["n_inputs"] == 64
 
-    def test_sampled_mode(self):
-        report = mgf_bound_report(4, Fraction(1, 96 * 2), mode="sampled", n_samples=16)
-        assert report["pass"]
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_report_matches_per_input_sweep(self, d):
+        """The class sweep reports what one 220-bit exponential per mask row
+        of every input reports, the first worst input in x-major order
+        included."""
+        s = Fraction(1, 48 * d)
+        ratios = per_input_mgf_ratios(d, s)
+        worst = max(ratios.values())
+        report = mgf_bound_report(d, s)
+        assert report["max_ratio"] == worst
+        assert report["worst_input"] == tuple(map(list, next(k for k, r in ratios.items() if r == worst)))
+        assert report["n_inputs"] == 4**d and report["n_classes"] == comb(d + 3, 3)
+        assert report["pass"] and report["failures"] == 0 and report["elapsed_s"] >= 0
+
+    def test_large_d_passes(self):
+        report = mgf_bound_report(12, Fraction(1, 48 * 12))
+        assert report["pass"] and report["max_ratio"] < 1.0
+        assert report["n_inputs"] == 4**12 and report["n_classes"] == 455
 
     def test_s_range_enforced(self):
         with pytest.raises(ValueError):
