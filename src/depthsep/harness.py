@@ -252,14 +252,14 @@ def _check_ip_preservation(seed: int) -> dict:
 
 
 def _check_a1(seed: int) -> dict:
-    reports = [
-        reduction.multinomial_square_ratio_report(4, 4),
-        reduction.multinomial_square_ratio_report(4, 8),
-    ]
+    sizes = ((4, 4), (4, 8), (4, 400), (8, 800))
+    reports = [reduction.multinomial_square_ratio_report(d, D) for d, D in sizes]
     worst = max(r["max_ratio"] for r in reports)
     if not all(r["pass"] for r in reports) or worst >= 1.0:
         raise AssertionError(f"ratio bound fails, max ratio {worst}")
-    return {"detail": f"max LHS/RHS ratio {worst:.4f} at (d,D) in {{(4,4),(4,8)}}"}
+    n_splits = sum(r["n_splits"] for r in reports)
+    return {"detail": f"max LHS/RHS ratio {worst:.4f} at (d,D) in {{(4,4),(4,8),(4,400),(8,800)}}, "
+                      f"n_splits={n_splits}, largest D={max(D for _, D in sizes)}"}
 
 
 def _check_a2(seed: int) -> dict:

@@ -57,12 +57,15 @@ __all__ = [
     "verify_ip_preservation",
 ]
 
+# The count law of an all-zero input at (d, D) = (7, 54) sums 1.8e6 terms in
+# about 1.4 s on a 2-core VM; a one-signature input at d = 1 keeps as many
+# pad weights as terms, about 0.4 KB each.
+_MAX_LAW_TERMS = 2_000_000
 _MAX_L2_D = 6  # l2_bound_report(6, 600) sweeps 84 type classes in about 13 s on a 2-core VM
 _MAX_L2_LENGTH = 200_000
 _MAX_A2_D = 16  # mgf_bound_report at d = 16 sweeps 969 type classes in about 1.3 s
-# (d, D) = (4, 100), the largest admitted D at d = 4, sums 6.2e6 terms in
-# about 6 s on a 2-core VM; (4, 200) took 112 s, as the integers lengthen.
-_MAX_A1_TERMS = 6_500_000
+_MAX_A1_D = 64  # multinomial_square_ratio_report(64, 6400) takes about 2 s on a 2-core VM
+_MAX_A1_LENGTH = 200_000  # (64, 199936) takes about 6 s
 _RHS_SLACK = 1e-10
 
 
@@ -301,16 +304,20 @@ class CountDistribution:
         return Fraction(self.numerators.get(sig, 0), self.denominator)
 
 
-def check_l2_size(d: int, D: int) -> None:
-    """Reject an exact L2 norm beyond d = _MAX_L2_D, past which the sweep
-    over type classes outgrows seconds, or with integers of more than about
-    2 _MAX_L2_LENGTH bits."""
+def _check_l2_length(d: int, D: int) -> None:
+    """Reject an exact L2 norm with integers of more than about 2 _MAX_L2_LENGTH bits."""
     if D < 0:
         raise ValueError("D must be non-negative")
-    if d > _MAX_L2_D:
-        raise EnumerationBudget(f"the L2 sweep takes about 13 s at d = 6, D = 600; d <= {_MAX_L2_D}")
     if 4 * d + D > _MAX_L2_LENGTH:
         raise EnumerationBudget(f"exact L2 norm needs 4d + D <= {_MAX_L2_LENGTH}, got {4 * d + D}")
+
+
+def check_l2_size(d: int, D: int) -> None:
+    """Reject an L2 sweep beyond d = _MAX_L2_D, past which the sweep over
+    type classes outgrows seconds, or past the integer-length cap."""
+    _check_l2_length(d, D)
+    if d > _MAX_L2_D:
+        raise EnumerationBudget(f"the L2 sweep takes about 13 s at d = 6, D = 600; d <= {_MAX_L2_D}")
 
 
 def exact_count_distribution(x, y, D: int) -> CountDistribution:
@@ -322,12 +329,16 @@ def exact_count_distribution(x, y, D: int) -> CountDistribution:
     parameter 1/4, whose normalizer is exactly 1/2 + 2^{-D-1}.
     """
     types = count_signature(x, y)
-    d, n_comp = sum(types), math.comb(D + 3, 3)
-    if n_comp * 4**d > 40_000_000:
-        raise EnumerationBudget(f"exact law would touch ~{n_comp * 4 ** d:.2e} terms; reduce d or D")
+    d, law = sum(types), _mask_law(*types)
+    n_pads = sum(math.comb(D - e + 2, 2) for e in range(0, D + 1, 2))  # per even (1,1) count e
+    if len(law) * n_pads > _MAX_LAW_TERMS:
+        raise EnumerationBudget(
+            f"exact law would sum {len(law)} mask signatures x {n_pads} pads = "
+            f"{len(law) * n_pads:.2e} terms; at most {_MAX_LAW_TERMS:.0e}"
+        )
     pad_weights = _even_pad_weights(D)
     numerators: dict[tuple[int, int, int, int], int] = {}
-    for sig, mult in _mask_law(*types).items():
+    for sig, mult in law.items():
         for psig, w in pad_weights.items():
             key = (sig[0] + psig[0], sig[1] + psig[1], sig[2] + psig[2], sig[3] + psig[3])
             numerators[key] = numerators.get(key, 0) + mult * w
@@ -414,7 +425,7 @@ def exact_l2_norm_squared(x, y, D: int) -> Fraction:
     _l2_closed_form), with no count law built.
     """
     types = count_signature(x, y)
-    check_l2_size(sum(types), D)
+    _check_l2_length(sum(types), D)
     return _l2_closed_form(types, D)[0]
 
 
@@ -451,31 +462,52 @@ def l2_bound_report(d: int, D: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=4)
-def _squared_multinomials(D: int) -> tuple[tuple[tuple[int, int, int, int], int], ...]:
-    return tuple((comp, _multinom(D, comp) ** 2) for comp in _compositions4(D))
+def _a1_series(split: tuple[int, ...]) -> list[int]:
+    """r_p = sum over j <= split with |j| = p of multinomial(p; j) prod_i C(split_i, j_i),
+    for p = 0..sum(split): the binomial convolution of the rows C(split_i, .)."""
+    r = [1]
+    for s in split:
+        r = [sum(math.comb(p, j) * math.comb(s, j) * r[p - j]
+                 for j in range(max(0, p - len(r) + 1), min(p, s) + 1))
+             for p in range(len(r) + s)]
+    return r
 
 
 def _a1_lhs(split: tuple[int, int, int, int], D: int) -> Fraction:
-    """Exact LHS of the ratio bound for one split of d, as one integer sum over
-    (D + d)!: sum_comp multinomial(D; comp)^2 prod_i (comp_i + split_i)!."""
-    f = [math.factorial(k) for k in range(D + sum(split) + 1)]
-    s0, s1, s2, s3 = split
-    terms = (sq * f[a + s0] * f[b + s1] * f[c + s2] * f[e + s3]
-             for (a, b, c, e), sq in _squared_multinomials(D))
-    return Fraction(sum(terms), f[-1])
+    """Exact LHS of the ratio bound for one split of d, in closed form:
+
+        prod_i split_i! / perm(D + d, d) * sum_{p <= min(d, D)} C(D, p) 4^(D-p) r_p
+
+    with r = _a1_series(split).  The LHS is (D!)^2 / (D+d)! times the t^D
+    coefficient of prod_i F_i(t), F_i(t) = sum_k (k + s_i)! t^k / (k!)^2
+    = s_i! e^t sum_j C(s_i, j) t^j / j! (from C(k+s, s) = sum_j C(s, j) C(k, j)),
+    so prod_i F_i = prod_i s_i! e^{4t} sum_p r_p t^p / p!, with s = split."""
+    d = sum(split)
+    r, m = _a1_series(split), min(d, D)
+    total = sum(math.comb(D, p) * 4 ** (m - p) * r[p] for p in range(m + 1)) << 2 * (D - m)
+    return Fraction(math.prod(map(math.factorial, split)) * total, math.perm(D + d, d))
+
+
+def _mpf(n: int) -> mp.mpf:
+    """The positive integer n as an mpf at the working precision, rounded as
+    mp.mpf(n) rounds it; its trailing zero bits are split off first, which
+    mpmath would strip eight bits per step."""
+    zeros = (n & -n).bit_length() - 1
+    return mp.mpf((n >> zeros, zeros))
 
 
 def check_a1_size(d: int, D: int) -> None:
-    """The ratio bound is stated for d and D divisible by 4; the sweep sums
-    C(d+3,3) C(D+3,3) big-integer terms, at most _MAX_A1_TERMS."""
+    """The ratio bound is stated for d and D divisible by 4.  Reject a sweep
+    beyond d = _MAX_A1_D, past which the splits outgrow seconds, or with
+    integers of more than about 2 _MAX_A1_LENGTH bits."""
     if d < 1 or D < 1 or d % 4 != 0 or D % 4 != 0:
         raise ValueError("d and D must both be positive and divisible by 4")
-    terms = math.comb(d + 3, 3) * math.comb(D + 3, 3)
-    if terms > _MAX_A1_TERMS:
-        raise EnumerationBudget(
-            f"ratio bound at d={d}, D={D} sums {terms:.3e} terms; at most {_MAX_A1_TERMS:.0e}"
-        )
+    if d > _MAX_A1_D:
+        raise EnumerationBudget(f"the ratio-bound sweep takes about 2 s at d = 64, D = 6400; "
+                                f"d <= {_MAX_A1_D}")
+    if D + d > _MAX_A1_LENGTH:
+        raise EnumerationBudget(f"the ratio-bound sweep takes about 6 s at d = 64, D = 199936; "
+                                f"D + d <= {_MAX_A1_LENGTH}, got {D + d}")
 
 
 def multinomial_square_ratio_report(d: int, D: int) -> dict:
@@ -487,25 +519,28 @@ def multinomial_square_ratio_report(d: int, D: int) -> dict:
     stays below exp((4/D) sum (d_i - d/4)^2) (1 + d/D)^{3/2} 4^{D-d}.
 
     Both parameters must be divisible by 4 (the regime the bound is stated
-    for).  The LHS is exact rational; the RHS is evaluated at 220-bit
-    precision with multiplicative slack 1e-10, orders of magnitude below
-    the bound's actual gap.
+    for).  The LHS is exact rational (_a1_lhs); the RHS is evaluated at
+    220-bit precision with multiplicative slack 1e-10, orders of magnitude
+    below the bound's actual gap.  Both sides are symmetric in the split, so
+    each sorted split is evaluated once; n_terms counts the terms of the
+    closed-form sums taken.
     """
     check_a1_size(d, D)
     start = time.perf_counter()
     worst = 0.0
     worst_split = None
     failures = []
+    ratios: dict[tuple[int, ...], float] = {}
     with mp.workprec(220):
+        scale, power = (1 + mp.mpf(d) / D) ** mp.mpf(1.5), mp.mpf(4) ** (D - d)
         for split in _compositions4(d):
-            lhs = _a1_lhs(split, D)
-            spread = sum((mp.mpf(di) - mp.mpf(d) / 4) ** 2 for di in split)
-            rhs = (
-                mp.e ** (mp.mpf(4) / D * spread)
-                * (1 + mp.mpf(d) / D) ** mp.mpf(1.5)
-                * mp.mpf(4) ** (D - d)
-            )
-            ratio = float(mp.mpf(lhs.numerator) / mp.mpf(lhs.denominator) / rhs)
+            key = tuple(sorted(split))
+            if key not in ratios:
+                lhs = _a1_lhs(key, D)
+                spread = sum((di - d // 4) ** 2 for di in key)
+                rhs = mp.e ** (mp.mpf(4) / D * spread) * scale * power
+                ratios[key] = float(_mpf(lhs.numerator) / _mpf(lhs.denominator) / rhs)
+            ratio = ratios[key]
             if ratio > worst:
                 worst, worst_split = ratio, split
             if ratio > 1.0 + _RHS_SLACK:
@@ -514,7 +549,7 @@ def multinomial_square_ratio_report(d: int, D: int) -> dict:
         "check": "multinomial-square-ratio",
         "parameters": {"d": d, "D": D},
         "n_splits": math.comb(d + 3, 3),
-        "n_terms": math.comb(d + 3, 3) * math.comb(D + 3, 3),
+        "n_terms": len(ratios) * (min(d, D) + 1),
         "max_ratio": worst,
         "worst_split": list(worst_split),
         "pass": not failures,

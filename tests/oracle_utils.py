@@ -12,6 +12,7 @@ import itertools
 import math
 from collections import defaultdict
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 import mpmath as mp
@@ -155,6 +156,51 @@ def fraction_a1_lhs(split, D):
         shifted = tuple(c + s for c, s in zip(comp, split))
         acc += Fraction(multinomial(D, comp) ** 2, multinomial(D + d, shifted))
     return acc
+
+
+@lru_cache(maxsize=4)
+def _squared_multinomials(D):
+    return tuple((comp, multinomial(D, comp) ** 2) for comp in compositions4(D))
+
+
+def composition_a1_lhs(split, D):
+    """LHS of the multinomial square-ratio bound for one split of d, as one
+    integer sum over the C(D+3,3) compositions of D divided by (D + d)!:
+    sum_comp multinomial(D; comp)^2 prod_i (comp_i + split_i)!."""
+    f = [factorial(k) for k in range(D + sum(split) + 1)]
+    s0, s1, s2, s3 = split
+    total = sum(sq * f[a + s0] * f[b + s1] * f[c + s2] * f[e + s3]
+                for (a, b, c, e), sq in _squared_multinomials(D))
+    return Fraction(total, f[-1])
+
+
+def composition_a1_report(d, D):
+    """The report fields of the ratio-bound sweep with one composition sum
+    per split, every split evaluated on its own in lexicographic order:
+    max_ratio, worst_split (the first split reaching it), pass, failures and
+    n_splits."""
+    worst, worst_split, failures = 0.0, None, []
+    with mp.workprec(220):
+        for split in compositions4(d):
+            lhs = composition_a1_lhs(split, D)
+            spread = sum((mp.mpf(di) - mp.mpf(d) / 4) ** 2 for di in split)
+            rhs = (
+                mp.e ** (mp.mpf(4) / D * spread)
+                * (1 + mp.mpf(d) / D) ** mp.mpf(1.5)
+                * mp.mpf(4) ** (D - d)
+            )
+            ratio = float(mp.mpf(lhs.numerator) / mp.mpf(lhs.denominator) / rhs)
+            if ratio > worst:
+                worst, worst_split = ratio, split
+            if ratio > 1.0 + 1e-10:
+                failures.append({"split": list(split), "ratio": ratio})
+    return {
+        "max_ratio": worst,
+        "worst_split": list(worst_split),
+        "pass": not failures,
+        "failures": failures,
+        "n_splits": len(compositions4(d)),
+    }
 
 
 def sequential_greedy_packing(d, seed, max_attempts=None):

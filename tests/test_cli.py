@@ -1,6 +1,7 @@
 """CLI surface: every subcommand, file outputs, exit codes."""
 
 import json
+from math import comb
 
 import numpy as np
 import pytest
@@ -262,6 +263,17 @@ class TestVerifyLemmas:
         assert 0 < l2["max_ratio"] < 1
         assert l2["n_inputs"] == 16 and l2["n_shift_pairs"] > 0 and l2["elapsed_s"] >= 0
 
+    def test_paper_regime_a1(self, runner):
+        """D = 100 d and beyond for d = 4, 8, 16, with the RHS and its slack unchanged."""
+        result = invoke(runner, ["verify-lemmas", "--a1", "4,8,16x400,800,1600"])
+        doc = json.loads(result.output)
+        assert doc["pass"] and len(doc["reports"]) == 9
+        for r in doc["reports"]:
+            d, D = r["parameters"]["d"], r["parameters"]["D"]
+            assert r["pass"] and r["failures"] == [] and 0.94 < r["max_ratio"] < 1
+            assert r["n_splits"] == comb(d + 3, 3) and r["elapsed_s"] >= 0
+            assert r["worst_split"] == [d // 4] * 4
+
     @pytest.mark.parametrize(
         "args, option",
         [
@@ -269,7 +281,8 @@ class TestVerifyLemmas:
             (["--a1", "4x4", "--l2", "d=7,D=4"], "--l2"),
             (["--a1", "4x4,6", "--a2", "d<=1"], "--a1"),
             (["--a2", "d<=1", "--l2", "d=1,D=300000"], "--l2"),
-            (["--a2", "d<=1", "--a1", "4x1000"], "--a1"),
+            (["--a2", "d<=1", "--a1", "4x200000"], "--a1"),
+            (["--a1", "4,8,16,68x400,800,1600"], "--a1"),
         ],
     )
     def test_every_size_is_checked_before_any_report(self, runner, monkeypatch, args, option):

@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 from oracle_utils import (
     block_signatures,
+    composition_a1_lhs,
+    composition_a1_report,
     compositions4,
     concatenated_randomize_batch,
     convolution_l2_norm_squared,
@@ -384,10 +386,17 @@ class TestExactLaw:
                 assert law.prob(sig) == p
 
     def test_enumeration_budget(self):
-        # d itself is not capped: the budget bounds pad signatures times 4^d
+        """d itself is not capped: the budget bounds the mask signatures of
+        the input's type class times the even pad signatures."""
         assert total_mass(exact_count_distribution([1] * 7, [0] * 7, D=4)) == 1
-        with pytest.raises(EnumerationBudget):
-            exact_count_distribution([1] * 7, [0] * 7, D=40)
+        # 8 mask signatures x 6391 pads: admitted, though 4^7 C(43,3) is 2.0e8
+        assert total_mass(exact_count_distribution([1] * 7, [0] * 7, D=40)) == 1
+        # 120 mask signatures x 18 445 pads = 2.2e6 terms, past the budget
+        with pytest.raises(EnumerationBudget, match="120 mask signatures"):
+            exact_count_distribution([0] * 7, [0] * 7, D=58)
+        # one mask signature x 2.3e6 pads: rejected before the pad table is built
+        with pytest.raises(EnumerationBudget, match="1 mask signatures"):
+            exact_count_distribution([1], [1], D=300)
 
     def test_numerators_match_per_mask_convolution(self):
         """Convolving each distinct mask signature once, weighted by its
@@ -526,10 +535,19 @@ class TestL2ClosedForm:
             assert rep["n_inputs"] == 4**d
             assert rep["n_classes"] == comb(d + 3, 3)
 
+    def test_d7_single_norm_equals_convolution_oracle(self):
+        """The sweep's d cap does not apply to one norm: at d = 7 it is checked
+        against the count-law convolution at small D."""
+        for x, y, D in (([0] * 7, [0] * 7, 1), ([1, 0, 1, 1, 0, 0, 1], [0, 1, 1, 0, 0, 1, 1], 1),
+                        ([1, 0, 1, 1, 0, 0, 1], [0, 1, 1, 0, 0, 1, 1], 2)):
+            assert exact_l2_norm_squared(x, y, D) == convolution_l2_norm_squared(x, y, D)
+
     def test_size_checks(self):
         check_l2_size(6, 1000)
         with pytest.raises(EnumerationBudget):
             check_l2_size(7, 1)
+        with pytest.raises(EnumerationBudget):
+            l2_bound_report(7, 1)
         with pytest.raises(EnumerationBudget):
             exact_l2_norm_squared([1], [0], 200_000)
         with pytest.raises(EnumerationBudget):
@@ -550,14 +568,16 @@ class TestL2ClosedForm:
 
 def test_a1_work_budget():
     """Every ratio-bound size the suite, the benchmark and verify-all run is
-    admitted, up to (4, 100); sizes past the term budget are rejected."""
-    for d, D in [(4, 4), (4, 8), (4, 16), (8, 16), (4, 100)]:
+    admitted, and so is the paper's D = 100 d up to the d cap of 64; past
+    d = 64 or D + d = 200 000 a size is rejected before any work."""
+    for d, D in [(4, 4), (4, 8), (4, 16), (8, 16), (4, 400), (8, 800), (16, 1600),
+                 (64, 6400), (64, 199_936), (4, 199_996)]:
         check_a1_size(d, D)
-    for d, D in [(4, 104), (4, 1000), (4, 200), (400, 4)]:
+    for d, D in [(68, 4), (68, 6800), (400, 4), (4, 200_000), (64, 200_000), (8, 10**9)]:
         with pytest.raises(EnumerationBudget):
             check_a1_size(d, D)
     with pytest.raises(EnumerationBudget):
-        multinomial_square_ratio_report(4, 1000)
+        multinomial_square_ratio_report(4, 200_000)
 
 
 def test_even_pad_weights_equal_multinomials():
@@ -594,9 +614,34 @@ class TestRatioBound:
             assert report["n_splits"] == comb(d + 3, 3)
 
     def test_integer_lhs_matches_fraction_per_composition_sum(self):
+        """The Fraction-per-composition oracle on every split of a few sizes,
+        and on one split per orbit of the permutations (both sides are
+        symmetric in the split; every split is checked against the integer
+        composition sum below) for d = 4, 8, 12 and D = 1..8."""
         for d, D in [(4, 4), (4, 8), (8, 4)]:
             for split in compositions4(d):
                 assert _a1_lhs(split, D) == fraction_a1_lhs(split, D)
+        for d in (4, 8, 12):
+            for split in {tuple(sorted(s)) for s in compositions4(d)}:
+                for D in range(1, 9):
+                    assert _a1_lhs(split, D) == fraction_a1_lhs(split, D)
+
+    @pytest.mark.parametrize("d", [4, 8, 12])
+    def test_closed_form_equals_composition_sum(self, d):
+        """The closed form against the integer sum over all C(D+3,3)
+        compositions, on every split, odd D included."""
+        for D in range(1, 21):
+            for split in compositions4(d):
+                assert _a1_lhs(split, D) == composition_a1_lhs(split, D)
+
+    @pytest.mark.parametrize("d, D", [(d, D) for d in (4, 8) for D in (4, 8, 12, 16)])
+    def test_report_equals_per_split_sweep(self, d, D):
+        """One evaluation per sorted split reports what evaluating every split
+        from its composition sum reports, the first worst split included."""
+        rep = multinomial_square_ratio_report(d, D)
+        oracle = composition_a1_report(d, D)
+        assert {k: rep[k] for k in oracle} == oracle
+        assert rep["n_terms"] == len({tuple(sorted(s)) for s in compositions4(d)}) * (min(d, D) + 1)
 
     def test_divisibility_enforced(self):
         with pytest.raises(ValueError):
