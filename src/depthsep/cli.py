@@ -121,7 +121,7 @@ def compile_threshold_cmd(net_path, delta, out, report_path):
         "segments_per_neuron": compiled.widths[0] // max(net.widths[0], 1),
         "max_weight_out": compiled.max_weight,
     }
-    if net.input_dim <= 12:
+    if net.input_dim <= threshold._MAX_CUBE_DIM:
         report["certified_error"] = threshold.boolean_cube_max_error(net, compiled)
     if report_path:
         _write(report_path, json.dumps(report, sort_keys=True))

@@ -136,19 +136,6 @@ class GenericBuildReport:
     accuracy: float
     widths: tuple[int, ...]
     max_weights: tuple[float, ...]
-    constant: bool = False
-
-    def certificate(self, measured_sup_error: float | None = None) -> dict:
-        doc = {
-            "d": self.d,
-            "eps": self.accuracy,
-            "widths": list(self.widths),
-            "max_weights": list(self.max_weights),
-            "constant": self.constant,
-        }
-        if measured_sup_error is not None:
-            doc["measured_sup_error"] = measured_sup_error
-        return doc
 
 
 def _layer_max_weight(W: np.ndarray, b: np.ndarray) -> float:
@@ -162,9 +149,7 @@ def _constant_half_network(d: int, activation: Activation) -> GenericBuildReport
     W2 = np.zeros((1, 1))
     b2 = np.zeros(1)
     net = DenseNetwork(n_in, ((W1, b1), (W2, b2)), np.zeros(1), 0.5, activation)
-    return GenericBuildReport(
-        net=net, d=d, accuracy=0.5, widths=(1, 1), max_weights=(0.0, 0.0), constant=True
-    )
+    return GenericBuildReport(net=net, d=d, accuracy=0.5, widths=(1, 1), max_weights=(0.0, 0.0))
 
 
 def build_generic(

@@ -4,7 +4,6 @@ all-in-one verification battery behind ``verify-all``."""
 from __future__ import annotations
 
 import dataclasses
-import io
 import json
 import time
 from dataclasses import dataclass
@@ -46,6 +45,14 @@ def measure_sup_error(
     return worst
 
 
+def _csv_cell(val) -> str:
+    if val is None:
+        return ""
+    if isinstance(val, bool):
+        return "true" if val else "false"
+    return repr(val) if isinstance(val, float) else str(val)
+
+
 @dataclass
 class ExperimentReport:
     d: int
@@ -63,27 +70,28 @@ class ExperimentReport:
     )
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(",".join(self._COLUMNS) + "\n")
-        for row in self.rows:
-            cells = []
-            for col in self._COLUMNS:
-                val = row.get(col)
-                if val is None:
-                    cells.append("")
-                elif isinstance(val, bool):
-                    cells.append("true" if val else "false")
-                elif isinstance(val, float):
-                    cells.append(repr(val))
-                else:
-                    cells.append(str(val))
-            buf.write(",".join(cells) + "\n")
-        return buf.getvalue()
+        cells = [[_csv_cell(row.get(c)) for c in self._COLUMNS] for row in self.rows]
+        return "".join(",".join(r) + "\n" for r in [self._COLUMNS, *cells])
 
     def to_json(self) -> str:
         return json.dumps(
             {"d": self.d, "config": self.config, "rows": self.rows}, sort_keys=True
         )
+
+
+def _row(label: str, width: int, loss: tuple, result=None) -> dict:
+    """One sweep row: population loss (mean, stderr), and for a trained
+    width its training ``result``, whose losses a diverged run leaves blank."""
+    trained = result is not None and not result.diverged
+    return {
+        "label": label,
+        "width": width,
+        "final_loss": result.history[-1] if trained else None,
+        "best_loss": result.best_loss if trained else None,
+        "population_loss": loss[0],
+        "population_stderr": loss[1],
+        "diverged": result is not None and result.diverged,
+    }
 
 
 def run_separation_experiment(
@@ -96,62 +104,19 @@ def run_separation_experiment(
     """Train the depth-2 baseline at each width and tabulate final losses
     next to the constant-1/2 line (exactly 1/4) and the exact depth-3 line
     (zero).  Widths are sorted ascending in the output."""
-    rows: list[dict] = []
 
-    const = training.constant_network(4 * spec.d, 0.5)
-    mean, se = training.estimate_population_loss(const, spec, n_eval, seed=seed + 1)
-    rows.append(
-        {
-            "label": "constant-half",
-            "width": 1,
-            "final_loss": None,
-            "best_loss": None,
-            "population_loss": mean,
-            "population_stderr": se,
-            "diverged": False,
-        }
-    )
+    def population_loss(net, offset):
+        return training.estimate_population_loss(net, spec, n_eval, seed=seed + offset)
+
     exact = depth3.build_exact_relu(spec.d)
-    mean, se = training.estimate_population_loss(exact, spec, n_eval, seed=seed + 2)
-    rows.append(
-        {
-            "label": "exact-depth3",
-            "width": max(exact.widths),
-            "final_loss": None,
-            "best_loss": None,
-            "population_loss": mean,
-            "population_stderr": se,
-            "diverged": False,
-        }
-    )
+    rows = [
+        _row("constant-half", 1, population_loss(training.constant_network(4 * spec.d, 0.5), 1)),
+        _row("exact-depth3", max(exact.widths), population_loss(exact, 2)),
+    ]
     for w in sorted(widths):
-        cfg = dataclasses.replace(cfg_template, width=w)
-        result = training.train_depth2(spec, cfg)
-        if result.diverged:
-            rows.append(
-                {
-                    "label": f"trained-w{w}",
-                    "width": w,
-                    "final_loss": None,
-                    "best_loss": None,
-                    "population_loss": None,
-                    "population_stderr": None,
-                    "diverged": True,
-                }
-            )
-            continue
-        mean, se = training.estimate_population_loss(result.network, spec, n_eval, seed=seed + 3)
-        rows.append(
-            {
-                "label": f"trained-w{w}",
-                "width": w,
-                "final_loss": result.history[-1],
-                "best_loss": result.best_loss,
-                "population_loss": mean,
-                "population_stderr": se,
-                "diverged": False,
-            }
-        )
+        result = training.train_depth2(spec, dataclasses.replace(cfg_template, width=w))
+        loss = (None, None) if result.diverged else population_loss(result.network, 3)
+        rows.append(_row(f"trained-w{w}", w, loss, result))
     return ExperimentReport(d=spec.d, config=dataclasses.asdict(cfg_template), rows=rows)
 
 
@@ -308,33 +273,20 @@ def _check_gradient(seed: int) -> dict:
     X = rng.normal(size=(16, 5))
     y = rng.normal(size=16)
     _, g = training.loss_and_gradients(params, X, y, "sigmoid")
-    flat_g = np.concatenate([g.W.ravel(), g.b, g.v, [g.b0]])
+    flat_g = np.concatenate([a.ravel() for a in g.arrays])
     h = 1e-5
-
-    def loss_at() -> float:
-        val, _ = training.loss_and_gradients(params, X, y, "sigmoid")
-        return val
-
     num = []
-    for arr in (params.W, params.b, params.v):
+    for arr in params.arrays:
         flat = arr.ravel()
         for i in range(flat.size):
             old = flat[i]
             flat[i] = old + h
-            lp = loss_at()
+            lp, _ = training.loss_and_gradients(params, X, y, "sigmoid")
             flat[i] = old - h
-            lm = loss_at()
+            lm, _ = training.loss_and_gradients(params, X, y, "sigmoid")
             flat[i] = old
             num.append((lp - lm) / (2 * h))
-    old = params.b0
-    params.b0 = old + h
-    lp = loss_at()
-    params.b0 = old - h
-    lm = loss_at()
-    params.b0 = old
-    num.append((lp - lm) / (2 * h))
-    num_g = np.asarray(num)
-    rel = float(np.linalg.norm(flat_g - num_g) / max(np.linalg.norm(flat_g), 1e-12))
+    rel = float(np.linalg.norm(flat_g - np.asarray(num)) / max(np.linalg.norm(flat_g), 1e-12))
     if rel > 1e-4:
         raise AssertionError(f"gradient relative error {rel:.2e}")
     return {"detail": f"analytic vs central differences relative error {rel:.2e}"}

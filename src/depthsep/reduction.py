@@ -67,6 +67,7 @@ _MAX_A2_D = 16  # mgf_bound_report at d = 16 sweeps 969 type classes in about 1.
 _MAX_A1_D = 64  # multinomial_square_ratio_report(64, 6400) takes about 2 s on a 2-core VM
 _MAX_A1_LENGTH = 200_000  # (64, 199936) takes about 6 s
 _RHS_SLACK = 1e-10
+_IP_CHUNK = 20_000  # trials per randomize_batch call in verify_ip_preservation
 
 
 class EnumerationBudget(RuntimeError):
@@ -696,9 +697,7 @@ def hoeffding_block_count(B: float, d: int) -> int:
     return math.ceil(2500.0 * B * B * d)
 
 
-def verify_ip_preservation(
-    n_trials: int, d_values=(1, 2, 3, 4, 5, 6), seed: int = 0, chunk: int = 20_000
-) -> int:
+def verify_ip_preservation(n_trials: int, d_values=(1, 2, 3, 4, 5, 6), seed: int = 0) -> int:
     """Count parity violations of the randomization over n_trials draws.
 
     Trials are spread evenly over d_values with D = 100 d; always returns 0
@@ -711,7 +710,7 @@ def verify_ip_preservation(
         rng = np.random.default_rng([seed, d])
         remaining = per_d
         while remaining > 0:
-            n = min(chunk, remaining)
+            n = min(_IP_CHUNK, remaining)
             remaining -= n
             xs = rng.integers(0, 2, size=(n, d), dtype=np.int8)
             ys = rng.integers(0, 2, size=(n, d), dtype=np.int8)

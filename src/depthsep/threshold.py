@@ -31,6 +31,7 @@ __all__ = [
 # covers excursions between sample points (<= delta/8 at step delta/(4L))
 # and breakpoint localization slack (<= delta/100).
 _GREEDY_MARGIN = 0.85
+_MAX_CUBE_DIM = 12  # boolean_cube_max_error enumerates {0,1}^n only up to this n
 
 
 class BudgetExceeded(RuntimeError):
@@ -288,15 +289,13 @@ def to_circuit(net: DenseNetwork) -> ThresholdCircuit:
     return ThresholdCircuit(base=net)
 
 
-def boolean_cube_max_error(
-    net_a: DenseNetwork, net_b: DenseNetwork, max_dim: int = 12
-) -> float:
-    """Exhaustive max |net_a - net_b| over {0,1}^n, n <= max_dim."""
+def boolean_cube_max_error(net_a: DenseNetwork, net_b: DenseNetwork) -> float:
+    """Exhaustive max |net_a - net_b| over {0,1}^n, n <= _MAX_CUBE_DIM."""
     n = net_a.input_dim
     if net_b.input_dim != n:
         raise ValueError("input dimensions differ")
-    if n > max_dim:
-        raise ValueError(f"cube dimension {n} above exhaustive limit {max_dim}")
+    if n > _MAX_CUBE_DIM:
+        raise ValueError(f"cube dimension {n} above exhaustive limit {_MAX_CUBE_DIM}")
     from .instance import hypercube_enumeration
 
     X = hypercube_enumeration(n).astype(np.float64)

@@ -7,13 +7,14 @@ finite-difference test) instead of pulling in an autodiff stack.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .instance import InstanceSpec, sample_a4d
-from .networks import Activation, DenseNetwork, activation_by_tag
+from .networks import RELU, Activation, DenseNetwork, activation_by_tag
 
 __all__ = [
     "TrainConfig",
@@ -43,23 +44,32 @@ class TrainConfig:
             raise ValueError("width, epochs, batch_size and samples_per_epoch must be integers")
         if min(counts) < 1:
             raise ValueError("hyperparameters must be positive")
-        activation_by_tag(self.activation)
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
-        if self.optimizer not in ("sgd", "adam"):
-            raise ValueError("optimizer must be 'sgd' or 'adam'")
-        if self.weight_clip is not None and self.weight_clip <= 0:
-            raise ValueError("weight clip must be positive")
+        if self.activation not in _ACT_AND_GRAD:
+            raise ValueError(f"activation must be one of {sorted(_ACT_AND_GRAD)}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning rate must be finite and positive")
+        if self.optimizer not in _OPTIMIZERS:
+            raise ValueError(f"optimizer must be one of {sorted(_OPTIMIZERS)}")
+        clip = self.weight_clip
+        if clip is not None and not (math.isfinite(clip) and clip > 0):
+            raise ValueError("weight clip must be finite and positive")
 
 
 @dataclass
 class Depth2Params:
-    """Mutable parameter block for the two-layer net out = v . act(W x + b) + b0."""
+    """Mutable parameter block for the two-layer net out = v . act(W x + b) + b0.
+
+    All four are float arrays; ``b0`` has shape (1,), so ``arrays`` lists
+    every parameter, and a gradient block has the same layout."""
 
     W: np.ndarray
     b: np.ndarray
     v: np.ndarray
-    b0: float
+    b0: np.ndarray
+
+    @property
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        return (self.W, self.b, self.v, self.b0)
 
     @classmethod
     def init(cls, input_dim: int, width: int, rng: np.random.Generator) -> "Depth2Params":
@@ -68,7 +78,7 @@ class Depth2Params:
             W=rng.normal(0.0, scale, size=(width, input_dim)),
             b=rng.normal(0.0, 0.1, size=width),
             v=rng.normal(0.0, 1.0 / np.sqrt(width), size=width),
-            b0=0.0,
+            b0=np.zeros(1),
         )
 
     def to_network(self, activation: Activation) -> DenseNetwork:
@@ -76,46 +86,37 @@ class Depth2Params:
             self.W.shape[1],
             ((self.W.copy(), self.b.copy()),),
             self.v.copy(),
-            float(self.b0),
+            float(self.b0[0]),
             activation,
         )
 
-    def clip(self, c: float) -> None:
-        np.clip(self.W, -c, c, out=self.W)
-        np.clip(self.b, -c, c, out=self.b)
-        np.clip(self.v, -c, c, out=self.v)
-        self.b0 = float(np.clip(self.b0, -c, c))
 
-    def max_weight(self) -> float:
-        return max(
-            float(np.abs(self.W).max()),
-            float(np.abs(self.b).max()),
-            float(np.abs(self.v).max()),
-            abs(self.b0),
-        )
+def _sigmoid_and_grad(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    s = 1.0 / (1.0 + np.exp(-z))
+    return s, s * (1.0 - s)
 
 
-def _act_and_grad(tag: str, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    if tag == "relu":
-        return np.maximum(z, 0.0), (z > 0).astype(np.float64)
-    if tag == "sigmoid":
-        s = 1.0 / (1.0 + np.exp(-z))
-        return s, s * (1.0 - s)
-    raise ValueError(f"activation {tag!r} is not trainable")
+# the trainable activations: tag -> (value, derivative) at the pre-activations
+_ACT_AND_GRAD = {
+    "relu": lambda z: (np.maximum(z, 0.0), (z > 0).astype(np.float64)),
+    "sigmoid": _sigmoid_and_grad,
+}
 
 
 def loss_and_gradients(
     params: Depth2Params, X: np.ndarray, y: np.ndarray, activation: str
 ) -> tuple[float, Depth2Params]:
     """Mean squared loss on the batch and its gradient block."""
+    if activation not in _ACT_AND_GRAD:
+        raise ValueError(f"activation {activation!r} is not trainable")
     z = X @ params.W.T + params.b
-    h, hg = _act_and_grad(activation, z)
+    h, hg = _ACT_AND_GRAD[activation](z)
     out = h @ params.v + params.b0
     resid = out - y
     n = X.shape[0]
     dout = 2.0 * resid / n
     g_v = h.T @ dout
-    g_b0 = float(dout.sum())
+    g_b0 = dout.sum(keepdims=True)
     back = (dout[:, None] * params.v[None, :]) * hg
     g_W = back.T @ X
     g_b = back.sum(axis=0)
@@ -123,21 +124,33 @@ def loss_and_gradients(
     return loss, Depth2Params(W=g_W, b=g_b, v=g_v, b0=g_b0)
 
 
+class _SGD:
+    def __init__(self, params: Depth2Params, lr: float):
+        self.lr = lr
+
+    def step(self, params: Depth2Params, grads: Depth2Params) -> None:
+        for p, g in zip(params.arrays, grads.arrays):
+            p -= self.lr * g
+
+
 class _Adam:
-    def __init__(self, shapes, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params: Depth2Params, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
         self.t = 0
-        self.m = [np.zeros(s) for s in shapes]
-        self.v = [np.zeros(s) for s in shapes]
+        self.m = [np.zeros_like(p) for p in params.arrays]
+        self.v = [np.zeros_like(p) for p in params.arrays]
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+    def step(self, params: Depth2Params, grads: Depth2Params) -> None:
         self.t += 1
-        for i, (p, g) in enumerate(zip(params, grads)):
+        for i, (p, g) in enumerate(zip(params.arrays, grads.arrays)):
             self.m[i] = self.b1 * self.m[i] + (1 - self.b1) * g
             self.v[i] = self.b2 * self.v[i] + (1 - self.b2) * g * g
             mh = self.m[i] / (1 - self.b1**self.t)
             vh = self.v[i] / (1 - self.b2**self.t)
             p -= self.lr * mh / (np.sqrt(vh) + self.eps)
+
+
+_OPTIMIZERS = {"sgd": _SGD, "adam": _Adam}
 
 
 @dataclass
@@ -146,7 +159,6 @@ class TrainResult:
     history: list[float] = field(default_factory=list)
     best_loss: float = float("inf")
     diverged: bool = False
-    max_weight_after_clip: float = float("nan")
 
 
 def train_depth2(spec: InstanceSpec, cfg: TrainConfig) -> TrainResult:
@@ -159,10 +171,7 @@ def train_depth2(spec: InstanceSpec, cfg: TrainConfig) -> TrainResult:
     activation = activation_by_tag(cfg.activation)
     rng = np.random.default_rng([cfg.seed, 2])
     params = Depth2Params.init(4 * spec.d, cfg.width, rng)
-    opt = None
-    if cfg.optimizer == "adam":
-        shapes = [params.W.shape, params.b.shape, params.v.shape, (1,)]
-        opt = _Adam(shapes, cfg.learning_rate)
+    opt = _OPTIMIZERS[cfg.optimizer](params, cfg.learning_rate)
     result = TrainResult(network=params.to_network(activation))
     # divergence is detected and reported below, so numeric overflow along
     # the way is expected rather than worth warning about
@@ -180,29 +189,19 @@ def train_depth2(spec: InstanceSpec, cfg: TrainConfig) -> TrainResult:
                 loss, g = loss_and_gradients(params, X[idx], y[idx], cfg.activation)
                 if not np.isfinite(loss):
                     result.diverged = True
-                    result.history.append(float("nan"))
-                    result.network = params.to_network(activation)
-                    return result
+                    break
                 epoch_losses.append(loss)
-                if cfg.optimizer == "sgd":
-                    params.W -= cfg.learning_rate * g.W
-                    params.b -= cfg.learning_rate * g.b
-                    params.v -= cfg.learning_rate * g.v
-                    params.b0 -= cfg.learning_rate * g.b0
-                else:
-                    b0_arr = np.array([params.b0])
-                    opt.step(
-                        [params.W, params.b, params.v, b0_arr],
-                        [g.W, g.b, g.v, np.array([g.b0])],
-                    )
-                    params.b0 = float(b0_arr[0])
+                opt.step(params, g)
                 if cfg.weight_clip is not None:
-                    params.clip(cfg.weight_clip)
+                    for p in params.arrays:
+                        np.clip(p, -cfg.weight_clip, cfg.weight_clip, out=p)
+            if result.diverged:
+                result.history.append(float("nan"))
+                break
             epoch_loss = float(np.mean(epoch_losses))
             result.history.append(epoch_loss)
             result.best_loss = min(result.best_loss, epoch_loss)
     result.network = params.to_network(activation)
-    result.max_weight_after_clip = params.max_weight()
     return result
 
 
@@ -225,8 +224,6 @@ def estimate_population_loss(
 
 def constant_network(input_dim: int, value: float) -> DenseNetwork:
     """Width-1 ReLU network computing the constant ``value``."""
-    from .networks import RELU
-
     return DenseNetwork(
         input_dim,
         ((np.zeros((1, input_dim)), np.zeros(1)),),

@@ -4,8 +4,9 @@ These deliberately avoid the library's own code paths (convolutions,
 count-signature shortcuts, common-denominator sums, Gram screens, row
 blocks, the shared arrangement table and batched sampler, the layer
 splice, the mask law by coordinate type) so they can arbitrate
-disagreements.  The module also holds the parity wave, the AND gadget and
-the mass and mean of a count law, which only the tests use.
+disagreements.  The module also holds the parity wave, the AND gadget, the
+mass and mean of a count law and a central-difference gradient of the
+depth-2 loss, which only the tests use.
 """
 
 import itertools
@@ -21,6 +22,7 @@ import numpy as np
 from depthsep.networks import RELU, THRESHOLD, DenseNetwork
 from depthsep.reduction import exact_count_distribution
 from depthsep.threshold import compile_scalar
+from depthsep.training import loss_and_gradients
 
 
 def brute_force_pair_law(xbits, ybits, D):
@@ -522,3 +524,21 @@ def expected_counts(law):
         for i in range(4):
             sums[i] += sig[i] * num
     return tuple(Fraction(s, law.denominator) for s in sums)
+
+
+def central_difference_gradient(params, X, y, activation, h=1e-5):
+    """Central differences of the batch loss in every entry of
+    ``params.arrays``, flattened in that order (the analytic gradient's
+    ``arrays`` concatenated)."""
+    num = []
+    for arr in params.arrays:
+        flat = arr.ravel()
+        for i in range(flat.size):
+            old = flat[i]
+            flat[i] = old + h
+            lp, _ = loss_and_gradients(params, X, y, activation)
+            flat[i] = old - h
+            lm, _ = loss_and_gradients(params, X, y, activation)
+            flat[i] = old
+            num.append((lp - lm) / (2 * h))
+    return np.asarray(num)

@@ -73,6 +73,17 @@ def test_bad_network_file_is_a_usage_error(runner, tmp_path, fault, args, option
         (["train-baseline", "--d", "1", "--config"], "[2]", "--config"),
         (["train-baseline", "--d", "1", "--config"], "{", "--config"),
         (["report", "--d", "1", "--out", "OUT", "--config"], '{"optimizer": "lbfgs"}', "--config"),
+        *(
+            ([cmd, "--d", "1", *out, "--config"], bad, "--config")
+            for cmd, out in (("train-baseline", ()), ("report", ("--out", "OUT")))
+            for bad in (
+                '{"width": 2, "activation": "threshold"}',
+                '{"width": 2, "learning_rate": NaN}',
+                '{"width": 2, "learning_rate": Infinity}',
+                '{"width": 2, "weight_clip": NaN}',
+                '{"width": 2, "weight_clip": Infinity}',
+            )
+        ),
     ],
 )
 def test_bad_input_file_is_a_usage_error(runner, tmp_path, args, contents, option):

@@ -169,7 +169,6 @@ class TestReluApproximator:
 class TestGenericBuilder:
     def test_large_eps_constant_half(self, spec_d1):
         report = build_generic(1, 0.6)
-        assert report.constant
         batch = sample_a4d(spec_d1, 2000, seed=5)
         outs = report.net.evaluate_batch(batch.points)
         assert np.all(outs == 0.5)
@@ -198,14 +197,6 @@ class TestGenericBuilder:
         assert report.net.depth == 3
         err = measure_sup_error(report.net, spec_d1, 20_000, seed=7)
         assert err <= 0.2
-
-    def test_certificate_record(self):
-        report = build_generic(1, 0.25)
-        doc = report.certificate(measured_sup_error=0.01)
-        assert doc["d"] == 1
-        assert doc["eps"] == 0.25
-        assert doc["measured_sup_error"] == 0.01
-        assert len(doc["widths"]) == 2
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
