@@ -244,17 +244,20 @@ def _load_train_config(config_path: str | None, **overrides) -> training.TrainCo
         raise click.BadParameter(str(exc), param_hint="--config") from exc
 
 
+_CONFIG_SEED_HELP = "Overrides the --config file's seed (which defaults to 0)."
+
+
 @main.command("train-baseline")
 @click.option("--d", "d", type=_SIZE, required=True)
 @click.option("--width", type=_SIZE, default=None)
 @click.option("--epochs", type=_SIZE, default=None)
-@click.option("--seed", type=_SEED, default=0, show_default=True)
+@click.option("--seed", type=_SEED, default=None, help=_CONFIG_SEED_HELP)
 @click.option("--config", "config_path", type=str, default=None, help="TrainConfig JSON file.")
 @click.option("--out", type=str, default=None, help="JSON report path.")
 def train_baseline_cmd(d, width, epochs, seed, config_path, out):
     """Train the depth-2 baseline and report losses."""
     cfg = _load_train_config(config_path, width=width, epochs=epochs, seed=seed)
-    spec = instance.build_instance(d, seed=seed)
+    spec = instance.build_instance(d, seed=cfg.seed)
     result = training.train_depth2(spec, cfg)
     report = {
         "config": dataclasses.asdict(cfg),
@@ -264,7 +267,7 @@ def train_baseline_cmd(d, width, epochs, seed, config_path, out):
         "diverged": result.diverged,
     }
     if not result.diverged:
-        mean, se = training.estimate_population_loss(result.network, spec, 20_000, seed=seed + 1)
+        mean, se = training.estimate_population_loss(result.network, spec, 20_000, seed=cfg.seed + 1)
         report["population_loss"] = mean
         report["population_stderr"] = se
     doc = json.dumps(report, sort_keys=True)
@@ -275,14 +278,14 @@ def train_baseline_cmd(d, width, epochs, seed, config_path, out):
 @click.option("--d", "d", type=_SIZE, required=True)
 @click.option("--widths", type=str, default="4,16,64", show_default=True, callback=_width_list)
 @click.option("--epochs", type=_SIZE, default=None)
-@click.option("--seed", type=_SEED, default=0, show_default=True)
+@click.option("--seed", type=_SEED, default=None, help=_CONFIG_SEED_HELP)
 @click.option("--config", "config_path", type=str, default=None, help="TrainConfig JSON file.")
 @click.option("--out", type=str, required=True, help="Output prefix; writes <out>.csv and <out>.json.")
 def report_cmd(d, widths, epochs, seed, config_path, out):
     """Width sweep with trivial and exact reference rows."""
     cfg = _load_train_config(config_path, width=1, epochs=epochs, seed=seed)
-    spec = instance.build_instance(d, seed=seed)
-    rep = harness.run_separation_experiment(spec, widths, cfg, seed=seed)
+    spec = instance.build_instance(d, seed=cfg.seed)
+    rep = harness.run_separation_experiment(spec, widths, cfg, seed=cfg.seed)
     Path(out + ".csv").write_text(rep.to_csv(), encoding="utf-8")
     Path(out + ".json").write_text(rep.to_json(), encoding="utf-8")
     click.echo(f"wrote {out}.csv and {out}.json")

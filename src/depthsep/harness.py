@@ -32,6 +32,8 @@ def measure_sup_error(
     """Max |net - target| over n fresh support samples, drawn in chunks of
     ``batch`` with one seed per chunk: ``batch`` only fixes those seeds, as
     ``evaluate_batch`` bounds its own memory with row blocks."""
+    if batch < 1:
+        raise ValueError(f"batch must be a positive integer, got {batch}")
     worst = 0.0
     drawn = 0
     chunk_id = 0
@@ -216,6 +218,16 @@ def _check_ip_preservation(seed: int) -> dict:
     return {"detail": "100000 randomized trials, zero parity violations"}
 
 
+def _check_ip_certificate(seed: int) -> dict:
+    rep = reduction.ip_preservation_certificate()
+    if not rep["pass"]:
+        raise AssertionError(f"parity certificate fails: {rep['failures']}")
+    return {"detail": f"parity kept for all {rep['n_cases']} coordinate cases, exactly the even pads "
+                      f"of {rep['n_pad_pairs']} pad pairs (D <= {rep['parameters']['max_D']}) and all "
+                      f"{rep['n_permutations']} permutations (L <= {rep['parameters']['max_L']}), "
+                      f"n_expansions={rep['n_expansions']}"}
+
+
 def _check_a1(seed: int) -> dict:
     sizes = ((4, 4), (4, 8), (4, 400), (8, 800))
     reports = [reduction.multinomial_square_ratio_report(d, D) for d, D in sizes]
@@ -309,6 +321,7 @@ _CHECKS = {
     "compiler-scalar": _check_compiler_scalar,
     "compiler-network": _check_compiler_network,
     "ip-preservation": _check_ip_preservation,
+    "ip-certificate": _check_ip_certificate,
     "a1": _check_a1,
     "a2": _check_a2,
     "l2": _check_l2,

@@ -55,6 +55,7 @@ __all__ = [
     "output_bound",
     "hoeffding_block_count",
     "verify_ip_preservation",
+    "ip_preservation_certificate",
 ]
 
 # The count law of an all-zero input at (d, D) = (7, 54) sums 1.8e6 terms in
@@ -68,6 +69,8 @@ _MAX_A1_D = 64  # multinomial_square_ratio_report(64, 6400) takes about 2 s on a
 _MAX_A1_LENGTH = 200_000  # (64, 199936) takes about 6 s
 _RHS_SLACK = 1e-10
 _IP_CHUNK = 20_000  # trials per randomize_batch call in verify_ip_preservation
+_CERT_MAX_D = 4  # pad lengths enumerated by ip_preservation_certificate (4^D pad pairs each)
+_CERT_MAX_L = 8  # permutation lengths it enumerates (8! = 40320 permutations)
 
 
 class EnumerationBudget(RuntimeError):
@@ -123,7 +126,10 @@ class RandomizationRecord:
     def __post_init__(self):
         for arr in (self.x_mask, self.y_mask, self.x_pad, self.y_pad, self.perm):
             arr.setflags(write=False)
-        if int(np.sum(self.x_pad & self.y_pad)) % 2 != 0:
+        bits = np.concatenate((self.x_mask, self.y_mask, self.x_pad, self.y_pad))
+        if not ((bits == 0) | (bits == 1)).all():  # a 2 would leak into Y through the packed gather
+            raise ValueError("masks and pads must hold only 0 and 1")
+        if _ip_parity(self.x_pad, self.y_pad):
             raise ValueError("padding must have an even number of (1,1) positions")
 
 
@@ -132,22 +138,35 @@ class RandomizationRecord:
 _BLOCK_ORDER = ((True, False, True, False), (True, False, False, True))
 
 
+def _ip_parity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Inner product mod 2 of bit arrays along the last axis: the parity of
+    the number of positions where both bits are 1."""
+    return np.bitwise_xor.reduce(a & b, axis=-1)
+
+
+def _odd_rows(x_pad: np.ndarray, y_pad: np.ndarray) -> np.ndarray:
+    """Indices of the pad rows the sampler redraws: those with an odd number
+    of positions with both bits 1."""
+    return np.flatnonzero(_ip_parity(x_pad, y_pad))
+
+
 def _sample(n: int, d: int, D: int, rng: np.random.Generator):
     """n draws of (x_mask, y_mask, x_pad, y_pad, perm), one row per draw.
 
     Rows whose pads have an odd number of positions with both bits 1 are
     redrawn until every row is even (acceptance >= 1/2 per row); each
-    round checks only the rows it redrew.
+    round tests only the rows it just drew.
     """
     x_mask = rng.integers(0, 2, size=(n, d), dtype=np.int8)
     y_mask = rng.integers(0, 2, size=(n, d), dtype=np.int8)
     x_pad = rng.integers(0, 2, size=(n, D), dtype=np.int8)
     y_pad = rng.integers(0, 2, size=(n, D), dtype=np.int8)
-    odd = np.flatnonzero(np.sum(x_pad & y_pad, axis=1) % 2)
+    odd = _odd_rows(x_pad, y_pad)
     while odd.size:
-        x_pad[odd] = rng.integers(0, 2, size=(odd.size, D), dtype=np.int8)
-        y_pad[odd] = rng.integers(0, 2, size=(odd.size, D), dtype=np.int8)
-        odd = odd[np.sum(x_pad[odd] & y_pad[odd], axis=1) % 2 == 1]
+        x_new = rng.integers(0, 2, size=(odd.size, D), dtype=np.int8)
+        y_new = rng.integers(0, 2, size=(odd.size, D), dtype=np.int8)
+        x_pad[odd], y_pad[odd] = x_new, y_new
+        odd = odd[_odd_rows(x_new, y_new)]
     L = 4 * d + D
     perm = rng.permuted(np.broadcast_to(np.arange(L), (n, L)), axis=1)
     return x_mask, y_mask, x_pad, y_pad, perm
@@ -165,11 +184,21 @@ def _arrange(side: int, bits: np.ndarray, mask: np.ndarray, pad: np.ndarray) -> 
     return np.concatenate([masked if m else mask for m in _BLOCK_ORDER[side]] + [pad], axis=-1)
 
 
-def _expand(x, y, x_mask, y_mask, x_pad, y_pad, perm) -> tuple[np.ndarray, np.ndarray]:
-    """Arrange both sides and permute their coordinates by the same perm."""
-    X_pre = _arrange(0, x, x_mask, x_pad)
-    Y_pre = _arrange(1, y, y_mask, y_pad)
-    return np.take_along_axis(X_pre, perm, axis=-1), np.take_along_axis(Y_pre, perm, axis=-1)
+def _expand(x, y, x_mask, y_mask, x_pad, y_pad, flat) -> tuple[np.ndarray, np.ndarray]:
+    """Arrange both sides, pack them into one array X + 2 Y and gather it once.
+
+    ``flat`` indexes the flattened packed arrangement: a 1-d perm for one
+    pair, or for a batch each row's perm offset by the row's start
+    (_row_starts), so both sides move by the same permutation.
+    """
+    packed = _arrange(0, x, x_mask, x_pad) | _arrange(1, y, y_mask, y_pad) << 1
+    both = packed.reshape(-1)[flat]
+    return both & 1, both >> 1
+
+
+def _row_starts(n: int, L: int) -> np.ndarray:
+    """Offsets turning n row perms of length L into flat indices of an (n, L) array."""
+    return np.arange(0, n * L, L)[:, None]
 
 
 def expand_pair(
@@ -193,6 +222,16 @@ def randomize_input(
     return X, Y, record
 
 
+def _bit_rows(name: str, a) -> np.ndarray:
+    """``a`` as a 2-d int8 array of 0/1 entries; ValueError naming ``name`` otherwise."""
+    arr = np.asarray(a)
+    if arr.ndim != 2:
+        raise ValueError(f"{name} must be 2-d (one pair per row), got shape {arr.shape}")
+    if not ((arr == 0) | (arr == 1)).all():
+        raise ValueError(f"{name} entries must be exactly 0 or 1")
+    return arr.astype(np.int8, copy=False)
+
+
 def randomize_batch(
     xs: np.ndarray, ys: np.ndarray, D: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -201,10 +240,15 @@ def randomize_batch(
     Distributionally identical to per-row :func:`randomize_input`; used for
     large-trial invariance sweeps.
     """
-    xs = np.asarray(xs, dtype=np.int8)
-    ys = np.asarray(ys, dtype=np.int8)
+    xs, ys = _bit_rows("xs", xs), _bit_rows("ys", ys)
+    if xs.shape != ys.shape:
+        raise ValueError(f"xs and ys must have the same shape, got {xs.shape} and {ys.shape}")
+    if D < 1:
+        raise ValueError(f"D must be a positive integer, got {D}")
     n, d = xs.shape
-    return _expand(xs, ys, *_sample(n, d, D, rng))
+    *fields, perm = _sample(n, d, D, rng)
+    perm += _row_starts(n, 4 * d + D)  # perm is the sampler's own array
+    return _expand(xs, ys, *fields, perm)
 
 
 def count_signature(X, Y) -> tuple[int, int, int, int]:
@@ -628,8 +672,10 @@ def block_input_map(record: RandomizationRecord, d: int) -> tuple[np.ndarray, np
     """
     n = 2 * d + 1
     units = np.eye(n, 2 * d, k=-1, dtype=np.int8)  # the zero input, then each unit vector
-    fields = (record.x_mask, record.y_mask, record.x_pad, record.y_pad, record.perm)
-    X, Y = _expand(units[:, :d], units[:, d:], *(np.broadcast_to(a, (n, a.size)) for a in fields))
+    fields = (record.x_mask, record.y_mask, record.x_pad, record.y_pad)
+    rows = (np.broadcast_to(a, (n, a.size)) for a in fields)
+    flat = record.perm + _row_starts(n, record.perm.size)
+    X, Y = _expand(units[:, :d], units[:, d:], *rows, flat)
     at = np.concatenate([X, Y], axis=1).T.astype(np.float64, order="C")
     return at[:, 1:] - at[:, :1], at[:, 0]
 
@@ -697,6 +743,72 @@ def hoeffding_block_count(B: float, d: int) -> int:
     return math.ceil(2500.0 * B * B * d)
 
 
+def ip_preservation_certificate() -> dict:
+    """Certify, by running _expand on finitely many cases, that the
+    randomization keeps <x, y> mod 2 for every d and D.
+
+    The arrangement is coordinatewise: input coordinate i contributes the
+    column pairs its own (x_i, y_i, x_mask_i, y_mask_i) gives, so all 16
+    such cases cover every input and mask.  The pads add their own columns,
+    and the permutation moves both sides alike.  So it suffices that
+
+    * for every pad pair with D <= _CERT_MAX_D (D = 0 is the bare
+      arrangement) and each of the 16 cases, the expansion keeps the parity
+      exactly when the sampler keeps the pads (_odd_rows), so the sampler
+      keeps only, and all, the pads that add parity 0;
+    * for every permutation of length L <= _CERT_MAX_L (d = 1, zero pads)
+      and each of the 16 cases, the permuted expansion keeps the parity.
+
+    Parities are recomputed here as integer sums; failures lists up to three
+    failing (case, pads) or (case, perm) per length.
+    """
+    start = time.perf_counter()
+    # the 16 coordinate cases (x_i, y_i, x_mask_i, y_mask_i)
+    cases = np.array(list(itertools.product((0, 1), repeat=4)), dtype=np.int8)
+    failures, n_pads, n_perms, n_rows = [], 0, 0, 0
+
+    def kept(x_pad, y_pad, perm):
+        """Whether each case (row) keeps its parity under each pad and perm row (column)."""
+        k, L = perm.shape
+        rows = np.repeat(cases, k, axis=0)
+        tile = (len(cases), 1)
+        pads = np.tile(x_pad, tile), np.tile(y_pad, tile)
+        flat = np.tile(perm, tile) + _row_starts(len(rows), L)
+        X, Y = _expand(*(rows[:, [j]] for j in range(4)), *pads, flat)
+        same = (X & Y).sum(axis=1) % 2 == (rows[:, 0] & rows[:, 1])
+        return same.reshape(len(cases), k)
+
+    for D in range(_CERT_MAX_D + 1):
+        pads = np.array(list(itertools.product((0, 1), repeat=2 * D)), dtype=np.int8)
+        x_pad, y_pad = pads[:, :D], pads[:, D:]
+        sampler_keeps = np.ones(len(pads), dtype=bool)
+        sampler_keeps[_odd_rows(x_pad, y_pad)] = False
+        identity = np.broadcast_to(np.arange(4 + D), (len(pads), 4 + D))
+        bad = kept(x_pad, y_pad, identity) != sampler_keeps
+        failures += [{"case": cases[c].tolist(), "x_pad": x_pad[j].tolist(),
+                      "y_pad": y_pad[j].tolist(), "sampler_keeps": bool(sampler_keeps[j])}
+                     for c, j in np.argwhere(bad)[:3]]
+        n_pads, n_rows = n_pads + len(pads), n_rows + bad.size
+    for L in range(4, _CERT_MAX_L + 1):
+        perms = np.array(list(itertools.permutations(range(L))), dtype=np.int8)
+        zeros = np.zeros((len(perms), L - 4), dtype=np.int8)
+        bad = ~kept(zeros, zeros, perms)
+        failures += [{"case": cases[c].tolist(), "perm": perms[j].tolist()}
+                     for c, j in np.argwhere(bad)[:3]]
+        n_perms, n_rows = n_perms + len(perms), n_rows + bad.size
+    return {
+        "check": "ip-preservation-certificate",
+        "parameters": {"max_D": _CERT_MAX_D, "max_L": _CERT_MAX_L},
+        "n_cases": len(cases),
+        "n_pad_pairs": n_pads,
+        "n_permutations": n_perms,
+        "n_expansions": n_rows,
+        "pass": not failures,
+        "failures": failures,
+        "elapsed_s": time.perf_counter() - start,
+    }
+
+
 def verify_ip_preservation(n_trials: int, d_values=(1, 2, 3, 4, 5, 6), seed: int = 0) -> int:
     """Count parity violations of the randomization over n_trials draws.
 
@@ -715,7 +827,5 @@ def verify_ip_preservation(n_trials: int, d_values=(1, 2, 3, 4, 5, 6), seed: int
             xs = rng.integers(0, 2, size=(n, d), dtype=np.int8)
             ys = rng.integers(0, 2, size=(n, d), dtype=np.int8)
             X, Y = randomize_batch(xs, ys, D, rng)
-            before = (xs & ys).sum(axis=1) & 1
-            after = (X & Y).sum(axis=1) & 1
-            violations += int((before != after).sum())
+            violations += int((_ip_parity(xs, ys) != _ip_parity(X, Y)).sum())
     return violations

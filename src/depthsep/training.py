@@ -44,6 +44,8 @@ class TrainConfig:
             raise ValueError("width, epochs, batch_size and samples_per_epoch must be integers")
         if min(counts) < 1:
             raise ValueError("hyperparameters must be positive")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ValueError("seed must be a non-negative integer")
         if self.activation not in _ACT_AND_GRAD:
             raise ValueError(f"activation must be one of {sorted(_ACT_AND_GRAD)}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):

@@ -84,6 +84,8 @@ def test_bad_network_file_is_a_usage_error(runner, tmp_path, fault, args, option
                 '{"width": 2, "weight_clip": Infinity}',
             )
         ),
+        (["train-baseline", "--d", "1", "--config"], '{"width": 2, "seed": -1}', "--config"),
+        (["report", "--d", "1", "--out", "OUT", "--config"], '{"seed": 1.5}', "--config"),
     ],
 )
 def test_bad_input_file_is_a_usage_error(runner, tmp_path, args, contents, option):
@@ -342,6 +344,23 @@ class TestTrainBaseline:
         assert doc["config"]["width"] == 4
         assert "population_loss" in doc
 
+    def test_config_seed_is_kept_without_the_flag(self, runner, tmp_path):
+        """A seed in the config file seeds the instance and the training; only
+        a --seed given on the command line replaces it."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"width": 2, "epochs": 1, "samples_per_epoch": 128, "seed": 5}))
+        plain = tmp_path / "plain.json"
+        plain.write_text(json.dumps({"width": 2, "epochs": 1, "samples_per_epoch": 128}))
+        args = ["train-baseline", "--d", "1"]
+        from_file = invoke(runner, [*args, "--config", str(cfg)]).output
+        from_flag = invoke(runner, [*args, "--config", str(plain), "--seed", "5"]).output
+        assert json.loads(from_file)["config"]["seed"] == 5
+        assert from_file == from_flag
+        overridden = invoke(runner, [*args, "--config", str(cfg), "--seed", "0"]).output
+        assert json.loads(overridden)["config"]["seed"] == 0
+        assert overridden == invoke(runner, [*args, "--config", str(plain)]).output
+        assert overridden != from_file
+
 
 class TestReport:
     def test_writes_csv_and_json(self, runner, tmp_path):
@@ -358,6 +377,20 @@ class TestReport:
         doc = json.loads((tmp_path / "sweep.json").read_text())
         labels = [r["label"] for r in doc["rows"]]
         assert "constant-half" in labels and "exact-depth3" in labels
+
+    def test_config_seed_is_kept_without_the_flag(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"width": 1, "epochs": 1, "samples_per_epoch": 128, "seed": 5}))
+        plain = tmp_path / "plain.json"
+        plain.write_text(json.dumps({"width": 1, "epochs": 1, "samples_per_epoch": 128}))
+        args = ["report", "--d", "1", "--widths", "2"]
+        invoke(runner, [*args, "--config", str(cfg), "--out", str(tmp_path / "file")])
+        invoke(runner, [*args, "--config", str(plain), "--seed", "5", "--out", str(tmp_path / "flag")])
+        invoke(runner, [*args, "--config", str(cfg), "--seed", "0", "--out", str(tmp_path / "zero")])
+        file_json = (tmp_path / "file.json").read_bytes()
+        assert json.loads(file_json)["config"]["seed"] == 5
+        assert file_json == (tmp_path / "flag.json").read_bytes()
+        assert json.loads((tmp_path / "zero.json").read_bytes())["config"]["seed"] == 0
 
     def test_byte_identical_reruns(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -78,6 +78,11 @@ class TestMeasureSupError:
         b = measure_sup_error(net, spec_module, 5000, seed=3, batch=5000)
         assert a == b
 
+    @pytest.mark.parametrize("batch", (0, -3, 0.5))
+    def test_non_positive_batch_is_rejected(self, spec_module, batch):
+        with pytest.raises(ValueError, match="batch"):
+            measure_sup_error(build_exact_relu(1), spec_module, 100, seed=3, batch=batch)
+
 
 class TestVerifyAll:
     def test_only_filter(self):
@@ -120,6 +125,7 @@ class TestVerifyAll:
     def test_check_names_exported(self):
         assert "l2" in CHECK_NAMES
         assert "ip-preservation" in CHECK_NAMES
+        assert "ip-certificate" in CHECK_NAMES
 
     def test_full_battery_passes_on_fresh_state(self):
         summary = verify_all(seed=0)

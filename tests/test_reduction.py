@@ -33,6 +33,7 @@ from oracle_utils import (
     total_mass,
 )
 
+from depthsep import reduction
 from depthsep.bits import ip_mod2
 from depthsep.networks import RELU, DenseNetwork
 from depthsep.reduction import (
@@ -53,6 +54,7 @@ from depthsep.reduction import (
     exact_l2_norm_squared,
     expand_pair,
     hoeffding_block_count,
+    ip_preservation_certificate,
     l2_bound_report,
     mgf_bound_report,
     multinomial_square_ratio_report,
@@ -216,6 +218,92 @@ class TestRandomizeInput:
                 y_pad=np.array([1, 0], dtype=np.int8),
                 perm=np.arange(6),
             )
+
+    def test_record_rejects_non_bits(self):
+        with pytest.raises(ValueError, match="0 and 1"):
+            RandomizationRecord(
+                x_mask=np.array([2], dtype=np.int8),
+                y_mask=np.array([0], dtype=np.int8),
+                x_pad=np.array([1, 0], dtype=np.int8),
+                y_pad=np.array([1, 0], dtype=np.int8),
+                perm=np.arange(6),
+            )
+
+
+class TestRandomizeBatchInputs:
+    """randomize_batch names the argument it rejects instead of broadcasting,
+    truncating or packing a non-bit into the other side."""
+
+    @pytest.mark.parametrize(
+        "xs, ys, D, name",
+        [
+            ([[1, 0]], [[1]], 4, "xs and ys"),
+            ([1, 0], [1, 0], 4, "xs"),
+            ([[1, 0]], [1, 0], 4, "ys"),
+            ([[2]], [[1]], 4, "xs"),
+            ([[1]], [[-1]], 4, "ys"),
+            ([[0.5]], [[1]], 4, "xs"),
+            ([[1]], [[1]], 0, "D"),
+            ([[1]], [[1]], -2, "D"),
+        ],
+    )
+    def test_rejected(self, xs, ys, D, name):
+        with pytest.raises(ValueError, match=f"^{name} "):
+            randomize_batch(xs, ys, D, np.random.default_rng(0))
+
+    def test_bool_and_wide_int_inputs_give_int8(self):
+        xs = np.array([[1, 0, 1]], dtype=np.int64)
+        X, Y = randomize_batch(xs, xs.astype(bool), 5, np.random.default_rng(0))
+        want = randomize_batch(xs.astype(np.int8), xs.astype(np.int8), 5, np.random.default_rng(0))
+        for got, ref in zip((X, Y), want):
+            assert_same_bytes(got, ref)
+
+
+class TestIpCertificate:
+    """The exact parity certificate passes, and fails when the block order
+    or the sampler's pad condition is broken."""
+
+    def test_passes_with_its_sizes(self):
+        rep = ip_preservation_certificate()
+        assert rep["pass"] and rep["failures"] == []
+        assert rep["n_cases"] == 16
+        assert rep["n_pad_pairs"] == sum(4**D for D in range(5))
+        assert rep["n_permutations"] == sum(factorial(L) for L in range(4, 9))
+        assert rep["n_expansions"] == 16 * (rep["n_pad_pairs"] + rep["n_permutations"])
+        assert rep["elapsed_s"] >= 0
+
+    @pytest.mark.parametrize(
+        "order",
+        [
+            ((True, False, True, False), (True, False, True, False)),
+            ((True, False, True, False), (True, False, False, False)),
+            ((False, False, True, False), (True, False, False, True)),
+        ],
+    )
+    def test_fails_under_a_mutated_block_order(self, monkeypatch, order):
+        monkeypatch.setattr(reduction, "_BLOCK_ORDER", order)
+        rep = ip_preservation_certificate()
+        assert not rep["pass"] and rep["failures"]
+
+    def test_fails_when_odd_pads_are_kept(self, monkeypatch):
+        monkeypatch.setattr(reduction, "_odd_rows", lambda x_pad, y_pad: np.array([], dtype=np.intp))
+        rep = ip_preservation_certificate()
+        assert not rep["pass"]
+        assert all(f["sampler_keeps"] for f in rep["failures"])
+
+    def test_fails_when_even_pads_are_redrawn(self, monkeypatch):
+        monkeypatch.setattr(reduction, "_odd_rows", lambda x_pad, y_pad: np.arange(len(x_pad)))
+        assert not ip_preservation_certificate()["pass"]
+
+    def test_fails_when_the_sides_are_permuted_apart(self, monkeypatch):
+        arrange = reduction._arrange
+
+        def shifted(side, bits, mask, pad):  # Y's columns rotated before the shared gather
+            out = arrange(side, bits, mask, pad)
+            return np.roll(out, side, axis=-1)
+
+        monkeypatch.setattr(reduction, "_arrange", shifted)
+        assert not ip_preservation_certificate()["pass"]
 
 
 def assert_same_bytes(a, b):
