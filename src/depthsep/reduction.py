@@ -8,7 +8,10 @@ The randomization maps a pair (x, y) of d-bit vectors to a pair (X, Y) of
   the four blockwise inner products telescope back to <x, y> mod 2;
 * padding x'', y'' of length D is drawn uniformly conditioned on an even
   number of positions with both bits 1, contributing parity 0;
-* one random permutation rearranges both vectors identically.
+* the 4d block columns go to a uniformly random ordered choice of
+  positions and the pads fill the others in the order they were drawn,
+  identically in both vectors.  The pads are exchangeable, so this is the
+  law of one uniform permutation of all 4d + D columns.
 
 Because a uniform permutation spreads any fixed column multiset uniformly
 over its arrangements, the law of (X, Y) is a function of the 4-part count
@@ -126,6 +129,14 @@ class RandomizationRecord:
     def __post_init__(self):
         for arr in (self.x_mask, self.y_mask, self.x_pad, self.y_pad, self.perm):
             arr.setflags(write=False)
+        for a, b in (("x_mask", "y_mask"), ("x_pad", "y_pad")):
+            if getattr(self, a).shape != getattr(self, b).shape:
+                raise ValueError(f"{a} and {b} must have the same length, got shapes "
+                                 f"{getattr(self, a).shape} and {getattr(self, b).shape}")
+        L = 4 * self.x_mask.size + self.x_pad.size
+        if (self.perm.dtype.kind not in "iu" or self.perm.shape != (L,)
+                or not np.array_equal(np.sort(self.perm), np.arange(L))):
+            raise ValueError(f"perm must be a permutation of range(4d + D) = range({L})")
         bits = np.concatenate((self.x_mask, self.y_mask, self.x_pad, self.y_pad))
         if not ((bits == 0) | (bits == 1)).all():  # a 2 would leak into Y through the packed gather
             raise ValueError("masks and pads must hold only 0 and 1")
@@ -150,12 +161,46 @@ def _odd_rows(x_pad: np.ndarray, y_pad: np.ndarray) -> np.ndarray:
     return np.flatnonzero(_ip_parity(x_pad, y_pad))
 
 
+def _block_positions(n: int, k: int, L: int, rng: np.random.Generator) -> np.ndarray:
+    """n rows of k distinct positions in range(L), L > k, each row a uniformly
+    random ordered choice.
+
+    Entry j of a row is the first of its own uniform proposals that misses
+    entries 0..j-1, so given them it is uniform over the L - j free
+    positions.  Every entry makes one proposal up front; rows whose first
+    proposals are distinct are final, and the others are settled entry by
+    entry from the first one that repeats an earlier proposal, each round
+    redrawing only the rows that still collide.
+    """
+    pos = rng.integers(0, L, size=(n, k))
+    ordered = np.sort(pos, axis=1)
+    rows = np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
+    if not rows.size:
+        return pos
+    sub = pos[rows]
+    order = np.argsort(sub, axis=1, kind="stable")  # equal proposals stay in entry order
+    ordered = np.take_along_axis(sub, order, axis=1)
+    for j in range(order[:, 1:][ordered[:, 1:] == ordered[:, :-1]].min(), k):
+        hit = np.flatnonzero((sub[:, :j] == sub[:, j, None]).any(axis=1))
+        while hit.size:
+            new = rng.integers(0, L, size=hit.size)
+            sub[hit, j] = new
+            hit = hit[(sub[hit, :j] == new[:, None]).any(axis=1)]
+    pos[rows] = sub
+    return pos
+
+
 def _sample(n: int, d: int, D: int, rng: np.random.Generator):
-    """n draws of (x_mask, y_mask, x_pad, y_pad, perm), one row per draw.
+    """n draws of (x_mask, y_mask, x_pad, y_pad, pos), one row per draw.
 
     Rows whose pads have an odd number of positions with both bits 1 are
     redrawn until every row is even (acceptance >= 1/2 per row); each
-    round tests only the rows it just drew.
+    round tests only the rows it just drew.  pos places the 4d block
+    columns in the expanded pair (_block_positions); the pads fill the other
+    D positions in the order they were drawn.  The pads need no shuffle:
+    they are i.i.d. uniform conditioned on an event no reordering of them
+    changes, so they are exchangeable, and the placement has the law of one
+    uniform permutation of all 4d + D columns.
     """
     x_mask = rng.integers(0, 2, size=(n, d), dtype=np.int8)
     y_mask = rng.integers(0, 2, size=(n, d), dtype=np.int8)
@@ -167,15 +212,31 @@ def _sample(n: int, d: int, D: int, rng: np.random.Generator):
         y_new = rng.integers(0, 2, size=(odd.size, D), dtype=np.int8)
         x_pad[odd], y_pad[odd] = x_new, y_new
         odd = odd[_odd_rows(x_new, y_new)]
-    L = 4 * d + D
-    perm = rng.permuted(np.broadcast_to(np.arange(L), (n, L)), axis=1)
-    return x_mask, y_mask, x_pad, y_pad, perm
+    return x_mask, y_mask, x_pad, y_pad, _block_positions(n, 4 * d, 4 * d + D, rng)
+
+
+def _record_perm(pos: np.ndarray, L: int) -> np.ndarray:
+    """The permutation of range(L) whose gather gives the placement of pos:
+    position pos[k] takes block column k, and the free positions, in
+    increasing order, take the pad columns 4d .. L-1."""
+    perm = np.empty(L, dtype=np.int64)
+    free = np.ones(L, dtype=bool)
+    free[pos] = False
+    perm[pos] = np.arange(pos.size)
+    perm[free] = np.arange(pos.size, L)
+    return perm
 
 
 def draw_record(d: int, D: int, rng: np.random.Generator) -> RandomizationRecord:
     """Sample one randomization: the one-row case of the batched sampler,
-    drawing the same random stream."""
-    return RandomizationRecord(*(a[0] for a in _sample(1, d, D, rng)))
+    drawing the same random stream; its perm gathers the placement
+    randomize_batch writes."""
+    if d < 1:
+        raise ValueError(f"d must be a positive integer, got {d}")
+    if D < 1:
+        raise ValueError(f"D must be a positive integer, got {D}")
+    *fields, pos = (a[0] for a in _sample(1, d, D, rng))
+    return RandomizationRecord(*fields, _record_perm(pos, 4 * d + D))
 
 
 def _arrange(side: int, bits: np.ndarray, mask: np.ndarray, pad: np.ndarray) -> np.ndarray:
@@ -184,16 +245,43 @@ def _arrange(side: int, bits: np.ndarray, mask: np.ndarray, pad: np.ndarray) -> 
     return np.concatenate([masked if m else mask for m in _BLOCK_ORDER[side]] + [pad], axis=-1)
 
 
+def _packed(x, y, x_mask, y_mask, x_pad, y_pad) -> np.ndarray:
+    """Both arrangements packed into one int8 array X + 2 Y, so that moving
+    its columns moves both sides alike."""
+    return _arrange(0, x, x_mask, x_pad) | _arrange(1, y, y_mask, y_pad) << 1
+
+
+def _unpack(both: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(X, Y) from the packed X + 2 Y, reusing its buffer for X."""
+    Y = both >> 1
+    both &= 1
+    return both, Y
+
+
 def _expand(x, y, x_mask, y_mask, x_pad, y_pad, flat) -> tuple[np.ndarray, np.ndarray]:
-    """Arrange both sides, pack them into one array X + 2 Y and gather it once.
+    """Gather the packed arrangement once by flat indices.
 
     ``flat`` indexes the flattened packed arrangement: a 1-d perm for one
     pair, or for a batch each row's perm offset by the row's start
-    (_row_starts), so both sides move by the same permutation.
+    (_row_starts).
     """
-    packed = _arrange(0, x, x_mask, x_pad) | _arrange(1, y, y_mask, y_pad) << 1
-    both = packed.reshape(-1)[flat]
-    return both & 1, both >> 1
+    return _unpack(_packed(x, y, x_mask, y_mask, x_pad, y_pad).reshape(-1)[flat])
+
+
+def _place(x, y, x_mask, y_mask, x_pad, y_pad, pos) -> tuple[np.ndarray, np.ndarray]:
+    """Write each row of the packed arrangement into its placement: block
+    column k at pos[:, k], the pads in order at the other positions in
+    increasing order.  Indexes only the 4d block positions of each row."""
+    packed = _packed(x, y, x_mask, y_mask, x_pad, y_pad)
+    n, L = packed.shape
+    k = pos.shape[1]
+    rows = np.arange(n)[:, None]
+    free = np.ones((n, L), dtype=bool)
+    free[rows, pos] = False
+    both = np.empty_like(packed)
+    both[free] = packed[:, k:].reshape(-1)
+    both[rows, pos] = packed[:, :k]
+    return _unpack(both)
 
 
 def _row_starts(n: int, L: int) -> np.ndarray:
@@ -238,7 +326,8 @@ def randomize_batch(
     """Vectorized randomization of n input pairs (rows of xs, ys).
 
     Distributionally identical to per-row :func:`randomize_input`; used for
-    large-trial invariance sweeps.
+    large-trial invariance sweeps.  With one row it draws the stream of
+    :func:`draw_record` and returns expand_pair of that record.
     """
     xs, ys = _bit_rows("xs", xs), _bit_rows("ys", ys)
     if xs.shape != ys.shape:
@@ -246,9 +335,7 @@ def randomize_batch(
     if D < 1:
         raise ValueError(f"D must be a positive integer, got {D}")
     n, d = xs.shape
-    *fields, perm = _sample(n, d, D, rng)
-    perm += _row_starts(n, 4 * d + D)  # perm is the sampler's own array
-    return _expand(xs, ys, *fields, perm)
+    return _place(xs, ys, *_sample(n, d, D, rng))
 
 
 def count_signature(X, Y) -> tuple[int, int, int, int]:
@@ -744,37 +831,47 @@ def hoeffding_block_count(B: float, d: int) -> int:
 
 
 def ip_preservation_certificate() -> dict:
-    """Certify, by running _expand on finitely many cases, that the
-    randomization keeps <x, y> mod 2 for every d and D.
+    """Certify, by running _expand and _place on finitely many cases, that
+    the randomization keeps <x, y> mod 2 for every d and D.
 
     The arrangement is coordinatewise: input coordinate i contributes the
     column pairs its own (x_i, y_i, x_mask_i, y_mask_i) gives, so all 16
     such cases cover every input and mask.  The pads add their own columns,
-    and the permutation moves both sides alike.  So it suffices that
+    and the records' gather (_expand) and the batched placement (_place)
+    move both sides alike.  So it suffices that
 
     * for every pad pair with D <= _CERT_MAX_D (D = 0 is the bare
       arrangement) and each of the 16 cases, the expansion keeps the parity
       exactly when the sampler keeps the pads (_odd_rows), so the sampler
       keeps only, and all, the pads that add parity 0;
     * for every permutation of length L <= _CERT_MAX_L (d = 1, zero pads)
-      and each of the 16 cases, the permuted expansion keeps the parity.
+      and each of the 16 cases, the gathered expansion keeps the parity;
+    * for every ordered injection of d = 1's four block columns into
+      L <= _CERT_MAX_L positions (zero pads) and each of the 16 cases, the
+      placement keeps the parity.
 
-    Parities are recomputed here as integer sums; failures lists up to three
-    failing (case, pads) or (case, perm) per length.
+    Parities are recomputed here as integer sums; failures lists up to
+    three failing (case, pads), (case, perm) or (case, positions) per
+    length.
     """
     start = time.perf_counter()
     # the 16 coordinate cases (x_i, y_i, x_mask_i, y_mask_i)
     cases = np.array(list(itertools.product((0, 1), repeat=4)), dtype=np.int8)
-    failures, n_pads, n_perms, n_rows = [], 0, 0, 0
+    failures, n_pads, n_perms, n_injections, n_rows = [], 0, 0, 0, 0
 
-    def kept(x_pad, y_pad, perm):
-        """Whether each case (row) keeps its parity under each pad and perm row (column)."""
-        k, L = perm.shape
+    def kept(x_pad, y_pad, moves, place=False):
+        """Whether each case (row) keeps its parity under each pad and move
+        row (column): a perm gathered by _expand, or block positions
+        written by _place."""
+        k = len(moves)
         rows = np.repeat(cases, k, axis=0)
         tile = (len(cases), 1)
-        pads = np.tile(x_pad, tile), np.tile(y_pad, tile)
-        flat = np.tile(perm, tile) + _row_starts(len(rows), L)
-        X, Y = _expand(*(rows[:, [j]] for j in range(4)), *pads, flat)
+        fields = (*(rows[:, [j]] for j in range(4)), np.tile(x_pad, tile), np.tile(y_pad, tile))
+        moves = np.tile(moves, tile)
+        if place:
+            X, Y = _place(*fields, moves)
+        else:
+            X, Y = _expand(*fields, moves + _row_starts(*moves.shape))
         same = (X & Y).sum(axis=1) % 2 == (rows[:, 0] & rows[:, 1])
         return same.reshape(len(cases), k)
 
@@ -795,13 +892,19 @@ def ip_preservation_certificate() -> dict:
         bad = ~kept(zeros, zeros, perms)
         failures += [{"case": cases[c].tolist(), "perm": perms[j].tolist()}
                      for c, j in np.argwhere(bad)[:3]]
-        n_perms, n_rows = n_perms + len(perms), n_rows + bad.size
+        pos = np.array(list(itertools.permutations(range(L), 4)), dtype=np.int8)
+        placed = ~kept(zeros[: len(pos)], zeros[: len(pos)], pos, place=True)
+        failures += [{"case": cases[c].tolist(), "positions": pos[j].tolist()}
+                     for c, j in np.argwhere(placed)[:3]]
+        n_perms, n_injections = n_perms + len(perms), n_injections + len(pos)
+        n_rows += bad.size + placed.size
     return {
         "check": "ip-preservation-certificate",
         "parameters": {"max_D": _CERT_MAX_D, "max_L": _CERT_MAX_L},
         "n_cases": len(cases),
         "n_pad_pairs": n_pads,
         "n_permutations": n_perms,
+        "n_injections": n_injections,
         "n_expansions": n_rows,
         "pass": not failures,
         "failures": failures,
@@ -813,8 +916,14 @@ def verify_ip_preservation(n_trials: int, d_values=(1, 2, 3, 4, 5, 6), seed: int
     """Count parity violations of the randomization over n_trials draws.
 
     Trials are spread evenly over d_values with D = 100 d; always returns 0
-    unless the construction is broken.
+    unless the construction is broken.  An empty sweep is an error, not a
+    pass.
     """
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be a positive integer, got {n_trials}")
+    d_values = tuple(d_values)
+    if not d_values or min(d_values) < 1:
+        raise ValueError(f"d_values must be a non-empty list of positive integers, got {d_values}")
     per_d = -(-n_trials // len(d_values))
     violations = 0
     for d in d_values:

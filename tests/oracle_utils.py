@@ -251,10 +251,26 @@ def dense_forward(net, X):
     return h @ net.out_w + net.out_b
 
 
+def block_positions_loop(pos, L, rng):
+    """Settle rows of first proposals (a list of lists) column by column:
+    each round redraws, in row order, every row whose column j repeats an
+    earlier entry of the row, until none does."""
+    for j in range(1, len(pos[0]) if pos else 0):
+        hit = [r for r in range(len(pos)) if pos[r][j] in pos[r][:j]]
+        while hit:
+            for r, p in zip(hit, rng.integers(0, L, size=len(hit)).tolist()):
+                pos[r][j] = p
+            hit = [r for r in hit if pos[r][j] in pos[r][:j]]
+    return pos
+
+
 def per_row_draw_record(d, D, rng):
     """One randomization drawn on its own: masks, then (x_pad, y_pad) pairs
-    until the number of positions with both bits 1 is even, then a
-    permutation.  Returns (x_mask, y_mask, x_pad, y_pad, perm)."""
+    until the number of positions with both bits 1 is even, then one
+    position proposal per block column, each redrawn in turn until it
+    misses the columns before it.  perm sends block column k to pos[k] and
+    the pads, in order, to the free positions in increasing order.  Returns
+    (x_mask, y_mask, x_pad, y_pad, perm)."""
     x_mask = rng.integers(0, 2, size=d, dtype=np.int8)
     y_mask = rng.integers(0, 2, size=d, dtype=np.int8)
     while True:
@@ -262,7 +278,12 @@ def per_row_draw_record(d, D, rng):
         y_pad = rng.integers(0, 2, size=D, dtype=np.int8)
         if int(np.sum(x_pad & y_pad)) % 2 == 0:
             break
-    perm = rng.permutation(4 * d + D)
+    L = 4 * d + D
+    (pos,) = block_positions_loop([rng.integers(0, L, size=4 * d).tolist()], L, rng)
+    perm = np.zeros(L, dtype=np.int64)
+    free = [p for p in range(L) if p not in pos]
+    for k, p in enumerate(pos + free):
+        perm[p] = k
     return x_mask, y_mask, x_pad, y_pad, perm
 
 
@@ -284,8 +305,10 @@ def flip_order_expand_pair(x, y, record):
 
 
 def concatenated_randomize_batch(xs, ys, D, rng):
-    """Batched randomization with rejection-redrawn odd pad rows and the
-    arrangement written out as one concatenation per side."""
+    """Batched randomization with rejection-redrawn odd pad rows, the
+    arrangement written out as one concatenation per side, and each row's
+    columns written one by one: block column k at the row's settled
+    position k, the pads in order at the free positions."""
     n, d = xs.shape
     x_mask = rng.integers(0, 2, size=(n, d), dtype=np.int8)
     y_mask = rng.integers(0, 2, size=(n, d), dtype=np.int8)
@@ -303,8 +326,13 @@ def concatenated_randomize_batch(xs, ys, D, rng):
     X_pre = np.concatenate([xm, x_mask, xm, x_mask, x_pad], axis=1)
     Y_pre = np.concatenate([ym, y_mask, y_mask, ym, y_pad], axis=1)
     L = 4 * d + D
-    perm = rng.permuted(np.broadcast_to(np.arange(L), (n, L)), axis=1)
-    return np.take_along_axis(X_pre, perm, axis=1), np.take_along_axis(Y_pre, perm, axis=1)
+    pos = block_positions_loop(rng.integers(0, L, size=(n, 4 * d)).tolist(), L, rng)
+    X, Y = np.zeros_like(X_pre), np.zeros_like(Y_pre)
+    for r in range(n):
+        free = [p for p in range(L) if p not in pos[r]]
+        for k, p in enumerate(pos[r] + free):
+            X[r, p], Y[r, p] = X_pre[r, k], Y_pre[r, k]
+    return X, Y
 
 
 def filled_block_input_map(record, d):

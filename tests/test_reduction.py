@@ -8,7 +8,7 @@ establishes the conditional-uniformity fact the closed form relies on.
 import itertools
 from collections import Counter, defaultdict
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, perm
 
 import numpy as np
 import pytest
@@ -40,8 +40,10 @@ from depthsep.reduction import (
     EnumerationBudget,
     ReductionConfig,
     _a1_lhs,
+    _block_positions,
     _even_pad_weights,
     _mask_law,
+    _place,
     _type_classes,
     block_input_map,
     build_averaged_network,
@@ -229,6 +231,48 @@ class TestRandomizeInput:
                 perm=np.arange(6),
             )
 
+    @pytest.mark.parametrize(
+        "fields, name",
+        [
+            ({"x_mask": [0], "y_mask": [0, 1]}, "x_mask and y_mask"),
+            ({"x_pad": [1, 0], "y_pad": [1, 0, 0]}, "x_pad and y_pad"),
+            ({"perm": [0, 0, 5]}, "perm"),
+            ({"perm": [0, 1, 2, 3, 4, 4]}, "perm"),
+            ({"perm": [0, 1, 2, 3, 4, 6]}, "perm"),
+            ({"perm": [5, 4, 3, 2, 1, 0, 6]}, "perm"),
+            ({"perm": [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]}, "perm"),
+            ({"perm": [[0, 1, 2], [3, 4, 5]]}, "perm"),
+        ],
+    )
+    def test_record_rejects_mismatched_fields(self, fields, name):
+        """A record whose fields do not fit together names the field instead
+        of expanding to a pair with repeated or missing coordinates."""
+        good = {"x_mask": [1], "y_mask": [0], "x_pad": [1, 0], "y_pad": [1, 0], "perm": range(6)}
+        with pytest.raises(ValueError, match=f"^{name} "):
+            record = RandomizationRecord(**{k: np.array(v) for k, v in {**good, **fields}.items()})
+            expand_pair([1], [1], record)
+
+    @pytest.mark.parametrize(
+        "d, D, name", [(2, 0, "D"), (2, -1, "D"), (0, 5, "d"), (-1, 5, "d")]
+    )
+    def test_draw_record_rejects_sizes(self, d, D, name):
+        with pytest.raises(ValueError, match=f"^{name} "):
+            draw_record(d, D, np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "n_trials, d_values, name",
+        [
+            (0, (1, 2), "n_trials"),
+            (-5, (1, 2), "n_trials"),
+            (10, (), "d_values"),
+            (10, (0,), "d_values"),
+            (10, (1, -2), "d_values"),
+        ],
+    )
+    def test_empty_parity_sweep_is_an_error(self, n_trials, d_values, name):
+        with pytest.raises(ValueError, match=f"^{name} "):
+            verify_ip_preservation(n_trials, d_values=d_values)
+
 
 class TestRandomizeBatchInputs:
     """randomize_batch names the argument it rejects instead of broadcasting,
@@ -269,7 +313,10 @@ class TestIpCertificate:
         assert rep["n_cases"] == 16
         assert rep["n_pad_pairs"] == sum(4**D for D in range(5))
         assert rep["n_permutations"] == sum(factorial(L) for L in range(4, 9))
-        assert rep["n_expansions"] == 16 * (rep["n_pad_pairs"] + rep["n_permutations"])
+        assert rep["n_injections"] == sum(perm(L, 4) for L in range(4, 9))
+        assert rep["n_expansions"] == 16 * (
+            rep["n_pad_pairs"] + rep["n_permutations"] + rep["n_injections"]
+        )
         assert rep["elapsed_s"] >= 0
 
     @pytest.mark.parametrize(
@@ -295,6 +342,19 @@ class TestIpCertificate:
         monkeypatch.setattr(reduction, "_odd_rows", lambda x_pad, y_pad: np.arange(len(x_pad)))
         assert not ip_preservation_certificate()["pass"]
 
+    def test_fails_when_the_placement_moves_the_sides_apart(self, monkeypatch):
+        place = reduction._place
+
+        def apart(x, y, x_mask, y_mask, x_pad, y_pad, pos):  # Y's first two block columns swapped
+            X, _ = place(x, y, x_mask, y_mask, x_pad, y_pad, pos)
+            swapped = pos[:, [1, 0, *range(2, pos.shape[1])]]
+            return X, place(x, y, x_mask, y_mask, x_pad, y_pad, swapped)[1]
+
+        monkeypatch.setattr(reduction, "_place", apart)
+        rep = ip_preservation_certificate()
+        assert not rep["pass"]
+        assert all("positions" in f for f in rep["failures"])
+
     def test_fails_when_the_sides_are_permuted_apart(self, monkeypatch):
         arrange = reduction._arrange
 
@@ -304,6 +364,81 @@ class TestIpCertificate:
 
         monkeypatch.setattr(reduction, "_arrange", shifted)
         assert not ip_preservation_certificate()["pass"]
+
+
+class _Short(Exception):
+    """The sampler asked for more integers than its script holds; carries
+    the range (low, high) of the request."""
+
+
+class _Scripted:
+    """Stands in for a generator: serves the integers of a fixed script in
+    order, and raises _Short past its end."""
+
+    def __init__(self, script):
+        self.script, self.used = script, 0
+
+    def integers(self, low, high, size):
+        m = int(np.prod(size))
+        if self.used + m > len(self.script):
+            raise _Short(low, high)
+        out = np.array(self.script[self.used : self.used + m], dtype=np.int64).reshape(size)
+        self.used += m
+        return out
+
+
+def _position_law(k, L, max_redraws):
+    """Exact law, as Fractions, of one row of _block_positions(1, k, L, .)
+    over every script of uniform proposals with at most max_redraws
+    redraws, and the mass of the scripts cut there."""
+    law, cut, scripts = Counter(), Fraction(0), [([], Fraction(1))]
+    while scripts:
+        script, mass = scripts.pop()
+        rng = _Scripted(script)
+        try:
+            pos = _block_positions(1, k, L, rng)
+        except _Short as short:
+            low, high = short.args
+            if len(script) == k + max_redraws:
+                cut += mass
+            else:  # the next integer is uniform on the range the sampler asked for
+                scripts += [(script + [v], mass / (high - low)) for v in range(low, high)]
+            continue
+        assert rng.used == len(script)
+        law[tuple(pos[0].tolist())] += mass
+    return law, cut
+
+
+class TestPlacementLaw:
+    """The block positions are exactly a uniform ordered choice, and placing
+    the blocks there with the pads in order in the rest gives exactly the
+    pair law of a uniform permutation of all columns."""
+
+    @pytest.mark.parametrize("k, L", [(4, 5), (4, 6), (3, 4)])
+    def test_positions_are_a_uniform_ordered_choice(self, k, L):
+        """Every script that ends within the redraw cut gives an ordered
+        choice, and each ordered choice gets the same mass, at every cut."""
+        for max_redraws in range(3):
+            law, cut = _position_law(k, L, max_redraws)
+            assert set(law) == set(itertools.permutations(range(L), k))
+            assert set(law.values()) == {(1 - cut) / perm(L, k)}
+            assert cut < 1
+
+    @pytest.mark.parametrize("D", [1, 2])
+    def test_law_equals_brute_force(self, D):
+        masks = np.array(list(itertools.product((0, 1), repeat=2)), dtype=np.int8)
+        pads = np.array(
+            [p for p in itertools.product((0, 1), repeat=2 * D)
+             if sum(a & b for a, b in zip(p[:D], p[D:])) % 2 == 0],
+            dtype=np.int8,
+        )
+        pos = np.array(list(itertools.permutations(range(4 + D), 4)))
+        m, p, q = np.array(list(itertools.product(*map(range, (len(masks), len(pads), len(pos)))))).T
+        for x, y in itertools.product((0, 1), repeat=2):
+            col = np.ones((len(m), 1), dtype=np.int8)
+            X, Y = _place(x * col, y * col, masks[m, :1], masks[m, 1:], pads[p, :D], pads[p, D:], pos[q])
+            law = Counter(zip(map(tuple, X.tolist()), map(tuple, Y.tolist())))
+            assert {k: Fraction(c, len(m)) for k, c in law.items()} == brute_force_pair_law((x,), (y,), D)
 
 
 def assert_same_bytes(a, b):
