@@ -223,9 +223,8 @@ def _check_ip_certificate(seed: int) -> dict:
     if not rep["pass"]:
         raise AssertionError(f"parity certificate fails: {rep['failures']}")
     return {"detail": f"parity kept for all {rep['n_cases']} coordinate cases, exactly the even pads "
-                      f"of {rep['n_pad_pairs']} pad pairs (D <= {rep['parameters']['max_D']}), all "
-                      f"{rep['n_permutations']} permutations and all {rep['n_injections']} block "
-                      f"placements (L <= {rep['parameters']['max_L']}), "
+                      f"of {rep['n_pad_pairs']} pad pairs (D <= {rep['parameters']['max_D']}) and all "
+                      f"{rep['n_injections']} block placements (L <= {rep['parameters']['max_L']}), "
                       f"n_expansions={rep['n_expansions']}"}
 
 

@@ -73,7 +73,7 @@ _MAX_A1_LENGTH = 200_000  # (64, 199936) takes about 6 s
 _RHS_SLACK = 1e-10
 _IP_CHUNK = 20_000  # trials per randomize_batch call in verify_ip_preservation
 _CERT_MAX_D = 4  # pad lengths enumerated by ip_preservation_certificate (4^D pad pairs each)
-_CERT_MAX_L = 8  # permutation lengths it enumerates (8! = 40320 permutations)
+_CERT_MAX_L = 8  # placement lengths it enumerates (8!/4! = 1680 block injections)
 
 
 class EnumerationBudget(RuntimeError):
@@ -118,30 +118,47 @@ class ReductionConfig:
 
 @dataclass(frozen=True, eq=False)
 class RandomizationRecord:
-    """One draw of the randomization: masks, even-conditioned pads, permutation."""
+    """One draw of the randomization: masks, even-conditioned pads, and the
+    positions of the 4d block columns in the expanded pair (the pads fill
+    the other positions in order)."""
 
     x_mask: np.ndarray
     y_mask: np.ndarray
     x_pad: np.ndarray
     y_pad: np.ndarray
-    perm: np.ndarray
+    pos: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.x_mask, self.y_mask, self.x_pad, self.y_pad, self.perm):
+        for arr in (self.x_mask, self.y_mask, self.x_pad, self.y_pad, self.pos):
             arr.setflags(write=False)
         for a, b in (("x_mask", "y_mask"), ("x_pad", "y_pad")):
             if getattr(self, a).shape != getattr(self, b).shape:
                 raise ValueError(f"{a} and {b} must have the same length, got shapes "
                                  f"{getattr(self, a).shape} and {getattr(self, b).shape}")
-        L = 4 * self.x_mask.size + self.x_pad.size
-        if (self.perm.dtype.kind not in "iu" or self.perm.shape != (L,)
-                or not np.array_equal(np.sort(self.perm), np.arange(L))):
-            raise ValueError(f"perm must be a permutation of range(4d + D) = range({L})")
+        pos, k = self.pos, 4 * self.x_mask.size
+        L = k + self.x_pad.size
+        if (pos.dtype.kind not in "iu" or pos.shape != (k,)
+                or not ((0 <= pos) & (pos < L)).all() or np.unique(pos).size != k):
+            raise ValueError(f"pos must be 4d = {k} distinct positions in range(4d + D) = range({L})")
         bits = np.concatenate((self.x_mask, self.y_mask, self.x_pad, self.y_pad))
-        if not ((bits == 0) | (bits == 1)).all():  # a 2 would leak into Y through the packed gather
+        if not ((bits == 0) | (bits == 1)).all():  # a 2 would leak into Y through the packed placement
             raise ValueError("masks and pads must hold only 0 and 1")
         if _ip_parity(self.x_pad, self.y_pad):
             raise ValueError("padding must have an even number of (1,1) positions")
+
+    @property
+    def perm(self) -> np.ndarray:
+        """The same placement as a permutation of range(4d + D): position
+        pos[k] takes block column k, and the free positions, in increasing
+        order, take the pad columns 4d .. L-1.  Derived on each read; the
+        package itself places by pos."""
+        k, L = self.pos.size, self.pos.size + self.x_pad.size
+        perm = np.empty(L, dtype=np.int64)
+        free = np.ones(L, dtype=bool)
+        free[self.pos] = False
+        perm[self.pos] = np.arange(k)
+        perm[free] = np.arange(k, L)
+        return perm
 
 
 # Block order of the arrangement, one row per side (X, then Y): True where a
@@ -215,28 +232,14 @@ def _sample(n: int, d: int, D: int, rng: np.random.Generator):
     return x_mask, y_mask, x_pad, y_pad, _block_positions(n, 4 * d, 4 * d + D, rng)
 
 
-def _record_perm(pos: np.ndarray, L: int) -> np.ndarray:
-    """The permutation of range(L) whose gather gives the placement of pos:
-    position pos[k] takes block column k, and the free positions, in
-    increasing order, take the pad columns 4d .. L-1."""
-    perm = np.empty(L, dtype=np.int64)
-    free = np.ones(L, dtype=bool)
-    free[pos] = False
-    perm[pos] = np.arange(pos.size)
-    perm[free] = np.arange(pos.size, L)
-    return perm
-
-
 def draw_record(d: int, D: int, rng: np.random.Generator) -> RandomizationRecord:
     """Sample one randomization: the one-row case of the batched sampler,
-    drawing the same random stream; its perm gathers the placement
-    randomize_batch writes."""
+    drawing the same random stream."""
     if d < 1:
         raise ValueError(f"d must be a positive integer, got {d}")
     if D < 1:
         raise ValueError(f"D must be a positive integer, got {D}")
-    *fields, pos = (a[0] for a in _sample(1, d, D, rng))
-    return RandomizationRecord(*fields, _record_perm(pos, 4 * d + D))
+    return RandomizationRecord(*(a[0] for a in _sample(1, d, D, rng)))
 
 
 def _arrange(side: int, bits: np.ndarray, mask: np.ndarray, pad: np.ndarray) -> np.ndarray:
@@ -258,16 +261,6 @@ def _unpack(both: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return both, Y
 
 
-def _expand(x, y, x_mask, y_mask, x_pad, y_pad, flat) -> tuple[np.ndarray, np.ndarray]:
-    """Gather the packed arrangement once by flat indices.
-
-    ``flat`` indexes the flattened packed arrangement: a 1-d perm for one
-    pair, or for a batch each row's perm offset by the row's start
-    (_row_starts).
-    """
-    return _unpack(_packed(x, y, x_mask, y_mask, x_pad, y_pad).reshape(-1)[flat])
-
-
 def _place(x, y, x_mask, y_mask, x_pad, y_pad, pos) -> tuple[np.ndarray, np.ndarray]:
     """Write each row of the packed arrangement into its placement: block
     column k at pos[:, k], the pads in order at the other positions in
@@ -284,18 +277,20 @@ def _place(x, y, x_mask, y_mask, x_pad, y_pad, pos) -> tuple[np.ndarray, np.ndar
     return _unpack(both)
 
 
-def _row_starts(n: int, L: int) -> np.ndarray:
-    """Offsets turning n row perms of length L into flat indices of an (n, L) array."""
-    return np.arange(0, n * L, L)[:, None]
+def _record_rows(record: RandomizationRecord, n: int) -> Iterator[np.ndarray]:
+    """The record's masks, pads and block positions, each as n equal rows."""
+    fields = (record.x_mask, record.y_mask, record.x_pad, record.y_pad, record.pos)
+    return (a[None].repeat(n, axis=0) for a in fields)  # a copy is cheaper than np.broadcast_to
 
 
 def expand_pair(
     x: np.ndarray, y: np.ndarray, record: RandomizationRecord
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Apply a fixed randomization record to (x, y)."""
-    x = as_bits(x)
-    y = as_bits(y, length=x.size)
-    return _expand(x, y, record.x_mask, record.y_mask, record.x_pad, record.y_pad, record.perm)
+    """Apply a fixed randomization record to (x, y): the one-row placement."""
+    x = as_bits(x, length=record.x_mask.size)
+    y = as_bits(y, length=record.x_mask.size)
+    X, Y = _place(x[None], y[None], *_record_rows(record, 1))
+    return X[0], Y[0]
 
 
 def randomize_input(
@@ -746,7 +741,7 @@ def mgf_bound_report(d: int, s: Fraction) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def block_input_map(record: RandomizationRecord, d: int) -> tuple[np.ndarray, np.ndarray]:
+def block_input_map(record: RandomizationRecord) -> tuple[np.ndarray, np.ndarray]:
     """Affine map (P, c) with P (x, y) + c = (X, Y) for real-valued inputs.
 
     Mask bit 0 keeps a coordinate (row +e_k), mask bit 1 flips it
@@ -757,12 +752,10 @@ def block_input_map(record: RandomizationRecord, d: int) -> tuple[np.ndarray, np
     result to absorb_input_map re-wires a network on the expanded pair into
     one reading the original (x, y).
     """
+    d = record.x_mask.size
     n = 2 * d + 1
     units = np.eye(n, 2 * d, k=-1, dtype=np.int8)  # the zero input, then each unit vector
-    fields = (record.x_mask, record.y_mask, record.x_pad, record.y_pad)
-    rows = (np.broadcast_to(a, (n, a.size)) for a in fields)
-    flat = record.perm + _row_starts(n, record.perm.size)
-    X, Y = _expand(units[:, :d], units[:, d:], *rows, flat)
+    X, Y = _place(units[:, :d], units[:, d:], *_record_rows(record, n))
     at = np.concatenate([X, Y], axis=1).T.astype(np.float64, order="C")
     return at[:, 1:] - at[:, :1], at[:, 0]
 
@@ -790,7 +783,7 @@ def build_averaged_network(
         rng = np.random.default_rng([seed, j])
         record = draw_record(cfg.d, cfg.D, rng)
         records.append(record)
-        P, c = block_input_map(record, cfg.d)
+        P, c = block_input_map(record)
         blocks.append(absorb_input_map(base, P, c))
     averaged = average_ensemble(blocks, [1.0 / cfg.n_blocks] * cfg.n_blocks)
     return averaged, records
@@ -831,47 +824,40 @@ def hoeffding_block_count(B: float, d: int) -> int:
 
 
 def ip_preservation_certificate() -> dict:
-    """Certify, by running _expand and _place on finitely many cases, that
-    the randomization keeps <x, y> mod 2 for every d and D.
+    """Certify, by running _place on finitely many cases, that the
+    randomization keeps <x, y> mod 2 for every d and D.
 
     The arrangement is coordinatewise: input coordinate i contributes the
     column pairs its own (x_i, y_i, x_mask_i, y_mask_i) gives, so all 16
     such cases cover every input and mask.  The pads add their own columns,
-    and the records' gather (_expand) and the batched placement (_place)
-    move both sides alike.  So it suffices that
+    and the one placement (_place) moves both sides alike.  So it suffices
+    that
 
     * for every pad pair with D <= _CERT_MAX_D (D = 0 is the bare
-      arrangement) and each of the 16 cases, the expansion keeps the parity
-      exactly when the sampler keeps the pads (_odd_rows), so the sampler
-      keeps only, and all, the pads that add parity 0;
-    * for every permutation of length L <= _CERT_MAX_L (d = 1, zero pads)
-      and each of the 16 cases, the gathered expansion keeps the parity;
+      arrangement) and each of the 16 cases, the expansion with the blocks
+      in place (positions 0..3) keeps the parity exactly when the sampler
+      keeps the pads (_odd_rows), so the sampler keeps only, and all, the
+      pads that add parity 0;
     * for every ordered injection of d = 1's four block columns into
       L <= _CERT_MAX_L positions (zero pads) and each of the 16 cases, the
       placement keeps the parity.
 
     Parities are recomputed here as integer sums; failures lists up to
-    three failing (case, pads), (case, perm) or (case, positions) per
-    length.
+    three failing (case, pads) or (case, positions) per length.
     """
     start = time.perf_counter()
     # the 16 coordinate cases (x_i, y_i, x_mask_i, y_mask_i)
     cases = np.array(list(itertools.product((0, 1), repeat=4)), dtype=np.int8)
-    failures, n_pads, n_perms, n_injections, n_rows = [], 0, 0, 0, 0
+    failures, n_pads, n_injections, n_rows = [], 0, 0, 0
 
-    def kept(x_pad, y_pad, moves, place=False):
-        """Whether each case (row) keeps its parity under each pad and move
-        row (column): a perm gathered by _expand, or block positions
-        written by _place."""
-        k = len(moves)
+    def kept(x_pad, y_pad, pos):
+        """Whether each case (row) keeps its parity under each pad and block
+        position row (column), placed by _place."""
+        k = len(pos)
         rows = np.repeat(cases, k, axis=0)
         tile = (len(cases), 1)
-        fields = (*(rows[:, [j]] for j in range(4)), np.tile(x_pad, tile), np.tile(y_pad, tile))
-        moves = np.tile(moves, tile)
-        if place:
-            X, Y = _place(*fields, moves)
-        else:
-            X, Y = _expand(*fields, moves + _row_starts(*moves.shape))
+        X, Y = _place(*(rows[:, [j]] for j in range(4)), np.tile(x_pad, tile), np.tile(y_pad, tile),
+                      np.tile(pos, tile))
         same = (X & Y).sum(axis=1) % 2 == (rows[:, 0] & rows[:, 1])
         return same.reshape(len(cases), k)
 
@@ -880,30 +866,23 @@ def ip_preservation_certificate() -> dict:
         x_pad, y_pad = pads[:, :D], pads[:, D:]
         sampler_keeps = np.ones(len(pads), dtype=bool)
         sampler_keeps[_odd_rows(x_pad, y_pad)] = False
-        identity = np.broadcast_to(np.arange(4 + D), (len(pads), 4 + D))
-        bad = kept(x_pad, y_pad, identity) != sampler_keeps
+        bad = kept(x_pad, y_pad, np.broadcast_to(np.arange(4), (len(pads), 4))) != sampler_keeps
         failures += [{"case": cases[c].tolist(), "x_pad": x_pad[j].tolist(),
                       "y_pad": y_pad[j].tolist(), "sampler_keeps": bool(sampler_keeps[j])}
                      for c, j in np.argwhere(bad)[:3]]
         n_pads, n_rows = n_pads + len(pads), n_rows + bad.size
     for L in range(4, _CERT_MAX_L + 1):
-        perms = np.array(list(itertools.permutations(range(L))), dtype=np.int8)
-        zeros = np.zeros((len(perms), L - 4), dtype=np.int8)
-        bad = ~kept(zeros, zeros, perms)
-        failures += [{"case": cases[c].tolist(), "perm": perms[j].tolist()}
-                     for c, j in np.argwhere(bad)[:3]]
         pos = np.array(list(itertools.permutations(range(L), 4)), dtype=np.int8)
-        placed = ~kept(zeros[: len(pos)], zeros[: len(pos)], pos, place=True)
+        zeros = np.zeros((len(pos), L - 4), dtype=np.int8)
+        bad = ~kept(zeros, zeros, pos)
         failures += [{"case": cases[c].tolist(), "positions": pos[j].tolist()}
-                     for c, j in np.argwhere(placed)[:3]]
-        n_perms, n_injections = n_perms + len(perms), n_injections + len(pos)
-        n_rows += bad.size + placed.size
+                     for c, j in np.argwhere(bad)[:3]]
+        n_injections, n_rows = n_injections + len(pos), n_rows + bad.size
     return {
         "check": "ip-preservation-certificate",
         "parameters": {"max_D": _CERT_MAX_D, "max_L": _CERT_MAX_L},
         "n_cases": len(cases),
         "n_pad_pairs": n_pads,
-        "n_permutations": n_perms,
         "n_injections": n_injections,
         "n_expansions": n_rows,
         "pass": not failures,
