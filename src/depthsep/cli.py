@@ -112,7 +112,10 @@ def eval_cmd(d, net_path, points):
 def compile_threshold_cmd(net_path, delta, out, report_path):
     """Compile a depth-2 network into a depth-2 threshold network."""
     net = _load(net_path, "--net", networks.network_from_json)
-    compiled = threshold.compile_network(net, delta)
+    try:
+        compiled = threshold.compile_network(net, delta)
+    except threshold.BudgetExceeded as exc:  # a staircase grid or segment count past its cap
+        raise click.BadParameter(str(exc), param_hint="--delta") from exc
     _write(out, networks.network_to_json(compiled))
     report = {
         "delta": delta,

@@ -191,9 +191,13 @@ def _check_compiler_scalar(seed: int) -> dict:
     err = float(np.abs(net.evaluate_batch(xs[:, None]) - np.maximum(xs, 0.0)).max())
     if err > 0.01:
         raise AssertionError(f"scalar compile error {err:.4f} > 0.01")
+    if err > plan.certified_error + 1e-12:
+        raise AssertionError(f"sampled error {err:.3e} above the proven bound {plan.certified_error:.3e}")
     if plan.n_segments > 2001:
         raise AssertionError(f"{plan.n_segments} segments exceed 2001")
-    return {"detail": f"error {err:.5f}, {plan.n_segments} segments"}
+    return {"detail": f"sampled error {err:.5f} on {xs.size} points, proven bound "
+                      f"{plan.certified_error:.5f} from a {plan.grid_points}-point grid, "
+                      f"{plan.n_segments} segments"}
 
 
 def _check_compiler_network(seed: int) -> dict:

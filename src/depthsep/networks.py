@@ -143,7 +143,7 @@ class DenseNetwork:
             X = X[None, :]
         if X.shape[1] != self.input_dim:
             raise ValueError(f"input dim {X.shape[1]} != {self.input_dim}")
-        rows = max(1, _ACTIVATION_BLOCK // max(self.widths, default=1))
+        rows = max(1, _ACTIVATION_BLOCK // max((*self.widths, 1)))
         out = np.empty(X.shape[0])
         for i in range(0, X.shape[0], rows):
             h = X[i : i + rows]

@@ -234,6 +234,28 @@ class TestCompileThreshold:
         report = json.loads(rep.read_text())
         assert report["certified_error"] <= 0.05
 
+    def test_all_zero_net_compiles_to_width_zero(self, runner, tmp_path):
+        net = networks.DenseNetwork(2, ((np.zeros((1, 2)), np.zeros(1)),), np.zeros(1), 0.0, networks.RELU)
+        src = tmp_path / "z.json"
+        src.write_text(networks.network_to_json(net))
+        result = invoke(runner, ["compile-threshold", "--net", str(src), "--delta", "0.1", "--out",
+                                 str(tmp_path / "out.json")])
+        report = json.loads(result.output)
+        assert report["width_out"] == [0] and report["certified_error"] == 0.0
+
+    def test_oversized_grid_is_a_usage_error(self, runner, tmp_path):
+        # R = 9 * 100 and delta / (8 * 100) ask for a grid of about 1.2e8 points
+        net = networks.DenseNetwork(
+            8, ((np.full((8, 8), 100.0), np.zeros(8)),), np.ones(8), 0.0, networks.RELU
+        )
+        src = tmp_path / "big.json"
+        src.write_text(networks.network_to_json(net))
+        out = tmp_path / "out.json"
+        result = invoke(runner, ["compile-threshold", "--net", str(src), "--delta", "0.05",
+                                 "--out", str(out)], expect_exit=2)
+        assert "--delta" in result.output and "grid" in result.output
+        assert "Traceback" not in result.output and not out.exists()
+
 
 class TestReduce:
     def test_reports_equivalence_and_counts(self, runner, tmp_path):

@@ -1,5 +1,7 @@
 """Threshold compilation: staircase plans, certified errors, circuits."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from oracle_utils import per_neuron_compile_network
@@ -16,6 +18,7 @@ from depthsep.networks import (
 )
 from depthsep.threshold import (
     BudgetExceeded,
+    _certify_plan,
     boolean_cube_max_error,
     compile_network,
     compile_scalar,
@@ -103,7 +106,6 @@ class TestCompileScalar:
         plan = SegmentPlan(
             breakpoints=np.array([-1.0, 0.0]),
             levels=np.array([0.0, 1.0]),  # relu reaches 1 only at x = 1
-            jump_signs=np.array([1, 1]),
             tolerance=0.2,
             domain=(-1.0, 1.0),
         )
@@ -119,7 +121,89 @@ class TestCompileScalar:
         assert err <= 0.05
 
 
+def constant_activation(value=0.3):
+    return Activation(
+        "custom", lambda z: np.full(np.shape(z), value), lipschitz=0.0, variation=(0.0, 0.0)
+    )
+
+
+class TestCertificate:
+    """certified_error is a proven bound: above every sampled error, at most
+    the tolerance, and broken by a moved level or breakpoint."""
+
+    @pytest.mark.parametrize(
+        "sigma, R, delta",
+        [
+            (RELU, 10.0, 0.01),
+            (SIGMOID, 10.0, 0.01),
+            (Activation("custom", np.sin, lipschitz=1.0, variation=(1.0, 1.0)), 7.0, 0.02),
+            (identity_activation(), 1.0, 0.05),
+        ],
+        ids=["relu", "sigmoid", "sin", "identity"],
+    )
+    def test_sampled_error_below_bound(self, sigma, R, delta):
+        net, plan = compile_scalar(sigma, R, delta)
+        bps = plan.breakpoints
+        xs = np.concatenate((np.linspace(-R, R, 200_001), bps, np.nextafter(bps, -np.inf)))
+        xs = xs[np.abs(xs) <= R]
+        sampled = float(np.abs(plan.values(xs) - sigma.fn(xs)).max())
+        assert sampled <= plan.certified_error <= delta
+        # the network sums the jumps, which rounds each level by a few ulps
+        realized = float(np.abs(net.evaluate_batch(xs[:, None]) - sigma.fn(xs)).max())
+        assert realized <= plan.certified_error + 1e-12
+        # the rule's own guarantee: 0.85 delta per run plus L h / 2 <= delta / 8
+        assert plan.certified_error <= 0.975 * delta * (1 + 1e-12)
+        assert plan.grid_points >= 8 * R * sigma.lipschitz / delta
+
+    @pytest.mark.parametrize("shift", [0.003, -0.003])
+    def test_moved_level_fails(self, shift):
+        _, plan = compile_scalar(RELU, R=10.0, delta=0.01)
+        assert _certify_plan(plan, RELU).certified_error == plan.certified_error
+        levels = plan.levels.copy()
+        levels[plan.n_segments // 2] += shift
+        with pytest.raises(RuntimeError, match="certification failed"):
+            _certify_plan(replace(plan, levels=levels), RELU)
+
+    @pytest.mark.parametrize("shift", [0.004, -0.004])
+    def test_moved_breakpoint_fails(self, shift):
+        _, plan = compile_scalar(RELU, R=10.0, delta=0.01)
+        bps = plan.breakpoints.copy()
+        bps[plan.n_segments // 2] += shift
+        with pytest.raises(RuntimeError, match="certification failed"):
+            _certify_plan(replace(plan, breakpoints=bps), RELU)
+
+    def test_constant_activation_is_one_segment(self):
+        net, plan = compile_scalar(constant_activation(), R=2.0, delta=0.1)
+        assert plan.n_segments == 1 and plan.certified_error == 0.0
+        assert net.widths == (0,)
+        xs = np.linspace(-2.0, 2.0, 101)
+        assert np.array_equal(net.evaluate_batch(xs[:, None]), np.full(101, 0.3))
+
+    def test_oversized_grid_rejected_before_sampling(self):
+        def never(z):
+            raise AssertionError("sampled an oversized grid")
+
+        steep = Activation("custom", never, lipschitz=1e6, variation=(1e6, 1.0))
+        with pytest.raises(BudgetExceeded, match="8e[+]08 points"):
+            compile_scalar(steep, R=1.0, delta=0.01)
+
+
 class TestCompileNetwork:
+    def test_all_zero_net_evaluates(self):
+        net = DenseNetwork(3, ((np.zeros((2, 3)), np.zeros(2)),), np.zeros(2), 0.0, RELU)
+        compiled = compile_network(net, delta=0.05)
+        assert compiled.widths == (0,)
+        assert boolean_cube_max_error(net, compiled) == 0.0
+
+    def test_constant_activation_net_evaluates(self, rng):
+        net = DenseNetwork(
+            3, ((rng.uniform(-1, 1, (2, 3)), np.zeros(2)),), np.ones(2), 0.5, constant_activation()
+        )
+        compiled = compile_network(net, delta=0.05)
+        assert compiled.widths == (0,)
+        X = hypercube_enumeration(3).astype(np.float64)
+        np.testing.assert_allclose(compiled.evaluate_batch(X), 1.1, rtol=0, atol=1e-12)
+
     def test_threshold_net_unchanged(self, rng):
         net = DenseNetwork(
             3,
