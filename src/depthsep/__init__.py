@@ -36,7 +36,6 @@ from .networks import (
     DenseNetwork,
     ThresholdCircuit,
     absorb_input_map,
-    absorb_input_shift,
     average_ensemble,
     network_from_json,
     network_to_json,
@@ -52,7 +51,6 @@ from .reduction import (
     hoeffding_block_count,
     mgf_bound_report,
     multinomial_square_ratio_report,
-    randomize_input,
 )
 from .threshold import (
     BudgetExceeded,

@@ -32,16 +32,20 @@ def _check_same_length(x: np.ndarray, y: np.ndarray) -> None:
         raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
 
 
-def ip_mod2(x, y) -> int:
-    """Inner product mod 2 of two equal-length integer vectors.
+def ip_mod2(x, y):
+    """Inner product mod 2 of equal-shape integer arrays along the last axis.
 
-    Accepts arbitrary integer entries (not just bits) so that composition
-    with rounding stays total off the nominal support.
+    The parity of sum_i x_i y_i is the XOR of the low bits of x_i & y_i, so
+    one row gives a scalar and an (n, d) array n parities, in the inputs'
+    integer dtype (int8 bits stay int8).  Accepts arbitrary integer entries
+    (not just bits) so that composition with rounding stays total off the
+    nominal support; raises ValueError on non-integer entries.
     """
-    xa = np.asarray(x, dtype=np.int64)
-    ya = np.asarray(y, dtype=np.int64)
+    xa, ya = np.asarray(x), np.asarray(y)
+    if xa.dtype.kind not in "biu" or ya.dtype.kind not in "biu":
+        raise ValueError(f"ip_mod2 needs integer entries, got {xa.dtype} and {ya.dtype}")
     _check_same_length(xa, ya)
-    return int(np.dot(xa, ya)) & 1
+    return np.bitwise_xor.reduce(xa & ya, axis=-1) & 1
 
 
 def xor_bits(x, y) -> np.ndarray:

@@ -23,7 +23,8 @@ from . import harness, instance, networks, reduction, threshold, training
 
 
 def _write(path: str | None, text: str) -> None:
-    if path is None or path == "-":
+    """Write text to the file at path, or echo it when path is None, empty or '-'."""
+    if not path or path == "-":
         click.echo(text, nl=not text.endswith("\n"))
     else:
         Path(path).write_text(text, encoding="utf-8")
@@ -112,6 +113,9 @@ def eval_cmd(d, net_path, points):
 def compile_threshold_cmd(net_path, delta, out, report_path):
     """Compile a depth-2 network into a depth-2 threshold network."""
     net = _load(net_path, "--net", networks.network_from_json)
+    if net.depth != 2:
+        raise click.BadParameter(f"{net_path!r}: a depth-{net.depth} network; only depth-2 networks "
+                                 "are compiled", param_hint="--net")
     try:
         compiled = threshold.compile_network(net, delta)
     except threshold.BudgetExceeded as exc:  # a staircase grid or segment count past its cap
@@ -126,10 +130,7 @@ def compile_threshold_cmd(net_path, delta, out, report_path):
     }
     if net.input_dim <= threshold._MAX_CUBE_DIM:
         report["certified_error"] = threshold.boolean_cube_max_error(net, compiled)
-    if report_path:
-        _write(report_path, json.dumps(report, sort_keys=True))
-    else:
-        click.echo(json.dumps(report, sort_keys=True))
+    _write(report_path, json.dumps(report, sort_keys=True))
 
 
 @main.command("reduce")
@@ -231,7 +232,7 @@ def verify_lemmas_cmd(a1_spec, a2_spec, l2_spec, out):
     reports = [{"lemma": lemma, **run(*args)} for lemma, _, run, args in jobs]
     ok = bool(reports) and all(r["pass"] for r in reports)
     doc = json.dumps({"reports": reports, "pass": ok}, sort_keys=True)
-    _write(out, doc) if out else click.echo(doc)
+    _write(out, doc)
     if not ok:
         sys.exit(1)
 
@@ -274,7 +275,7 @@ def train_baseline_cmd(d, width, epochs, seed, config_path, out):
         report["population_loss"] = mean
         report["population_stderr"] = se
     doc = json.dumps(report, sort_keys=True)
-    _write(out, doc) if out else click.echo(doc)
+    _write(out, doc)
 
 
 @main.command("report")
@@ -310,7 +311,7 @@ def verify_all_cmd(seed, only, instance_path, out):
     except ValueError as exc:  # an unknown check name; failed checks are reported, not raised
         raise click.BadParameter(str(exc), param_hint="--only") from exc
     doc = json.dumps(summary, sort_keys=True, indent=2)
-    _write(out, doc) if out else click.echo(doc)
+    _write(out, doc)
     if not summary["pass"]:
         sys.exit(1)
 

@@ -22,23 +22,24 @@ __all__ = [
 ]
 
 
+# Samples per seed in measure_sup_error.  It fixes only which seeds draw
+# which rows: evaluate_batch bounds its own memory with row blocks.
+_SUP_CHUNK = 10_000
+
+
 def measure_sup_error(
     net: networks.DenseNetwork,
     spec: instance.InstanceSpec,
     n: int,
     seed: int,
-    batch: int = 10_000,
 ) -> float:
     """Max |net - target| over n fresh support samples, drawn in chunks of
-    ``batch`` with one seed per chunk: ``batch`` only fixes those seeds, as
-    ``evaluate_batch`` bounds its own memory with row blocks."""
-    if batch < 1:
-        raise ValueError(f"batch must be a positive integer, got {batch}")
+    _SUP_CHUNK rows with one seed per chunk."""
     worst = 0.0
     drawn = 0
     chunk_id = 0
     while drawn < n:
-        k = min(batch, n - drawn)
+        k = min(_SUP_CHUNK, n - drawn)
         samples = instance.sample_a4d(spec, k, seed=int(seed + 104729 * chunk_id))
         preds = net.evaluate_batch(samples.points)
         worst = max(worst, float(np.abs(preds - samples.labels).max()))
@@ -271,7 +272,7 @@ def _check_equivalences(seed: int) -> dict:
     net = networks.DenseNetwork(4, ((W, b),), v, 0.3, networks.RELU)
     Z = rng.normal(size=(2000, 4))
     c = rng.normal(size=4)
-    shifted = networks.absorb_input_shift(net, c)
+    shifted = networks.absorb_input_map(net, np.eye(4), c)
     err = float(np.abs(shifted.evaluate_batch(Z) - net.evaluate_batch(Z + c)).max())
     P = np.eye(4)[[1, 0, 3, 2]]
     mapped = networks.absorb_input_map(net, P, np.zeros(4))

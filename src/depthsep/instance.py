@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import round_half_away
+from .bits import ip_mod2, round_half_away
 
 __all__ = [
     "Packing",
@@ -81,6 +81,10 @@ class Packing:
 
     def validate(self) -> None:
         """Re-check all invariants from the stored points; raise on violation."""
+        self._check(_min_pairwise(self.points))
+
+    def _check(self, md: float) -> None:
+        """The invariants, given md, the minimum pairwise distance of the points."""
         n, dim = self.points.shape
         if dim != self.dim:
             raise ValueError("packing dim field does not match points")
@@ -89,7 +93,6 @@ class Packing:
         norms = np.linalg.norm(self.points, axis=1)
         if norms.max() > NORM_BOUND + 1e-12:
             raise ValueError(f"point norm {norms.max():.6f} exceeds {NORM_BOUND}")
-        md = _min_pairwise(self.points)
         if md <= MIN_PAIRWISE_DISTANCE:
             raise ValueError(f"pairwise distance {md:.6f} not above {MIN_PAIRWISE_DISTANCE}")
 
@@ -246,7 +249,7 @@ def eval_f_batch(d: int, points: np.ndarray) -> np.ndarray:
     scale = 3.0 * math.sqrt(d)
     x = round_half_away(scale * pts[:, 2 * d : 3 * d])
     y = round_half_away(scale * pts[:, 3 * d :])
-    return ((x * y).sum(axis=1) & 1).astype(np.int8)
+    return ip_mod2(x, y).astype(np.int8)
 
 
 def eval_f(d: int, point: np.ndarray) -> int:
@@ -337,7 +340,7 @@ def spec_from_json(text: str) -> InstanceSpec:
         min_pairwise_distance=_min_pairwise(pts),
         radius_bound=float(np.linalg.norm(pts, axis=1).max()),
     )
-    packing.validate()
+    packing._check(packing.min_pairwise_distance)  # the distance just computed from these points
     return InstanceSpec(
         d=d,
         packing=packing,

@@ -23,7 +23,6 @@ __all__ = [
     "SIGMOID",
     "DenseNetwork",
     "ThresholdCircuit",
-    "absorb_input_shift",
     "absorb_input_map",
     "average_ensemble",
     "network_to_json",
@@ -64,7 +63,8 @@ def _threshold(z):
 
 
 def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-np.asarray(z, dtype=np.float64)))
+    with np.errstate(over="ignore"):  # exp(-z) = inf for z < -709 gives the limit 0
+        return 1.0 / (1.0 + np.exp(-np.asarray(z, dtype=np.float64)))
 
 
 RELU = Activation("relu", _relu, lipschitz=1.0, variation=(1.0, 1.0), monotone=True)
@@ -178,32 +178,16 @@ class ThresholdCircuit:
         return int(self.evaluate_batch(np.asarray(x, dtype=np.float64)[None, :])[0])
 
 
-def absorb_input_shift(net: DenseNetwork, c: np.ndarray) -> DenseNetwork:
-    """Return net' with net'(z) = net(z + c), same architecture.
-
-    Only the first hidden layer's biases change: b' = b + W c.
-    """
-    c = np.asarray(c, dtype=np.float64)
-    if c.shape != (net.input_dim,):
-        raise ValueError(f"shift shape {c.shape} != ({net.input_dim},)")
-    W0, b0 = net.hidden[0]
-    new_first = (W0.copy(), b0 + W0 @ c)
-    return DenseNetwork(
-        net.input_dim,
-        (new_first,) + tuple((W.copy(), b.copy()) for W, b in net.hidden[1:]),
-        net.out_w.copy(),
-        net.out_b,
-        net.activation,
-    )
-
-
 def absorb_input_map(net: DenseNetwork, P: np.ndarray, b: np.ndarray) -> DenseNetwork:
     """Return net' with net'(x) = net(P x + b), same widths and depth.
 
     P has shape (net.input_dim, new_input_dim).  Rows of +-e_k implement
     selection and bit flips (row -e_k with offset 1 realizes x_k -> 1-x_k),
-    permutation matrices reorder coordinates, and zero rows with a constant
-    offset pin a coordinate.
+    permutation matrices reorder coordinates, zero rows with a constant
+    offset pin a coordinate, and P = I is the shift net'(x) = net(x + b).
+    Only the first layer is rebuilt; the deeper layers and the output are
+    the read-only arrays of ``net`` itself, so a spliced layer keeps its
+    factors.
     """
     P = np.asarray(P, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -213,13 +197,7 @@ def absorb_input_map(net: DenseNetwork, P: np.ndarray, b: np.ndarray) -> DenseNe
         raise ValueError(f"offset shape {b.shape} != ({net.input_dim},)")
     W0, b0 = net.hidden[0]
     new_first = (W0 @ P, b0 + W0 @ b)
-    return DenseNetwork(
-        P.shape[1],
-        (new_first,) + tuple((W.copy(), bb.copy()) for W, bb in net.hidden[1:]),
-        net.out_w.copy(),
-        net.out_b,
-        net.activation,
-    )
+    return DenseNetwork(P.shape[1], (new_first, *net.hidden[1:]), net.out_w, net.out_b, net.activation)
 
 
 def average_ensemble(

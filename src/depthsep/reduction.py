@@ -35,7 +35,7 @@ from typing import Iterator
 import mpmath as mp
 import numpy as np
 
-from .bits import as_bits
+from .bits import as_bits, ip_mod2
 from .networks import DenseNetwork, absorb_input_map, average_ensemble
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "CountDistribution",
     "draw_record",
     "expand_pair",
-    "randomize_input",
     "randomize_batch",
     "count_signature",
     "exact_count_distribution",
@@ -143,7 +142,7 @@ class RandomizationRecord:
         bits = np.concatenate((self.x_mask, self.y_mask, self.x_pad, self.y_pad))
         if not ((bits == 0) | (bits == 1)).all():  # a 2 would leak into Y through the packed placement
             raise ValueError("masks and pads must hold only 0 and 1")
-        if _ip_parity(self.x_pad, self.y_pad):
+        if ip_mod2(self.x_pad, self.y_pad):
             raise ValueError("padding must have an even number of (1,1) positions")
 
     @property
@@ -166,16 +165,10 @@ class RandomizationRecord:
 _BLOCK_ORDER = ((True, False, True, False), (True, False, False, True))
 
 
-def _ip_parity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Inner product mod 2 of bit arrays along the last axis: the parity of
-    the number of positions where both bits are 1."""
-    return np.bitwise_xor.reduce(a & b, axis=-1)
-
-
 def _odd_rows(x_pad: np.ndarray, y_pad: np.ndarray) -> np.ndarray:
     """Indices of the pad rows the sampler redraws: those with an odd number
     of positions with both bits 1."""
-    return np.flatnonzero(_ip_parity(x_pad, y_pad))
+    return np.flatnonzero(ip_mod2(x_pad, y_pad))
 
 
 def _block_positions(n: int, k: int, L: int, rng: np.random.Generator) -> np.ndarray:
@@ -293,18 +286,6 @@ def expand_pair(
     return X[0], Y[0]
 
 
-def randomize_input(
-    x: np.ndarray, y: np.ndarray, cfg: ReductionConfig, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, RandomizationRecord]:
-    """Draw a fresh record and expand; the output pair always satisfies
-    ip_mod2(X, Y) == ip_mod2(x, y)."""
-    x = as_bits(x, length=cfg.d)
-    y = as_bits(y, length=cfg.d)
-    record = draw_record(cfg.d, cfg.D, rng)
-    X, Y = expand_pair(x, y, record)
-    return X, Y, record
-
-
 def _bit_rows(name: str, a) -> np.ndarray:
     """``a`` as a 2-d int8 array of 0/1 entries; ValueError naming ``name`` otherwise."""
     arr = np.asarray(a)
@@ -320,9 +301,9 @@ def randomize_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized randomization of n input pairs (rows of xs, ys).
 
-    Distributionally identical to per-row :func:`randomize_input`; used for
-    large-trial invariance sweeps.  With one row it draws the stream of
-    :func:`draw_record` and returns expand_pair of that record.
+    Each row has the law of expand_pair under a fresh :func:`draw_record`;
+    used for large-trial invariance sweeps.  With one row it draws the
+    stream of draw_record and returns expand_pair of that record.
     """
     xs, ys = _bit_rows("xs", xs), _bit_rows("ys", ys)
     if xs.shape != ys.shape:
@@ -915,5 +896,5 @@ def verify_ip_preservation(n_trials: int, d_values=(1, 2, 3, 4, 5, 6), seed: int
             xs = rng.integers(0, 2, size=(n, d), dtype=np.int8)
             ys = rng.integers(0, 2, size=(n, d), dtype=np.int8)
             X, Y = randomize_batch(xs, ys, D, rng)
-            violations += int((_ip_parity(xs, ys) != _ip_parity(X, Y)).sum())
+            violations += int((ip_mod2(xs, ys) != ip_mod2(X, Y)).sum())
     return violations

@@ -29,6 +29,26 @@ class TestIpMod2:
         assert ip_mod2([3, -2], [1, 1]) == 1
         assert ip_mod2([2, 2], [5, 7]) == 0
 
+    def test_rows_keep_dtype(self):
+        """An (n, d) pair gives the n row parities in the input dtype; the
+        integer sum of products is the reference."""
+        rng = np.random.default_rng(0)
+        for dtype in (np.int8, np.int64):
+            x = rng.integers(-5, 6, size=(300, 7)).astype(dtype)
+            y = rng.integers(-5, 6, size=(300, 7)).astype(dtype)
+            got = ip_mod2(x, y)
+            assert got.dtype == dtype
+            want = (x.astype(np.int64) * y).sum(axis=1) % 2
+            assert np.array_equal(got, want)
+            assert [ip_mod2(a, b) for a, b in zip(x, y)] == want.tolist()
+
+    @pytest.mark.parametrize("x", ([0.7, 1], [1.0, 1.0], ["1", "1"]))
+    def test_rejects_non_integers(self, x):
+        with pytest.raises(ValueError, match="integer"):
+            ip_mod2(x, [1, 1])
+        with pytest.raises(ValueError, match="integer"):
+            ip_mod2([1, 1], x)
+
     @given(st.integers(1, 8).flatmap(lambda n: st.tuples(bitvec(n), bitvec(n), bitvec(n))))
     def test_bilinearity(self, triple):
         a, b, c = triple

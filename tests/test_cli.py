@@ -256,6 +256,17 @@ class TestCompileThreshold:
         assert "--delta" in result.output and "grid" in result.output
         assert "Traceback" not in result.output and not out.exists()
 
+    def test_depth3_net_is_a_usage_error(self, runner, tmp_path):
+        from depthsep.depth3 import build_exact_relu
+
+        src = tmp_path / "deep.json"
+        src.write_text(networks.network_to_json(build_exact_relu(1)))
+        out = tmp_path / "out.json"
+        result = invoke(runner, ["compile-threshold", "--net", str(src), "--delta", "0.1",
+                                 "--out", str(out)], expect_exit=2)
+        assert "--net" in result.output and "depth-3" in result.output
+        assert "Traceback" not in result.output and not out.exists()
+
 
 class TestReduce:
     def test_reports_equivalence_and_counts(self, runner, tmp_path):

@@ -214,6 +214,16 @@ class TestSerialization:
         assert np.array_equal(back.matching, spec_d2.matching)
         assert spec_to_json(back) == text
 
+    def test_load_computes_min_distance_once(self, spec_d2, monkeypatch):
+        calls = []
+        real = instance._min_pairwise
+        monkeypatch.setattr(instance, "_min_pairwise", lambda pts: calls.append(1) or real(pts))
+        back = spec_from_json(spec_to_json(spec_d2))
+        assert len(calls) == 1
+        assert back.packing.min_pairwise_distance == spec_d2.packing.min_pairwise_distance
+        back.packing.validate()
+        assert len(calls) == 2
+
     def test_rejects_d_that_disagrees_with_packing(self, spec_d1):
         doc = json.loads(spec_to_json(spec_d1))
         doc["d"] = 2

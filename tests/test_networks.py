@@ -18,7 +18,6 @@ from depthsep.networks import (
     DenseNetwork,
     ThresholdCircuit,
     absorb_input_map,
-    absorb_input_shift,
     average_ensemble,
     network_from_json,
     network_to_json,
@@ -244,31 +243,48 @@ class TestFactoredLayers:
             assert np.array_equal(twin.evaluate_batch(X), net.evaluate_batch(X))
 
     def test_rebuilt_weights_are_plain_layers(self):
+        """Layers rebuilt from their weights (a JSON load, the first layer of
+        an absorbed map) are plain pairs with the same weights."""
         net = build_generic(1, 0.1).net
         X = support_and_uniform(net.input_dim, seed=6)
-        rebuilt = [
-            network_from_json(network_to_json(net)),
-            absorb_input_shift(net, np.zeros(net.input_dim)),
-            absorb_input_map(net, np.eye(net.input_dim), np.zeros(net.input_dim)),
-        ]
-        for other in rebuilt:
-            assert not any(isinstance(layer, networks._SplicedLayer) for layer in other.hidden)
+        loaded = network_from_json(network_to_json(net))
+        mapped = absorb_input_map(net, np.eye(net.input_dim), np.zeros(net.input_dim))
+        for other, rebuilt in ((loaded, loaded.hidden), (mapped, mapped.hidden[:1])):
+            assert not any(isinstance(layer, networks._SplicedLayer) for layer in rebuilt)
             for (W, b), (W_ref, b_ref) in zip(other.hidden, net.hidden, strict=True):
                 assert np.array_equal(W, W_ref) and np.array_equal(b, b_ref)
             np.testing.assert_allclose(other.evaluate_batch(X), net.evaluate_batch(X), rtol=0, atol=1e-12)
 
+    def test_absorbed_map_keeps_deeper_spliced_layers(self):
+        """absorb_input_map rebuilds only the first layer: the spliced second
+        layer and the output weights are the original objects, so the
+        result is still evaluated through the factors."""
+        net = build_generic(3, 0.05).net
+        rng = np.random.default_rng(12)
+        P = np.eye(net.input_dim)[rng.permutation(net.input_dim)]
+        c = rng.uniform(-0.05, 0.05, size=net.input_dim)
+        mapped = absorb_input_map(net, P, c)
+        assert mapped.hidden[1] is net.hidden[1] and mapped.out_w is net.out_w
+        assert isinstance(mapped.hidden[1], networks._SplicedLayer)
+        X = support_and_uniform(net.input_dim, seed=9)
+        np.testing.assert_allclose(
+            mapped.evaluate_batch(X), net.evaluate_batch(X @ P.T + c), rtol=0, atol=1e-12
+        )
+
 
 class TestAbsorbShift:
+    """P = I: absorb_input_map as the input shift net'(z) = net(z + c)."""
+
     def test_zero_shift_is_identity(self, rng):
         net = random_net(rng)
-        shifted = absorb_input_shift(net, np.zeros(4))
+        shifted = absorb_input_map(net, np.eye(4), np.zeros(4))
         Z = rng.normal(size=(100, 4))
         np.testing.assert_array_equal(shifted.evaluate_batch(Z), net.evaluate_batch(Z))
 
     def test_equivalence_on_probes(self, rng):
         net = random_net(rng)
         c = rng.normal(size=4)
-        shifted = absorb_input_shift(net, c)
+        shifted = absorb_input_map(net, np.eye(4), c)
         Z = rng.normal(size=(10_000, 4))
         err = np.abs(shifted.evaluate_batch(Z) - net.evaluate_batch(Z + c)).max()
         assert err <= 1e-12
@@ -277,7 +293,7 @@ class TestAbsorbShift:
     def test_weight_growth_bound(self, rng):
         net = random_net(rng)
         c = rng.normal(size=4)
-        shifted = absorb_input_shift(net, c)
+        shifted = absorb_input_map(net, np.eye(4), c)
         assert shifted.max_weight <= net.max_weight * (1 + np.abs(c).sum()) + 1e-12
 
     def test_works_on_depth3(self, rng):
@@ -285,7 +301,7 @@ class TestAbsorbShift:
 
         net = build_exact_relu(1)
         c = rng.normal(0, 0.05, size=4)
-        shifted = absorb_input_shift(net, c)
+        shifted = absorb_input_map(net, np.eye(4), c)
         assert shifted.widths == net.widths
         Z = rng.normal(0, 0.3, size=(2000, 4))
         err = np.abs(shifted.evaluate_batch(Z) - net.evaluate_batch(Z + c)).max()

@@ -62,7 +62,6 @@ from depthsep.reduction import (
     multinomial_square_ratio_report,
     output_bound,
     randomize_batch,
-    randomize_input,
     verify_ip_preservation,
     RandomizationRecord,
 )
@@ -175,26 +174,28 @@ def brute_force_l2_squared_with_permutations(xbits, ybits, D):
 
 
 class TestRandomizeInput:
+    """One pair randomized as expand_pair of a fresh draw_record."""
+
     def test_output_lengths(self, rng):
         cfg = ReductionConfig(d=3)
-        X, Y, rec = randomize_input([1, 0, 1], [0, 1, 1], cfg, rng)
+        rec = draw_record(cfg.d, cfg.D, rng)
+        X, Y = expand_pair([1, 0, 1], [0, 1, 1], rec)
         assert X.size == Y.size == 4 * 3 + 300
         assert rec.perm.size == X.size
 
     def test_parity_preserved_many(self, rng):
         for d in (1, 2, 4):
-            cfg = ReductionConfig(d=d, D=10 * d)
             for _ in range(200):
                 x = rng.integers(0, 2, d)
                 y = rng.integers(0, 2, d)
-                X, Y, _ = randomize_input(x, y, cfg, rng)
+                X, Y = expand_pair(x, y, draw_record(d, 10 * d, rng))
                 assert ip_mod2(X, Y) == ip_mod2(x, y)
 
     def test_zero_input_structure(self, rng):
         """With x = y = 0 the non-pad part of X is a permutation of four
         copies of the mask."""
-        cfg = ReductionConfig(d=1, D=4)
-        X, Y, rec = randomize_input([0], [0], cfg, rng)
+        rec = draw_record(1, 4, rng)
+        X, Y = expand_pair([0], [0], rec)
         inverse = np.argsort(rec.perm)
         X_pre = X[inverse]
         assert np.array_equal(X_pre[:4], np.repeat(rec.x_mask, 4))

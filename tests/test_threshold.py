@@ -1,5 +1,6 @@
 """Threshold compilation: staircase plans, certified errors, circuits."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -119,6 +120,14 @@ class TestCompileScalar:
         xs = np.linspace(-6, 6, 20_000)
         err = np.abs(net.evaluate_batch(xs[:, None]) - 1 / (1 + np.exp(-xs))).max()
         assert err <= 0.05
+
+    def test_wide_sigmoid_raises_no_warning(self):
+        """exp(-z) overflows for z < -709; the sigmoid takes its limit 0
+        there without a RuntimeWarning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            compile_scalar(SIGMOID, 1000.0, 0.05)
+            assert SIGMOID(np.array([-1000.0, -710.0, 0.0, 1000.0])).tolist() == [0.0, 0.0, 0.5, 1.0]
 
 
 def constant_activation(value=0.3):
