@@ -10,6 +10,12 @@ import numpy as np
 __all__ = ["as_bits", "ip_mod2", "xor_bits", "round_half_away"]
 
 
+def _all_bits(arr: np.ndarray) -> bool:
+    """Whether every entry of ``arr`` is exactly 0 or 1 (tested before any
+    cast, since 256 and 257 wrap to 0 and 1 in int8)."""
+    return bool(((arr == 0) | (arr == 1)).all())
+
+
 def as_bits(x, length: int | None = None) -> np.ndarray:
     """Validate and convert ``x`` to an int8 array of 0/1 entries.
 
@@ -19,7 +25,7 @@ def as_bits(x, length: int | None = None) -> np.ndarray:
     arr = np.asarray(x)
     if arr.ndim != 1:
         raise ValueError(f"expected a 1-d bit vector, got shape {arr.shape}")
-    if not ((arr == 0) | (arr == 1)).all():
+    if not _all_bits(arr):
         raise ValueError("bit vector entries must be exactly 0 or 1")
     out = arr.astype(np.int8)
     if length is not None and out.size != length:

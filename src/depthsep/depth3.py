@@ -129,17 +129,19 @@ def relu_1d_approximator(spec: Approx1DSpec) -> DenseNetwork:
 
 @dataclass(frozen=True)
 class GenericBuildReport:
-    """Built network plus static width/weight accounting."""
+    """Built network plus static width/weight accounting, read from it."""
 
     net: DenseNetwork
-    d: int
-    accuracy: float
-    widths: tuple[int, ...]
-    max_weights: tuple[float, ...]
 
+    @property
+    def widths(self) -> tuple[int, ...]:
+        return self.net.widths
 
-def _layer_max_weight(W: np.ndarray, b: np.ndarray) -> float:
-    return float(max(np.abs(W).max(initial=0.0), np.abs(b).max(initial=0.0)))
+    @property
+    def max_weights(self) -> tuple[float, ...]:
+        """Largest absolute weight or bias of each hidden layer."""
+        return tuple(float(max(np.abs(W).max(initial=0.0), np.abs(b).max(initial=0.0)))
+                     for W, b in self.net.hidden)
 
 
 def _constant_half_network(d: int, activation: Activation) -> GenericBuildReport:
@@ -149,7 +151,7 @@ def _constant_half_network(d: int, activation: Activation) -> GenericBuildReport
     W2 = np.zeros((1, 1))
     b2 = np.zeros(1)
     net = DenseNetwork(n_in, ((W1, b1), (W2, b2)), np.zeros(1), 0.5, activation)
-    return GenericBuildReport(net=net, d=d, accuracy=0.5, widths=(1, 1), max_weights=(0.0, 0.0))
+    return GenericBuildReport(net)
 
 
 def build_generic(
@@ -187,11 +189,4 @@ def build_generic(
     if h1.activation.tag != h2.activation.tag:
         raise ValueError("approximator must use one activation consistently")
 
-    net = _compose(d, h1, h2)
-    return GenericBuildReport(
-        net=net,
-        d=d,
-        accuracy=eps,
-        widths=net.widths,
-        max_weights=tuple(_layer_max_weight(W, b) for W, b in net.hidden),
-    )
+    return GenericBuildReport(_compose(d, h1, h2))

@@ -128,19 +128,20 @@ def run_separation_experiment(
 # ---------------------------------------------------------------------------
 
 
-def _check_packing(seed: int, spec_override=None) -> dict:
-    if isinstance(spec_override, str):
-        spec_override = instance.spec_from_json(spec_override)  # validates on load
+def _check_packing(seed: int, spec_override: str | None = None) -> dict:
+    """Build (or load) packings, which checks their invariants, and report
+    what they hold; a built packing must also come out the same twice."""
     if spec_override is not None:
-        spec_override.packing.validate()
-        return {"detail": "override instance packing invariants hold"}
-    for d in (1, 2, 3):
-        spec = instance.build_instance(d, seed=seed + d)
-        spec.packing.validate()
-        again = instance.build_instance(d, seed=seed + d)
-        if not np.array_equal(spec.packing.points, again.packing.points):
-            raise AssertionError(f"packing not deterministic at d={d}")
-    return {"detail": "d=1..3 invariants and determinism hold"}
+        packings, held = [instance.spec_from_json(spec_override).packing], "override instance invariants"
+    else:
+        packings = [instance.build_packing(d, seed=seed + d) for d in (1, 2, 3)]
+        held = "d=1..3 invariants and determinism"
+        for d, p in enumerate(packings, 1):
+            if not np.array_equal(p.points, instance.build_packing(d, seed=seed + d).points):
+                raise AssertionError(f"packing not deterministic at d={d}")
+    read = "; ".join(f"d={p.dim // 2}: {p.n_points} points, min distance {p.min_pairwise_distance:.4f}, "
+                     f"radius {p.radius_bound:.4f}" for p in packings)
+    return {"detail": f"{held} hold ({read})"}
 
 
 def _check_centers(seed: int) -> dict:
@@ -342,8 +343,8 @@ def verify_all(seed: int = 0, only=None, spec_override=None) -> dict:
     """Run the verification battery; returns a JSON-ready summary with one
     entry per check and an overall pass flag.  Each entry carries its wall
     time ``elapsed_s``; a failed one also the exception type as ``error``.
-    ``spec_override`` (an InstanceSpec or its JSON text) replaces the
-    packing check's instances."""
+    ``spec_override``, an instance's JSON text, replaces the packing
+    check's instances."""
     names = CHECK_NAMES if not only else tuple(only)
     unknown = [n for n in names if n not in _CHECKS]
     if unknown:

@@ -15,7 +15,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,36 +65,37 @@ class PackingInfeasible(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class Packing:
-    """2^{2d} points in R^{2d}, norms <= 0.8, pairwise distance > 0.4."""
+    """2^{2d} points in R^{2d}, norms <= 0.8, pairwise distance > 0.4.
 
-    dim: int
+    Built from its points alone: the constructor derives the minimum
+    pairwise distance and the largest norm and raises ValueError on any
+    broken invariant (a NaN breaks both), so every Packing holds them."""
+
     points: np.ndarray
-    min_pairwise_distance: float
-    radius_bound: float
+    min_pairwise_distance: float = field(init=False)
+    radius_bound: float = field(init=False)
 
     def __post_init__(self):
         self.points.setflags(write=False)
+        n, dim = self.points.shape
+        if n != 4 ** (dim // 2) or dim % 2 != 0 or dim < 2:
+            raise ValueError(f"expected 4^(dim/2) points, got {n} in dim {dim}")
+        radius = float(np.linalg.norm(self.points, axis=1).max())
+        if not radius <= NORM_BOUND + 1e-12:
+            raise ValueError(f"point norm {radius:.6f} exceeds {NORM_BOUND}")
+        md = _min_pairwise(self.points)
+        if not md > MIN_PAIRWISE_DISTANCE:
+            raise ValueError(f"pairwise distance {md:.6f} not above {MIN_PAIRWISE_DISTANCE}")
+        object.__setattr__(self, "min_pairwise_distance", md)
+        object.__setattr__(self, "radius_bound", radius)
+
+    @property
+    def dim(self) -> int:
+        return self.points.shape[1]
 
     @property
     def n_points(self) -> int:
         return self.points.shape[0]
-
-    def validate(self) -> None:
-        """Re-check all invariants from the stored points; raise on violation."""
-        self._check(_min_pairwise(self.points))
-
-    def _check(self, md: float) -> None:
-        """The invariants, given md, the minimum pairwise distance of the points."""
-        n, dim = self.points.shape
-        if dim != self.dim:
-            raise ValueError("packing dim field does not match points")
-        if n != 4 ** (dim // 2) or dim % 2 != 0:
-            raise ValueError(f"expected 4^(dim/2) points, got {n} in dim {dim}")
-        norms = np.linalg.norm(self.points, axis=1)
-        if norms.max() > NORM_BOUND + 1e-12:
-            raise ValueError(f"point norm {norms.max():.6f} exceeds {NORM_BOUND}")
-        if md <= MIN_PAIRWISE_DISTANCE:
-            raise ValueError(f"pairwise distance {md:.6f} not above {MIN_PAIRWISE_DISTANCE}")
 
 
 def _min_pairwise(points: np.ndarray, block: int = 512) -> float:
@@ -166,12 +167,7 @@ def build_packing(d: int, seed: int, max_attempts: int | None = None) -> Packing
             f"placed {placed}/{n} points in {max_attempts} attempts "
             f"(d={d}, seed={seed}); raise max_attempts or change the seed"
         )
-    return Packing(
-        dim=dim,
-        points=pts,
-        min_pairwise_distance=_min_pairwise(pts),
-        radius_bound=float(np.linalg.norm(pts, axis=1).max()),
-    )
+    return Packing(pts)
 
 
 def hypercube_enumeration(n_bits: int) -> np.ndarray:
@@ -185,14 +181,14 @@ def hypercube_enumeration(n_bits: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class InstanceSpec:
-    """Instance container: dimension, packing, and the center/vertex pairing.
+    """Instance container: packing and the center/vertex pairing.
 
     ``matching[i]`` is the hypercube enumeration index assigned to packing
-    point i.  Scale facts: hypercube vertices shrink by 1/(4 sqrt d), the
-    per-component cube has edge 1/(12 sqrt d).
+    point i.  The dimension d is half the packing's.  Scale facts: hypercube
+    vertices shrink by 1/(4 sqrt d), the per-component cube has edge
+    1/(12 sqrt d).
     """
 
-    d: int
     packing: Packing
     matching: np.ndarray
     seed: int
@@ -202,6 +198,10 @@ class InstanceSpec:
         n = self.packing.n_points
         if sorted(self.matching.tolist()) != list(range(n)):
             raise ValueError("matching must be a bijection onto the hypercube")
+
+    @property
+    def d(self) -> int:
+        return self.packing.dim // 2
 
     @property
     def x_scale(self) -> float:
@@ -231,7 +231,7 @@ def build_instance(d: int, seed: int, max_attempts: int | None = None) -> Instan
     packing = build_packing(d, seed, max_attempts)
     rng = np.random.default_rng([seed, 1])
     matching = rng.permutation(4**d).astype(np.int64)
-    return InstanceSpec(d=d, packing=packing, matching=matching, seed=seed)
+    return InstanceSpec(packing=packing, matching=matching, seed=seed)
 
 
 def eval_f_batch(d: int, points: np.ndarray) -> np.ndarray:
@@ -334,16 +334,8 @@ def spec_from_json(text: str) -> InstanceSpec:
     pts = np.asarray(doc["points"], dtype=np.float64)
     if not (1 <= d <= MAX_SUPPORTED_D and pts.shape == (4**d, 2 * d) and np.isfinite(pts).all()):
         raise ValueError(f"d={d} needs 4^d finite points in dim 2d, got shape {pts.shape}")
-    packing = Packing(
-        dim=pts.shape[1],
-        points=pts,
-        min_pairwise_distance=_min_pairwise(pts),
-        radius_bound=float(np.linalg.norm(pts, axis=1).max()),
-    )
-    packing._check(packing.min_pairwise_distance)  # the distance just computed from these points
     return InstanceSpec(
-        d=d,
-        packing=packing,
+        packing=Packing(pts),
         matching=np.asarray(doc["matching"], dtype=np.int64),
         seed=int(doc["seed"]),
     )

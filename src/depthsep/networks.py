@@ -38,6 +38,8 @@ class Activation:
     interval [a, b] is at most c * (1 + (|a| + |b|)**alpha).  ``steps``
     marks a piecewise-constant activation by its exact jump positions and
     levels, letting the threshold compiler handle it symbolically.
+    ``derivative``, where set, is the activation's derivative, which the
+    depth-2 trainer needs.
     """
 
     tag: str
@@ -46,6 +48,7 @@ class Activation:
     variation: tuple[float, float] | None = None
     monotone: bool = False
     steps: tuple[tuple[float, ...], tuple[float, ...]] | None = None
+    derivative: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
         if self.fn is None:
@@ -55,6 +58,10 @@ class Activation:
 
 def _relu(z):
     return np.maximum(z, 0.0)
+
+
+def _relu_derivative(z):
+    return (z > 0).astype(np.float64)
 
 
 def _threshold(z):
@@ -67,7 +74,14 @@ def _sigmoid(z):
         return 1.0 / (1.0 + np.exp(-np.asarray(z, dtype=np.float64)))
 
 
-RELU = Activation("relu", _relu, lipschitz=1.0, variation=(1.0, 1.0), monotone=True)
+def _sigmoid_derivative(z):
+    s = _sigmoid(z)
+    return s * (1.0 - s)
+
+
+RELU = Activation(
+    "relu", _relu, lipschitz=1.0, variation=(1.0, 1.0), monotone=True, derivative=_relu_derivative
+)
 THRESHOLD = Activation(
     "threshold",
     _threshold,
@@ -76,7 +90,8 @@ THRESHOLD = Activation(
     steps=((0.5,), (0.0, 1.0)),
 )
 SIGMOID = Activation(
-    "sigmoid", _sigmoid, lipschitz=0.25, variation=(1.0, 0.0), monotone=True
+    "sigmoid", _sigmoid, lipschitz=0.25, variation=(1.0, 0.0), monotone=True,
+    derivative=_sigmoid_derivative,
 )
 
 # Rows are evaluated in blocks so that one hidden activation block holds

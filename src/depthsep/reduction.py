@@ -35,7 +35,7 @@ from typing import Iterator
 import mpmath as mp
 import numpy as np
 
-from .bits import as_bits, ip_mod2
+from .bits import _all_bits, as_bits, ip_mod2
 from .networks import DenseNetwork, absorb_input_map, average_ensemble
 
 __all__ = [
@@ -140,7 +140,7 @@ class RandomizationRecord:
                 or not ((0 <= pos) & (pos < L)).all() or np.unique(pos).size != k):
             raise ValueError(f"pos must be 4d = {k} distinct positions in range(4d + D) = range({L})")
         bits = np.concatenate((self.x_mask, self.y_mask, self.x_pad, self.y_pad))
-        if not ((bits == 0) | (bits == 1)).all():  # a 2 would leak into Y through the packed placement
+        if not _all_bits(bits):  # a 2 would leak into Y through the packed placement
             raise ValueError("masks and pads must hold only 0 and 1")
         if ip_mod2(self.x_pad, self.y_pad):
             raise ValueError("padding must have an even number of (1,1) positions")
@@ -235,45 +235,34 @@ def draw_record(d: int, D: int, rng: np.random.Generator) -> RandomizationRecord
     return RandomizationRecord(*(a[0] for a in _sample(1, d, D, rng)))
 
 
-def _arrange(side: int, bits: np.ndarray, mask: np.ndarray, pad: np.ndarray) -> np.ndarray:
-    """The four blocks of one side followed by its pad, along the last axis."""
+def _arrange(side: int, bits: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The four blocks of one side along the last axis, one row per input
+    row; ``mask`` is one row for all inputs or one row per input."""
     masked = bits ^ mask
-    return np.concatenate([masked if m else mask for m in _BLOCK_ORDER[side]] + [pad], axis=-1)
-
-
-def _packed(x, y, x_mask, y_mask, x_pad, y_pad) -> np.ndarray:
-    """Both arrangements packed into one int8 array X + 2 Y, so that moving
-    its columns moves both sides alike."""
-    return _arrange(0, x, x_mask, x_pad) | _arrange(1, y, y_mask, y_pad) << 1
-
-
-def _unpack(both: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(X, Y) from the packed X + 2 Y, reusing its buffer for X."""
-    Y = both >> 1
-    both &= 1
-    return both, Y
+    mask = masked ^ bits  # the mask with one row per input
+    return np.concatenate([masked if m else mask for m in _BLOCK_ORDER[side]], axis=-1)
 
 
 def _place(x, y, x_mask, y_mask, x_pad, y_pad, pos) -> tuple[np.ndarray, np.ndarray]:
-    """Write each row of the packed arrangement into its placement: block
-    column k at pos[:, k], the pads in order at the other positions in
-    increasing order.  Indexes only the 4d block positions of each row."""
-    packed = _packed(x, y, x_mask, y_mask, x_pad, y_pad)
-    n, L = packed.shape
-    k = pos.shape[1]
+    """Expand the input rows (x, y) under a record's masks, pads and block
+    positions, given as one row for all inputs or as one row per input.
+
+    Both sides are written into one int8 buffer X + 2 Y, so that a
+    position moves them alike: block column k at pos[..., k], the pads in
+    order at the other positions in increasing order.  Indexes only the 4d
+    block positions of each row."""
+    n = len(x)
+    both = np.empty((n, pos.shape[-1] + x_pad.shape[-1]), dtype=np.int8)
     rows = np.arange(n)[:, None]
-    free = np.ones((n, L), dtype=bool)
+    free = np.ones(both.shape, dtype=bool)
     free[rows, pos] = False
-    both = np.empty_like(packed)
-    both[free] = packed[:, k:].reshape(-1)
-    both[rows, pos] = packed[:, :k]
-    return _unpack(both)
-
-
-def _record_rows(record: RandomizationRecord, n: int) -> Iterator[np.ndarray]:
-    """The record's masks, pads and block positions, each as n equal rows."""
-    fields = (record.x_mask, record.y_mask, record.x_pad, record.y_pad, record.pos)
-    return (a[None].repeat(n, axis=0) for a in fields)  # a copy is cheaper than np.broadcast_to
+    pads = y_pad << 1
+    pads |= x_pad
+    both[free] = np.broadcast_to(pads, (n, x_pad.shape[-1])).reshape(-1)
+    both[rows, pos] = _arrange(0, x, x_mask) | _arrange(1, y, y_mask) << 1
+    Y = both >> 1
+    both &= 1
+    return both, Y
 
 
 def expand_pair(
@@ -282,7 +271,7 @@ def expand_pair(
     """Apply a fixed randomization record to (x, y): the one-row placement."""
     x = as_bits(x, length=record.x_mask.size)
     y = as_bits(y, length=record.x_mask.size)
-    X, Y = _place(x[None], y[None], *_record_rows(record, 1))
+    X, Y = _place(x[None], y[None], record.x_mask, record.y_mask, record.x_pad, record.y_pad, record.pos)
     return X[0], Y[0]
 
 
@@ -291,7 +280,7 @@ def _bit_rows(name: str, a) -> np.ndarray:
     arr = np.asarray(a)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-d (one pair per row), got shape {arr.shape}")
-    if not ((arr == 0) | (arr == 1)).all():
+    if not _all_bits(arr):
         raise ValueError(f"{name} entries must be exactly 0 or 1")
     return arr.astype(np.int8, copy=False)
 
@@ -736,7 +725,8 @@ def block_input_map(record: RandomizationRecord) -> tuple[np.ndarray, np.ndarray
     d = record.x_mask.size
     n = 2 * d + 1
     units = np.eye(n, 2 * d, k=-1, dtype=np.int8)  # the zero input, then each unit vector
-    X, Y = _place(units[:, :d], units[:, d:], *_record_rows(record, n))
+    X, Y = _place(units[:, :d], units[:, d:], record.x_mask, record.y_mask, record.x_pad, record.y_pad,
+                  record.pos)
     at = np.concatenate([X, Y], axis=1).T.astype(np.float64, order="C")
     return at[:, 1:] - at[:, :1], at[:, 0]
 

@@ -46,8 +46,7 @@ class TrainConfig:
             raise ValueError("hyperparameters must be positive")
         if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
             raise ValueError("seed must be a non-negative integer")
-        if self.activation not in _ACT_AND_GRAD:
-            raise ValueError(f"activation must be one of {sorted(_ACT_AND_GRAD)}")
+        _trainable(self.activation)
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError("learning rate must be finite and positive")
         if self.optimizer not in _OPTIMIZERS:
@@ -93,26 +92,22 @@ class Depth2Params:
         )
 
 
-def _sigmoid_and_grad(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    s = 1.0 / (1.0 + np.exp(-z))
-    return s, s * (1.0 - s)
-
-
-# the trainable activations: tag -> (value, derivative) at the pre-activations
-_ACT_AND_GRAD = {
-    "relu": lambda z: (np.maximum(z, 0.0), (z > 0).astype(np.float64)),
-    "sigmoid": _sigmoid_and_grad,
-}
+def _trainable(tag: str) -> Activation:
+    """The built-in activation named ``tag``; ValueError unless it carries
+    the derivative the trainer needs."""
+    act = activation_by_tag(tag)
+    if act.derivative is None:
+        raise ValueError(f"activation {tag!r} is not trainable (it has no derivative)")
+    return act
 
 
 def loss_and_gradients(
     params: Depth2Params, X: np.ndarray, y: np.ndarray, activation: str
 ) -> tuple[float, Depth2Params]:
     """Mean squared loss on the batch and its gradient block."""
-    if activation not in _ACT_AND_GRAD:
-        raise ValueError(f"activation {activation!r} is not trainable")
+    act = _trainable(activation)
     z = X @ params.W.T + params.b
-    h, hg = _ACT_AND_GRAD[activation](z)
+    h, hg = act(z), act.derivative(z)
     out = h @ params.v + params.b0
     resid = out - y
     n = X.shape[0]

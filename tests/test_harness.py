@@ -103,21 +103,20 @@ class TestVerifyAll:
             assert isinstance(check["elapsed_s"], float) and check["elapsed_s"] >= 0
             assert "error" not in check
 
+    def test_packing_detail_names_what_it_read(self, spec_module):
+        [built] = verify_all(seed=0, only=["packing"])["checks"]
+        for d in (1, 2, 3):
+            p = instance.build_packing(d, seed=d)
+            assert (f"d={d}: {4**d} points, min distance {p.min_pairwise_distance:.4f}, "
+                    f"radius {p.radius_bound:.4f}") in built["detail"]
+        [loaded] = verify_all(seed=0, only=["packing"], spec_override=instance.spec_to_json(spec_module))["checks"]
+        assert loaded["pass"] and "override" in loaded["detail"]
+        assert f"d=1: 4 points, min distance {spec_module.packing.min_pairwise_distance:.4f}" in loaded["detail"]
+
     def test_corrupted_packing_fails(self, spec_module):
-        good = spec_module.packing
-        bad_points = good.points.copy()
-        bad_points[1] = bad_points[0] * 0.9
-        corrupted = instance.InstanceSpec(
-            d=spec_module.d,
-            packing=instance.Packing(
-                dim=good.dim,
-                points=bad_points,
-                min_pairwise_distance=0.0,
-                radius_bound=good.radius_bound,
-            ),
-            matching=spec_module.matching.copy(),
-            seed=spec_module.seed,
-        )
+        doc = json.loads(instance.spec_to_json(spec_module))
+        doc["points"][1] = [c * 0.9 for c in doc["points"][0]]
+        corrupted = json.dumps(doc)
         summary = verify_all(seed=0, only=["packing"], spec_override=corrupted)
         assert not summary["pass"]
         assert "pairwise distance" in summary["checks"][0]["detail"]

@@ -33,7 +33,6 @@ class TestPacking:
         assert p.points.shape == (4, 2)
         assert np.linalg.norm(p.points, axis=1).max() <= 0.8
         assert p.min_pairwise_distance > 0.4
-        p.validate()
 
     def test_d3_invariants(self):
         p = build_packing(3, seed=1, max_attempts=1_000_000)
@@ -57,17 +56,43 @@ class TestPacking:
             build_packing(7, seed=0)
 
     def test_validate_catches_corruption(self):
-        p = build_packing(1, seed=7)
-        bad = p.points.copy()
+        bad = build_packing(1, seed=7).points.copy()
         bad[1] = bad[0] * 0.9  # distance ~0.076, norm still below 0.8
-        corrupted = instance.Packing(
-            dim=p.dim,
-            points=bad,
-            min_pairwise_distance=0.0,
-            radius_bound=p.radius_bound,
-        )
         with pytest.raises(ValueError, match="pairwise distance"):
-            corrupted.validate()
+            instance.Packing(bad)
+
+    def test_construction_rejects_every_broken_invariant(self):
+        pts = build_packing(2, seed=3).points
+        far, nan = pts.copy(), pts.copy()
+        far[0] *= 0.81 / np.linalg.norm(far[0])
+        nan[2, 0] = np.nan
+        odd = np.hstack([build_packing(1, seed=7).points, np.zeros((4, 1))])  # 4 = 4^(3//2) points
+        for points, message in [
+            (far, "point norm 0.810000 exceeds 0.8"),
+            (nan, "point norm nan exceeds 0.8"),
+            (odd, r"expected 4\^\(dim/2\) points, got 4 in dim 3"),
+            (pts[:15], "got 15 in dim 4"),
+            (np.zeros((1, 0)), "got 1 in dim 0"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                instance.Packing(points.copy())
+        with pytest.raises(TypeError):
+            instance.Packing(pts, min_pairwise_distance=9.0, radius_bound=-1.0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_fields_are_recomputed_from_the_points(self, d):
+        p = build_packing(d, seed=d)
+        again = instance.Packing(p.points.copy())
+        assert (p.dim, p.n_points, again.dim, again.n_points) == (2 * d, 4**d, 2 * d, 4**d)
+        assert repr(again.min_pairwise_distance) == repr(p.min_pairwise_distance)
+        assert repr(p.min_pairwise_distance) == repr(difference_min_pairwise(p.points))
+        assert again.radius_bound == p.radius_bound == np.linalg.norm(p.points, axis=1).max()
+
+    def test_spec_reads_d_from_its_packing(self, spec_d1, spec_d2):
+        assert (spec_d1.d, spec_d2.d) == (1, 2)
+        assert spec_d2.centers().shape == (16, 8)
+        with pytest.raises(ValueError, match="bijection"):
+            instance.InstanceSpec(packing=spec_d1.packing, matching=np.array([0, 1, 1, 3]), seed=0)
 
 
 class TestScreenedPacking:
@@ -221,8 +246,6 @@ class TestSerialization:
         back = spec_from_json(spec_to_json(spec_d2))
         assert len(calls) == 1
         assert back.packing.min_pairwise_distance == spec_d2.packing.min_pairwise_distance
-        back.packing.validate()
-        assert len(calls) == 2
 
     def test_rejects_d_that_disagrees_with_packing(self, spec_d1):
         doc = json.loads(spec_to_json(spec_d1))

@@ -365,9 +365,11 @@ class TestIpCertificate:
     def test_fails_when_the_sides_are_permuted_apart(self, monkeypatch):
         arrange = reduction._arrange
 
-        def shifted(side, bits, mask, pad):  # Y's columns rotated before the shared gather
-            out = arrange(side, bits, mask, pad)
-            return np.roll(out, side, axis=-1)
+        def shifted(side, bits, mask):  # Y's first two columns rotated before the shared placement
+            out = arrange(side, bits, mask)
+            if side:  # (a rotation of all four block columns keeps the parity at d = 1)
+                out[..., :2] = np.roll(out[..., :2], 1, axis=-1)
+            return out
 
         monkeypatch.setattr(reduction, "_arrange", shifted)
         assert not ip_preservation_certificate()["pass"]

@@ -1,5 +1,7 @@
 """Depth-2 baseline: gradients, determinism, clipping, loss estimation."""
 
+import warnings
+
 import numpy as np
 import pytest
 from oracle_utils import central_difference_gradient
@@ -36,6 +38,16 @@ class TestGradients:
         params = Depth2Params.init(2, 2, rng)
         with pytest.raises(ValueError):
             loss_and_gradients(params, np.zeros((1, 2)), np.zeros(1), "threshold")
+
+    def test_sigmoid_saturates_without_warning(self, rng):
+        params = Depth2Params.init(2, 3, rng)
+        params.b[:] = -1000.0  # exp(1000) overflows to inf
+        X = rng.uniform(-1, 1, size=(4, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss, g = loss_and_gradients(params, X, np.ones(4), "sigmoid")
+        assert loss == pytest.approx(1.0) and all(np.isfinite(a).all() for a in g.arrays)
+        assert not g.W.any() and not g.b.any()
 
 
 class TestTraining:
