@@ -24,7 +24,6 @@ from .instance import (
     build_packing,
     eval_f,
     eval_f_batch,
-    lipschitz_certificate,
     min_intercomponent_distance,
     sample_a4d,
 )

@@ -22,30 +22,18 @@ __all__ = [
 ]
 
 
-# Samples per seed in measure_sup_error.  It fixes only which seeds draw
-# which rows: evaluate_batch bounds its own memory with row blocks.
-_SUP_CHUNK = 10_000
-
-
 def measure_sup_error(
     net: networks.DenseNetwork,
     spec: instance.InstanceSpec,
     n: int,
     seed: int,
 ) -> float:
-    """Max |net - target| over n fresh support samples, drawn in chunks of
-    _SUP_CHUNK rows with one seed per chunk."""
-    worst = 0.0
-    drawn = 0
-    chunk_id = 0
-    while drawn < n:
-        k = min(_SUP_CHUNK, n - drawn)
-        samples = instance.sample_a4d(spec, k, seed=int(seed + 104729 * chunk_id))
-        preds = net.evaluate_batch(samples.points)
-        worst = max(worst, float(np.abs(preds - samples.labels).max()))
-        drawn += k
-        chunk_id += 1
-    return worst
+    """Max |net - target| over the n support samples sample_a4d(spec, n, seed);
+    an empty sample is an error, not a zero error."""
+    if n < 1:
+        raise ValueError(f"n must be a positive integer, got {n}")
+    samples = instance.sample_a4d(spec, n, seed)
+    return float(np.abs(net.evaluate_batch(samples.points) - samples.labels).max())
 
 
 def _csv_cell(val) -> str:
@@ -129,18 +117,20 @@ def run_separation_experiment(
 
 
 def _check_packing(seed: int, spec_override: str | None = None) -> dict:
-    """Build (or load) packings, which checks their invariants, and report
-    what they hold; a built packing must also come out the same twice."""
+    """Build (or load) instances, which checks their packing invariants and
+    support radius, and report what they hold; a built instance must also
+    come out the same twice."""
     if spec_override is not None:
-        packings, held = [instance.spec_from_json(spec_override).packing], "override instance invariants"
+        specs, held = [instance.spec_from_json(spec_override)], "override instance invariants"
     else:
-        packings = [instance.build_packing(d, seed=seed + d) for d in (1, 2, 3)]
+        specs = [instance.build_instance(d, seed=seed + d) for d in (1, 2, 3)]
         held = "d=1..3 invariants and determinism"
-        for d, p in enumerate(packings, 1):
-            if not np.array_equal(p.points, instance.build_packing(d, seed=seed + d).points):
-                raise AssertionError(f"packing not deterministic at d={d}")
-    read = "; ".join(f"d={p.dim // 2}: {p.n_points} points, min distance {p.min_pairwise_distance:.4f}, "
-                     f"radius {p.radius_bound:.4f}" for p in packings)
+        for d, spec in enumerate(specs, 1):
+            if instance.spec_to_json(spec) != instance.spec_to_json(instance.build_instance(d, seed=seed + d)):
+                raise AssertionError(f"instance not deterministic at d={d}")
+    read = "; ".join(f"d={s.d}: {s.n_components} points, min distance {s.packing.min_pairwise_distance:.4f}, "
+                     f"radius {s.packing.radius_bound:.4f}, support radius {s.support_radius:.4f}"
+                     for s in specs)
     return {"detail": f"{held} hold ({read})"}
 
 
@@ -229,9 +219,9 @@ def _check_ip_certificate(seed: int) -> dict:
     if not rep["pass"]:
         raise AssertionError(f"parity certificate fails: {rep['failures']}")
     return {"detail": f"parity kept for all {rep['n_cases']} coordinate cases, exactly the even pads "
-                      f"of {rep['n_pad_pairs']} pad pairs (D <= {rep['parameters']['max_D']}) and all "
-                      f"{rep['n_injections']} block placements (L <= {rep['parameters']['max_L']}), "
-                      f"n_expansions={rep['n_expansions']}"}
+                      f"of {rep['n_pad_pairs']} pad pairs (D <= {rep['parameters']['max_D']}), all "
+                      f"{rep['n_injections']} block placements (L <= {rep['parameters']['max_L']}) and all "
+                      f"{rep['n_pair_cases']} d=2 pair cases, n_expansions={rep['n_expansions']}"}
 
 
 def _check_a1(seed: int) -> dict:

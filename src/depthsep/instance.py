@@ -35,7 +35,6 @@ __all__ = [
     "eval_f_batch",
     "sample_a4d",
     "min_intercomponent_distance",
-    "lipschitz_certificate",
     "spec_to_json",
     "spec_from_json",
     "samples_to_csv",
@@ -186,18 +185,28 @@ class InstanceSpec:
     ``matching[i]`` is the hypercube enumeration index assigned to packing
     point i.  The dimension d is half the packing's.  Scale facts: hypercube
     vertices shrink by 1/(4 sqrt d), the per-component cube has edge
-    1/(12 sqrt d).
+    1/(12 sqrt d).  ``support_radius`` is the largest norm on the support,
+    which must lie in the unit ball: the packing's 0.8 norm bound alone
+    lets a cube corner reach about 1.032.
     """
 
     packing: Packing
     matching: np.ndarray
     seed: int
+    support_radius: float = field(init=False)
 
     def __post_init__(self):
         self.matching.setflags(write=False)
         n = self.packing.n_points
         if sorted(self.matching.tolist()) != list(range(n)):
             raise ValueError("matching must be a bijection onto the hypercube")
+        # a cube [c, c + e] is farthest from 0 at c_k + e where c_k + e/2 >= 0
+        c, e = self.centers(), self.cube_edge
+        far = np.where(c + e / 2 >= 0, c + e, c)
+        radius = float(np.sqrt((far * far).sum(axis=1)).max())
+        if not radius <= 1.0:
+            raise ValueError(f"support radius {radius:.6f} leaves the unit ball")
+        object.__setattr__(self, "support_radius", radius)
 
     @property
     def d(self) -> int:
@@ -296,25 +305,6 @@ def min_intercomponent_distance(spec: InstanceSpec) -> float:
     """
     centers = spec.centers()
     return _min_pairwise(centers) - 1.0 / 6.0
-
-
-def lipschitz_certificate(spec: InstanceSpec, trials: int, seed: int) -> float:
-    """Empirical max of |f(u) - f(v)| / ||u - v|| over sampled support pairs.
-
-    Always bounded by 1 / min_intercomponent_distance(spec): the target is
-    constant on components and components stay a constant distance apart.
-    Returns 0 for trials = 0 (empty max).
-    """
-    if trials == 0:
-        return 0.0
-    u = sample_a4d(spec, trials, seed)
-    v = sample_a4d(spec, trials, seed + 1)
-    dist = np.linalg.norm(u.points - v.points, axis=1)
-    diff = np.abs(u.labels.astype(np.float64) - v.labels.astype(np.float64))
-    keep = dist > 0
-    if not keep.any():
-        return 0.0
-    return float((diff[keep] / dist[keep]).max())
 
 
 def spec_to_json(spec: InstanceSpec) -> str:

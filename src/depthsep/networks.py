@@ -24,7 +24,9 @@ __all__ = [
     "DenseNetwork",
     "ThresholdCircuit",
     "absorb_input_map",
+    "activation_by_tag",
     "average_ensemble",
+    "splice",
     "network_to_json",
     "network_from_json",
 ]

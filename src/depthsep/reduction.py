@@ -52,6 +52,9 @@ __all__ = [
     "l2_bound_report",
     "multinomial_square_ratio_report",
     "mgf_bound_report",
+    "check_l2_size",
+    "check_a1_size",
+    "check_a2_size",
     "block_input_map",
     "build_averaged_network",
     "output_bound",
@@ -813,8 +816,12 @@ def ip_preservation_certificate() -> dict:
       L <= _CERT_MAX_L positions (zero pads) and each of the 16 cases, the
       placement keeps the parity.
 
+    The coordinatewise structure itself is checked on the 256 pair cases
+    (x, y, x_mask, y_mask) in {0,1}^8 at d = 2, blocks in place and no pads:
+    a column that mixes the two coordinates breaks the parity in some case.
     Parities are recomputed here as integer sums; failures lists up to
-    three failing (case, pads) or (case, positions) per length.
+    three failing (case, pads) or (case, positions) per length, and three
+    failing pair cases.
     """
     start = time.perf_counter()
     # the 16 coordinate cases (x_i, y_i, x_mask_i, y_mask_i)
@@ -849,12 +856,19 @@ def ip_preservation_certificate() -> dict:
         failures += [{"case": cases[c].tolist(), "positions": pos[j].tolist()}
                      for c, j in np.argwhere(bad)[:3]]
         n_injections, n_rows = n_injections + len(pos), n_rows + bad.size
+    pairs = np.array(list(itertools.product((0, 1), repeat=8)), dtype=np.int8)
+    x, y, none = pairs[:, 0:2], pairs[:, 2:4], np.zeros((1, 0), dtype=np.int8)
+    X, Y = _place(x, y, pairs[:, 4:6], pairs[:, 6:8], none, none, np.arange(8)[None])
+    bad = (X & Y).sum(axis=1) % 2 != (x & y).sum(axis=1) % 2
+    failures += [{"pair_case": pairs[j].tolist()} for j in np.flatnonzero(bad)[:3]]
+    n_rows += len(pairs)
     return {
         "check": "ip-preservation-certificate",
         "parameters": {"max_D": _CERT_MAX_D, "max_L": _CERT_MAX_L},
         "n_cases": len(cases),
         "n_pad_pairs": n_pads,
         "n_injections": n_injections,
+        "n_pair_cases": len(pairs),
         "n_expansions": n_rows,
         "pass": not failures,
         "failures": failures,

@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .instance import hypercube_enumeration
 from .networks import Activation, DenseNetwork, THRESHOLD, ThresholdCircuit, splice
 
 __all__ = [
@@ -246,9 +247,8 @@ def compile_network(net: DenseNetwork, delta: float) -> DenseNetwork:
 
 
 def to_circuit(net: DenseNetwork) -> ThresholdCircuit:
-    """Wrap a threshold network with a step on the output neuron."""
-    if net.activation.tag != "threshold":
-        raise ValueError("circuit construction requires a threshold network")
+    """Wrap a threshold network with a step on the output neuron; the
+    circuit rejects any other activation."""
     return ThresholdCircuit(base=net)
 
 
@@ -259,8 +259,6 @@ def boolean_cube_max_error(net_a: DenseNetwork, net_b: DenseNetwork) -> float:
         raise ValueError("input dimensions differ")
     if n > _MAX_CUBE_DIM:
         raise ValueError(f"cube dimension {n} above exhaustive limit {_MAX_CUBE_DIM}")
-    from .instance import hypercube_enumeration
-
     X = hypercube_enumeration(n).astype(np.float64)
     return float(np.abs(net_a.evaluate_batch(X) - net_b.evaluate_batch(X)).max())
 

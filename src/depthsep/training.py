@@ -18,6 +18,7 @@ from .networks import RELU, Activation, DenseNetwork, activation_by_tag
 
 __all__ = [
     "TrainConfig",
+    "TrainResult",
     "Depth2Params",
     "loss_and_gradients",
     "train_depth2",

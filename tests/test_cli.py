@@ -464,6 +464,16 @@ class TestVerifyAllCommand:
         assert result.exit_code == 1
         assert not json.loads(result.output)["pass"]
 
+    def test_instance_outside_the_unit_ball_fails(self, runner, tmp_path, outside_ball_json):
+        bad = tmp_path / "outside.json"
+        bad.write_text(outside_ball_json)
+        result = runner.invoke(
+            main, ["verify-all", "--only", "packing", "--instance", str(bad)], catch_exceptions=False
+        )
+        assert result.exit_code == 1
+        [check] = json.loads(result.output)["checks"]
+        assert check["error"] == "ValueError" and "support radius 1.0318" in check["detail"]
+
     def test_corrupted_instance_reports_the_error(self, runner, tmp_path):
         spec = instance.build_instance(1, seed=4)
         doc = json.loads(instance.spec_to_json(spec))

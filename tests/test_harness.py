@@ -74,16 +74,21 @@ class TestMeasureSupError:
         err = measure_sup_error(build_exact_relu(1), spec_module, 5000, seed=3)
         assert err <= 1e-9
 
-    def test_chunks_draw_fixed_seeds(self, spec_module):
-        """Rows are drawn 10 000 per seed, chunk k from seed + 104729 k, so
-        a given (n, seed) always measures the same rows."""
+    @pytest.mark.parametrize("n", [5_000, 25_000])
+    def test_one_draw(self, spec_module, n):
+        """n rows are the one draw sample_a4d(spec, n, seed)."""
         rng = np.random.default_rng(4)
         net = DenseNetwork(4, ((rng.normal(size=(6, 4)), rng.normal(size=6)),), rng.normal(size=6), 0.1, RELU)
-        want = 0.0
-        for k, rows in enumerate((10_000, 10_000, 5_000)):
-            batch = instance.sample_a4d(spec_module, rows, seed=3 + 104729 * k)
-            want = max(want, float(np.abs(net.evaluate_batch(batch.points) - batch.labels).max()))
-        assert measure_sup_error(net, spec_module, 25_000, seed=3) == want
+        batch = instance.sample_a4d(spec_module, n, seed=3)
+        want = float(np.abs(net.evaluate_batch(batch.points) - batch.labels).max())
+        assert measure_sup_error(net, spec_module, n, seed=3) == want
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_empty_sample_rejected(self, spec_module, n):
+        """A net off by 5 everywhere must not read as error 0 on no samples."""
+        off = DenseNetwork(4, ((np.zeros((1, 4)), np.zeros(1)),), np.zeros(1), 5.0, RELU)
+        with pytest.raises(ValueError, match="positive"):
+            measure_sup_error(off, spec_module, n, seed=3)
 
 
 class TestVerifyAll:
@@ -106,9 +111,10 @@ class TestVerifyAll:
     def test_packing_detail_names_what_it_read(self, spec_module):
         [built] = verify_all(seed=0, only=["packing"])["checks"]
         for d in (1, 2, 3):
-            p = instance.build_packing(d, seed=d)
+            spec = instance.build_instance(d, seed=d)
+            p = spec.packing
             assert (f"d={d}: {4**d} points, min distance {p.min_pairwise_distance:.4f}, "
-                    f"radius {p.radius_bound:.4f}") in built["detail"]
+                    f"radius {p.radius_bound:.4f}, support radius {spec.support_radius:.4f}") in built["detail"]
         [loaded] = verify_all(seed=0, only=["packing"], spec_override=instance.spec_to_json(spec_module))["checks"]
         assert loaded["pass"] and "override" in loaded["detail"]
         assert f"d=1: 4 points, min distance {spec_module.packing.min_pairwise_distance:.4f}" in loaded["detail"]

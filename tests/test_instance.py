@@ -17,7 +17,6 @@ from depthsep.instance import (
     eval_f,
     eval_f_batch,
     hypercube_enumeration,
-    lipschitz_certificate,
     min_intercomponent_distance,
     sample_a4d,
     samples_to_csv,
@@ -214,12 +213,20 @@ class TestGeometry:
         assert spec_d1.packing.min_pairwise_distance > 0.5
         assert min_intercomponent_distance(spec_d1) > 0.5 - 1.0 / 6.0
 
-    def test_lipschitz_certificate(self, spec_d1):
-        ratio = lipschitz_certificate(spec_d1, trials=4000, seed=5)
-        assert ratio <= 1.0 / min_intercomponent_distance(spec_d1)
+    def test_support_radius_is_the_farthest_cube_corner(self, spec_d1, spec_d2):
+        for spec in (spec_d1, spec_d2):
+            corners = hypercube_enumeration(4 * spec.d) * spec.cube_edge
+            far = max(np.linalg.norm(c + corners, axis=1).max() for c in spec.centers())
+            assert spec.support_radius == pytest.approx(far, rel=1e-15)
+            assert spec.support_radius <= 1.0
+            batch = sample_a4d(spec, 2000, seed=6)
+            assert np.linalg.norm(batch.points, axis=1).max() <= spec.support_radius
 
-    def test_lipschitz_zero_trials(self, spec_d1):
-        assert lipschitz_certificate(spec_d1, trials=0, seed=5) == 0.0
+    def test_support_leaving_the_unit_ball_rejected(self, outside_ball_json):
+        doc = json.loads(outside_ball_json)
+        instance.Packing(np.asarray(doc["points"]))  # the packing alone holds its invariants
+        with pytest.raises(ValueError, match=r"support radius 1\.0318"):
+            spec_from_json(outside_ball_json)
 
     def test_same_component_pairs_have_zero_ratio(self, spec_d1):
         batch = sample_a4d(spec_d1, 2000, seed=4)

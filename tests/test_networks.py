@@ -154,9 +154,6 @@ class TestSplice:
         direct = sum(a[i] * h.evaluate_batch(pre[:, i : i + 1]) for i in range(n))
         np.testing.assert_allclose(spliced.evaluate_batch(X), direct, rtol=0, atol=1e-12)
 
-    def test_not_exported(self):
-        assert "splice" not in networks.__all__
-
 
 @functools.cache
 def spliced_nets():

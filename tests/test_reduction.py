@@ -323,7 +323,8 @@ class TestIpCertificate:
         assert rep["n_cases"] == 16
         assert rep["n_pad_pairs"] == sum(4**D for D in range(5))
         assert rep["n_injections"] == sum(perm(L, 4) for L in range(4, 9))
-        assert rep["n_expansions"] == 16 * (rep["n_pad_pairs"] + rep["n_injections"])
+        assert rep["n_pair_cases"] == 256
+        assert rep["n_expansions"] == 16 * (rep["n_pad_pairs"] + rep["n_injections"]) + 256
         assert rep["elapsed_s"] >= 0
 
     @pytest.mark.parametrize(
@@ -338,6 +339,16 @@ class TestIpCertificate:
         monkeypatch.setattr(reduction, "_BLOCK_ORDER", order)
         rep = ip_preservation_certificate()
         assert not rep["pass"] and rep["failures"]
+
+    def test_fails_when_columns_mix_coordinates(self, monkeypatch):
+        """Rolling Y's block columns by one keeps every d = 1 case (all four
+        columns are one coordinate's) but pairs coordinates apart at d = 2."""
+        arrange = reduction._arrange
+        monkeypatch.setattr(reduction, "_arrange",
+                            lambda side, bits, mask: np.roll(arrange(side, bits, mask), side, axis=-1))
+        rep = ip_preservation_certificate()
+        assert not rep["pass"]
+        assert rep["failures"] and all("pair_case" in f for f in rep["failures"])
 
     def test_fails_when_odd_pads_are_kept(self, monkeypatch):
         monkeypatch.setattr(reduction, "_odd_rows", lambda x_pad, y_pad: np.array([], dtype=np.intp))

@@ -324,7 +324,7 @@ class TestCircuit:
 
     def test_requires_threshold_activation(self):
         net = DenseNetwork(1, ((np.ones((1, 1)), np.zeros(1)),), np.ones(1), 0.0, RELU)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="circuit base must use the threshold activation"):
             to_circuit(net)
 
     def test_compiled_parity_circuit_d2(self):
