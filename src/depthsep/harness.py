@@ -208,10 +208,13 @@ def _check_compiler_network(seed: int) -> dict:
 
 
 def _check_ip_preservation(seed: int) -> dict:
-    bad = reduction.verify_ip_preservation(100_000, seed=seed)
+    ds, per_d = (1, 2, 3, 4, 5, 6), 16_667
+    bad = reduction.verify_ip_preservation(per_d * len(ds), d_values=ds, seed=seed)
     if bad:
         raise AssertionError(f"{bad} parity violations")
-    return {"detail": "100000 randomized trials, zero parity violations"}
+    return {"detail": f"{per_d} randomized trials at each d in {list(ds)} with D = 100 d "
+                      f"({per_d * len(ds)} in all, at most {reduction._IP_CHUNK} per randomize_batch "
+                      f"call), zero parity violations"}
 
 
 def _check_ip_certificate(seed: int) -> dict:

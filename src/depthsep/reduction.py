@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -82,6 +83,20 @@ class EnumerationBudget(RuntimeError):
     """Requested exact enumeration is too large for desk-scale arithmetic."""
 
 
+def _is_size(value) -> bool:
+    """Whether value is a positive integer; numpy integers are, bools are not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
+
+
+def _sizes(**sizes) -> tuple[int, ...]:
+    """The sizes as Python ints, or ValueError naming the first that is not
+    a positive integer.  A numpy unsigned size would wrap in 100 d or 2d + 2D."""
+    for name, value in sizes.items():
+        if not _is_size(value):
+            raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return tuple(map(int, sizes.values()))
+
+
 def _bound_armed(d: int, D: int) -> bool:
     """The L2-norm bound is stated for D >= 100 d, the regime the analysis covers."""
     return D >= 100 * d
@@ -100,14 +115,10 @@ class ReductionConfig:
     n_blocks: int = 1
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("d must be a positive integer")
-        if self.D is None:
-            object.__setattr__(self, "D", 100 * self.d)
-        if self.D < 1:
-            raise ValueError("D must be a positive integer")
-        if self.n_blocks < 1:
-            raise ValueError("n_blocks must be positive")
+        (d,) = _sizes(d=self.d)
+        D, n_blocks = _sizes(D=100 * d if self.D is None else self.D, n_blocks=self.n_blocks)
+        for name, value in (("d", d), ("D", D), ("n_blocks", n_blocks)):
+            object.__setattr__(self, name, value)
 
     @property
     def expanded_dim(self) -> int:
@@ -203,38 +214,42 @@ def _block_positions(n: int, k: int, L: int, rng: np.random.Generator) -> np.nda
     return pos
 
 
+def _bits(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
+    """n rows of m i.i.d. uniform bits (int8), drawn packed: one uniform byte
+    per eight bits of a row, decoded most significant bit first, and the
+    unused tail bits of each row's last byte dropped."""
+    packed = rng.integers(0, 256, size=(n, -(-m // 8)), dtype=np.uint8)
+    return np.unpackbits(packed, axis=1, count=m).view(np.int8)
+
+
 def _sample(n: int, d: int, D: int, rng: np.random.Generator):
     """n draws of (x_mask, y_mask, x_pad, y_pad, pos), one row per draw.
 
-    Rows whose pads have an odd number of positions with both bits 1 are
-    redrawn until every row is even (acceptance >= 1/2 per row); each
-    round tests only the rows it just drew.  pos places the 4d block
+    Each round is one _bits draw: first one row of 2d + 2D bits per draw,
+    split in the order x_mask, y_mask, x_pad, y_pad; then, while some rows
+    have pads with an odd number of positions with both bits 1, one row of
+    2D bits (x_pad, y_pad) for each of them (acceptance >= 1/2 per row).
+    Each round tests only the rows it just drew.  pos places the 4d block
     columns in the expanded pair (_block_positions); the pads fill the other
     D positions in the order they were drawn.  The pads need no shuffle:
     they are i.i.d. uniform conditioned on an event no reordering of them
     changes, so they are exchangeable, and the placement has the law of one
     uniform permutation of all 4d + D columns.
     """
-    x_mask = rng.integers(0, 2, size=(n, d), dtype=np.int8)
-    y_mask = rng.integers(0, 2, size=(n, d), dtype=np.int8)
-    x_pad = rng.integers(0, 2, size=(n, D), dtype=np.int8)
-    y_pad = rng.integers(0, 2, size=(n, D), dtype=np.int8)
-    odd = _odd_rows(x_pad, y_pad)
+    d, D = _sizes(d=d, D=D)
+    first = _bits(rng, n, 2 * d + 2 * D)
+    x_mask, y_mask, pads = first[:, :d], first[:, d:2 * d], first[:, 2 * d:]
+    odd = _odd_rows(pads[:, :D], pads[:, D:])
     while odd.size:
-        x_new = rng.integers(0, 2, size=(odd.size, D), dtype=np.int8)
-        y_new = rng.integers(0, 2, size=(odd.size, D), dtype=np.int8)
-        x_pad[odd], y_pad[odd] = x_new, y_new
-        odd = odd[_odd_rows(x_new, y_new)]
-    return x_mask, y_mask, x_pad, y_pad, _block_positions(n, 4 * d, 4 * d + D, rng)
+        new = _bits(rng, odd.size, 2 * D)
+        pads[odd] = new
+        odd = odd[_odd_rows(new[:, :D], new[:, D:])]
+    return x_mask, y_mask, pads[:, :D], pads[:, D:], _block_positions(n, 4 * d, 4 * d + D, rng)
 
 
 def draw_record(d: int, D: int, rng: np.random.Generator) -> RandomizationRecord:
     """Sample one randomization: the one-row case of the batched sampler,
     drawing the same random stream."""
-    if d < 1:
-        raise ValueError(f"d must be a positive integer, got {d}")
-    if D < 1:
-        raise ValueError(f"D must be a positive integer, got {D}")
     return RandomizationRecord(*(a[0] for a in _sample(1, d, D, rng)))
 
 
@@ -300,8 +315,6 @@ def randomize_batch(
     xs, ys = _bit_rows("xs", xs), _bit_rows("ys", ys)
     if xs.shape != ys.shape:
         raise ValueError(f"xs and ys must have the same shape, got {xs.shape} and {ys.shape}")
-    if D < 1:
-        raise ValueError(f"D must be a positive integer, got {D}")
     n, d = xs.shape
     return _place(xs, ys, *_sample(n, d, D, rng))
 
@@ -883,11 +896,11 @@ def verify_ip_preservation(n_trials: int, d_values=(1, 2, 3, 4, 5, 6), seed: int
     unless the construction is broken.  An empty sweep is an error, not a
     pass.
     """
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be a positive integer, got {n_trials}")
+    (n_trials,) = _sizes(n_trials=n_trials)
     d_values = tuple(d_values)
-    if not d_values or min(d_values) < 1:
+    if not d_values or not all(map(_is_size, d_values)):
         raise ValueError(f"d_values must be a non-empty list of positive integers, got {d_values}")
+    d_values = tuple(map(int, d_values))
     per_d = -(-n_trials // len(d_values))
     violations = 0
     for d in d_values:

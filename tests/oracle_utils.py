@@ -2,11 +2,11 @@
 
 These deliberately avoid the library's own code paths (convolutions,
 count-signature shortcuts, common-denominator sums, Gram screens, row
-blocks, the shared arrangement table and batched sampler, the layer
-splice, the mask law by coordinate type) so they can arbitrate
-disagreements.  The module also holds the parity wave, the AND gadget, the
-mass and mean of a count law and a central-difference gradient of the
-depth-2 loss, which only the tests use.
+blocks, the shared arrangement table, the packed bit decode and batched
+sampler, the layer splice, the mask law by coordinate type) so they can
+arbitrate disagreements.  The module also holds the parity wave, the AND
+gadget, the mass and mean of a count law and a central-difference gradient
+of the depth-2 loss, which only the tests use.
 """
 
 import itertools
@@ -264,20 +264,28 @@ def block_positions_loop(pos, L, rng):
     return pos
 
 
+def hand_decoded_bits(rng, n, m):
+    """n rows of m bits from ceil(m / 8) uniform bytes per row, each byte
+    read by hand most significant bit first, (byte >> (7 - j)) & 1 for
+    j = 0..7; the bits past m in a row's last byte are dropped."""
+    rows = rng.integers(0, 256, size=(n, -(-m // 8)), dtype=np.uint8).tolist()
+    bits = [[(row[i // 8] >> (7 - i % 8)) & 1 for i in range(m)] for row in rows]
+    return np.array(bits, dtype=np.int8).reshape(n, m)
+
+
 def per_row_draw_record(d, D, rng):
-    """One randomization drawn on its own: masks, then (x_pad, y_pad) pairs
+    """One randomization drawn on its own: one row of 2d + 2D bits read as
+    x_mask, y_mask, x_pad, y_pad, then rows of 2D bits read as (x_pad, y_pad)
     until the number of positions with both bits 1 is even, then one
     position proposal per block column, each redrawn in turn until it
     misses the columns before it.  perm sends block column k to pos[k] and
     the pads, in order, to the free positions in increasing order.  Returns
     (x_mask, y_mask, x_pad, y_pad, perm)."""
-    x_mask = rng.integers(0, 2, size=d, dtype=np.int8)
-    y_mask = rng.integers(0, 2, size=d, dtype=np.int8)
-    while True:
-        x_pad = rng.integers(0, 2, size=D, dtype=np.int8)
-        y_pad = rng.integers(0, 2, size=D, dtype=np.int8)
-        if int(np.sum(x_pad & y_pad)) % 2 == 0:
-            break
+    (first,) = hand_decoded_bits(rng, 1, 2 * d + 2 * D)
+    x_mask, y_mask, x_pad, y_pad = first[:d], first[d:2 * d], first[2 * d:2 * d + D], first[2 * d + D:]
+    while int(np.sum(x_pad & y_pad)) % 2:
+        (pads,) = hand_decoded_bits(rng, 1, 2 * D)
+        x_pad, y_pad = pads[:D], pads[D:]
     L = 4 * d + D
     (pos,) = block_positions_loop([rng.integers(0, L, size=4 * d).tolist()], L, rng)
     perm = np.zeros(L, dtype=np.int64)
@@ -305,22 +313,21 @@ def flip_order_expand_pair(x, y, record):
 
 
 def concatenated_randomize_batch(xs, ys, D, rng):
-    """Batched randomization with rejection-redrawn odd pad rows, the
+    """Batched randomization: one hand-decoded row of masks and pads per
+    pair, then one row of pads per odd row until every row is even; the
     arrangement written out as one concatenation per side, and each row's
     columns written one by one: block column k at the row's settled
     position k, the pads in order at the free positions."""
     n, d = xs.shape
-    x_mask = rng.integers(0, 2, size=(n, d), dtype=np.int8)
-    y_mask = rng.integers(0, 2, size=(n, d), dtype=np.int8)
-    x_pad = rng.integers(0, 2, size=(n, D), dtype=np.int8)
-    y_pad = rng.integers(0, 2, size=(n, D), dtype=np.int8)
+    first = hand_decoded_bits(rng, n, 2 * d + 2 * D)
+    x_mask, y_mask = first[:, :d], first[:, d:2 * d]
+    x_pad, y_pad = first[:, 2 * d:2 * d + D].copy(), first[:, 2 * d + D:].copy()
     while True:
         odd = (np.sum(x_pad & y_pad, axis=1) % 2).astype(bool)
         if not odd.any():
             break
-        k = int(odd.sum())
-        x_pad[odd] = rng.integers(0, 2, size=(k, D), dtype=np.int8)
-        y_pad[odd] = rng.integers(0, 2, size=(k, D), dtype=np.int8)
+        pads = hand_decoded_bits(rng, int(odd.sum()), 2 * D)
+        x_pad[odd], y_pad[odd] = pads[:, :D], pads[:, D:]
     xm = xs ^ x_mask
     ym = ys ^ y_mask
     X_pre = np.concatenate([xm, x_mask, xm, x_mask, x_pad], axis=1)

@@ -119,6 +119,13 @@ class TestVerifyAll:
         assert loaded["pass"] and "override" in loaded["detail"]
         assert f"d=1: 4 points, min distance {spec_module.packing.min_pairwise_distance:.4f}" in loaded["detail"]
 
+    def test_ip_preservation_detail_names_its_sizes(self):
+        [check] = verify_all(seed=0, only=["ip-preservation"])["checks"]
+        assert check["pass"]
+        assert check["detail"] == ("16667 randomized trials at each d in [1, 2, 3, 4, 5, 6] with D = 100 d "
+                                   "(100002 in all, at most 20000 per randomize_batch call), "
+                                   "zero parity violations")
+
     def test_corrupted_packing_fails(self, spec_module):
         doc = json.loads(instance.spec_to_json(spec_module))
         doc["points"][1] = [c * 0.9 for c in doc["points"][0]]

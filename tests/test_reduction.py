@@ -25,6 +25,7 @@ from oracle_utils import (
     float_l2_ratio_to_uniform,
     fraction_a1_lhs,
     fraction_l2_norm_squared,
+    hand_decoded_bits,
     looped_block_signatures,
     multinomial,
     per_input_mgf_ratios,
@@ -263,11 +264,24 @@ class TestRandomizeInput:
             expand_pair(x, y, rec)
 
     @pytest.mark.parametrize(
-        "d, D, name", [(2, 0, "D"), (2, -1, "D"), (0, 5, "d"), (-1, 5, "d")]
+        "d, D, name",
+        [(2, 0, "D"), (2, -1, "D"), (0, 5, "d"), (-1, 5, "d"),
+         (2, 3.0, "D"), (2, True, "D"), (1.5, 5, "d"), (True, 5, "d")],
     )
     def test_draw_record_rejects_sizes(self, d, D, name):
-        with pytest.raises(ValueError, match=f"^{name} "):
+        """Non-positive, non-integer and bool sizes are named, not passed
+        on to numpy."""
+        with pytest.raises(ValueError, match=f"^{name} must be a positive integer"):
             draw_record(d, D, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("d, D", [(np.int64(2), np.uint16(5)), (np.uint8(2), np.uint8(200))])
+    def test_numpy_integer_sizes_accepted(self, d, D):
+        """numpy integer sizes give the stream of the same Python ints; an
+        unsigned byte would wrap in 2d + 2D if it were used as it is."""
+        rng, ref = np.random.default_rng(0), np.random.default_rng(0)
+        got, want = draw_record(d, D, rng), draw_record(int(d), int(D), ref)
+        for name in RECORD_FIELDS:
+            assert_same_bytes(getattr(got, name), getattr(want, name))
 
     @pytest.mark.parametrize(
         "n_trials, d_values, name",
@@ -277,6 +291,9 @@ class TestRandomizeInput:
             (10, (), "d_values"),
             (10, (0,), "d_values"),
             (10, (1, -2), "d_values"),
+            (10, (1.5,), "d_values"),
+            (10, (True,), "d_values"),
+            (10.0, (1, 2), "n_trials"),
         ],
     )
     def test_empty_parity_sweep_is_an_error(self, n_trials, d_values, name):
@@ -299,6 +316,8 @@ class TestRandomizeBatchInputs:
             ([[0.5]], [[1]], 4, "xs"),
             ([[1]], [[1]], 0, "D"),
             ([[1]], [[1]], -2, "D"),
+            ([[1]], [[1]], 2.5, "D"),
+            (np.zeros((3, 0), dtype=np.int8), np.zeros((3, 0), dtype=np.int8), 4, "d"),
         ],
     )
     def test_rejected(self, xs, ys, D, name):
@@ -520,6 +539,31 @@ class TestReferenceImplementations:
 
 def _enumerated_law(x, y):
     return dict(Counter(map(tuple, block_signatures(x, y).tolist())))
+
+
+class TestPackedBits:
+    """_bits reads ceil(m / 8) bytes per row most significant bit first and
+    drops the rest of the last byte; the sampler's first round reads its
+    four fields from disjoint stretches of one row."""
+
+    @pytest.mark.parametrize("m", [1, 7, 8, 9, 2 * 2 + 2 * 7])
+    def test_bits_are_bytes_read_high_bit_first_without_tail(self, m):
+        rng, ref = np.random.default_rng(m), np.random.default_rng(m)
+        got = reduction._bits(rng, 64, m)
+        assert_same_bytes(got, hand_decoded_bits(ref, 64, m))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_first_round_fields_are_disjoint(self):
+        """Rows even on the first round keep its bits as x_mask, y_mask,
+        x_pad, y_pad, in that order; every row keeps its masks."""
+        d, D = 2, 7
+        rng, ref = np.random.default_rng(0), np.random.default_rng(0)
+        fields = reduction._sample(64, d, D, rng)[:4]
+        first = hand_decoded_bits(ref, 64, 2 * d + 2 * D)
+        even = ip_mod2(first[:, 2 * d:2 * d + D], first[:, 2 * d + D:]) == 0
+        assert 0 < even.sum() < 64
+        assert_same_bytes(np.concatenate([f[even] for f in fields], axis=1), first[even])
+        assert_same_bytes(np.concatenate(fields[:2], axis=1), first[:, :2 * d])
 
 
 class TestMaskLaw:
@@ -1059,3 +1103,29 @@ class TestHoeffding:
         assert cfg.D == 300
         assert cfg.bound_armed
         assert not ReductionConfig(d=3, D=200).bound_armed
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"d": 0}, "d"),
+            ({"d": 1.0}, "d"),
+            ({"d": True}, "d"),
+            ({"d": 1, "D": 2.5}, "D"),
+            ({"d": 1, "D": 0}, "D"),
+            ({"d": 1, "D": False}, "D"),
+            ({"d": 1, "n_blocks": 2.0}, "n_blocks"),
+            ({"d": 1, "n_blocks": 0}, "n_blocks"),
+            ({"d": 1, "n_blocks": True}, "n_blocks"),
+        ],
+    )
+    def test_config_rejects_sizes(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name} must be a positive integer"):
+            ReductionConfig(**kwargs)
+
+    def test_numpy_sizes_do_not_wrap(self):
+        """numpy unsigned sizes are read as Python ints: 100 d at d = 3 is
+        300, not 300 mod 256."""
+        cfg = ReductionConfig(d=np.uint8(3), n_blocks=np.uint8(2))
+        assert (cfg.d, cfg.D, cfg.n_blocks, cfg.expanded_dim) == (3, 300, 2, 312)
+        assert all(type(v) is int for v in (cfg.d, cfg.D, cfg.n_blocks))
+        assert verify_ip_preservation(np.uint8(40), d_values=(np.uint8(3),)) == 0
