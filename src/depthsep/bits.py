@@ -1,13 +1,37 @@
-"""Bit-vector kernel: parity inner products, XOR, and coordinate rounding.
+"""Bit-vector kernel: parity inner products, XOR, and coordinate rounding,
+plus the package's two argument rules: _sizes for sizes and counts (positive
+integers) and _positive for accuracies and bounds (positive finite reals).
 
 Everything here is stateless and safe to call from multiple threads.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
+
 import numpy as np
 
 __all__ = ["as_bits", "ip_mod2", "xor_bits", "round_half_away"]
+
+
+def _sizes(**sizes) -> tuple[int, ...]:
+    """The sizes as Python ints, or ValueError naming the first that is not
+    a positive integer; numpy integers are read as ints (an unsigned one
+    would wrap in 100 d or 2d + 2D), bools and floats are rejected."""
+    for name, value in sizes.items():
+        if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1):
+            raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return tuple(map(int, sizes.values()))
+
+
+def _positive(**values) -> tuple[float, ...]:
+    """The values as floats, or ValueError naming the first that is not a
+    positive finite real; bools are not reals here, NaN fails both tests."""
+    for name, value in values.items():
+        if not (isinstance(value, numbers.Real) and not isinstance(value, bool) and 0 < value < math.inf):
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return tuple(map(float, values.values()))
 
 
 def _all_bits(arr: np.ndarray) -> bool:

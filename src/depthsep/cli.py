@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import re
 import sys
 from fractions import Fraction
@@ -20,6 +19,7 @@ import click
 import numpy as np
 
 from . import harness, instance, networks, reduction, threshold, training
+from .bits import _positive, _sizes
 
 
 def _write(path: str | None, text: str) -> None:
@@ -43,18 +43,19 @@ _SIZE = click.IntRange(min=1)
 
 
 def _positive_finite(ctx, param, value):
-    if value is not None and not (math.isfinite(value) and value > 0):
-        raise click.BadParameter(f"{value} is not a positive finite number")
-    return value
+    try:
+        return _positive(**{param.name: value})[0]
+    except ValueError as exc:
+        raise click.BadParameter(str(exc)) from exc
 
 
 def _width_list(ctx, param, value):
     """Comma-separated positive widths, at least one."""
     try:
-        widths = [int(t) for t in value.split(",") if t.strip()]
+        widths = [_sizes(width=int(t))[0] for t in value.split(",") if t.strip()]
     except ValueError as exc:
         raise click.BadParameter(f"{value!r}: {exc}") from exc
-    if not widths or min(widths) < 1:
+    if not widths:
         raise click.BadParameter(f"{value!r} must list at least one positive width")
     return widths
 
@@ -194,10 +195,10 @@ def _spec_ints(option: str, text: str, pattern: str) -> list[list[int]]:
     match = re.fullmatch(pattern, text.replace(" ", ""))
     if match is None:
         raise click.BadParameter(f"cannot parse {text!r}", param_hint=option)
-    groups = [[int(t) for t in g.split(",")] for g in match.groups()]
-    if min(min(g) for g in groups) < 1:
-        raise click.BadParameter(f"values in {text!r} must be positive", param_hint=option)
-    return groups
+    try:
+        return [[_sizes(value=int(t))[0] for t in g.split(",")] for g in match.groups()]
+    except ValueError as exc:
+        raise click.BadParameter(f"{text!r}: {exc}", param_hint=option) from exc
 
 
 @main.command("verify-lemmas")

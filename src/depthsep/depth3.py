@@ -20,6 +20,7 @@ from typing import Callable
 
 import numpy as np
 
+from .bits import _positive, _sizes
 from .networks import RELU, Activation, DenseNetwork, splice
 
 __all__ = [
@@ -60,8 +61,7 @@ def build_exact_relu(d: int) -> DenseNetwork:
     * the wave relu(z) + sum_{k=1}^{d} 2 (-1)^k relu(z - k) on the ramp sum
       z, the triangle wave of the integer inner product.
     """
-    if d < 1:
-        raise ValueError("d must be a positive integer")
+    (d,) = _sizes(d=d)
     ramp_out = np.array([1.0, -1.0])
     ramp = DenseNetwork(1, ((np.ones((2, 1)), np.array([-5.0, -6.0])),), ramp_out, 0.0, RELU)
     wave_out = np.r_[1.0, 2.0 * (-1.0) ** np.arange(1, d + 1)]
@@ -97,8 +97,7 @@ class Approx1DSpec:
     accuracy: float
 
     def __post_init__(self):
-        if self.accuracy <= 0:
-            raise ValueError("accuracy must be positive")
+        _positive(accuracy=self.accuracy)
         if not self.hi > self.lo:
             raise ValueError("need hi > lo")
         if self.lipschitz < 0:
@@ -168,10 +167,7 @@ def build_generic(
     into its weights.  Widths come out O(d^2/eps) and O(d/eps); absorbed
     second-layer weights stay within O(d/eps^2).
     """
-    if d < 1:
-        raise ValueError("d must be a positive integer")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    (d,), (eps,) = _sizes(d=d), _positive(eps=eps)
     if eps > 0.5:
         # a constant 1/2 already meets the bound; match the approximator's
         # activation so downstream tooling sees a consistent family

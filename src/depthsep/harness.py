@@ -30,8 +30,6 @@ def measure_sup_error(
 ) -> float:
     """Max |net - target| over the n support samples sample_a4d(spec, n, seed);
     an empty sample is an error, not a zero error."""
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
     samples = instance.sample_a4d(spec, n, seed)
     return float(np.abs(net.evaluate_batch(samples.points) - samples.labels).max())
 

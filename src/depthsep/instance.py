@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bits import ip_mod2, round_half_away
+from .bits import _sizes, ip_mod2, round_half_away
 
 __all__ = [
     "Packing",
@@ -128,16 +128,14 @@ def build_packing(d: int, seed: int, max_attempts: int | None = None) -> Packing
     before 2^{2d} points are placed (a heuristic failure: retry with more
     attempts or another seed).
     """
-    if d < 1:
-        raise ValueError("d must be a positive integer")
+    (d,) = _sizes(d=d)
     if d > MAX_SUPPORTED_D:
         raise ValueError(
             f"instance construction supports d <= {MAX_SUPPORTED_D} "
             f"(2^{{2d}} point storage); got d={d}"
         )
     n = 4**d
-    if max_attempts is None:
-        max_attempts = max(10_000, 200 * n)
+    (max_attempts,) = _sizes(max_attempts=max(10_000, 200 * n) if max_attempts is None else max_attempts)
     rng = np.random.default_rng(seed)
     dim = 2 * d
     pts = np.empty((n, dim))
@@ -286,7 +284,9 @@ class SampleBatch:
 
 
 def sample_a4d(spec: InstanceSpec, n: int, seed: int) -> SampleBatch:
-    """Draw n points: uniform component center plus a uniform cube offset."""
+    """Draw n points: uniform component center plus a uniform cube offset.
+    An empty sample is an error, so no statistic over it reads as zero."""
+    (n,) = _sizes(n=n)
     rng = np.random.default_rng(seed)
     comp = rng.integers(0, spec.n_components, size=n)
     centers = spec.centers()
@@ -320,9 +320,9 @@ def spec_to_json(spec: InstanceSpec) -> str:
 def spec_from_json(text: str) -> InstanceSpec:
     """Load an instance; ValueError if d disagrees with the points or they break an invariant."""
     doc = json.loads(text)
-    d = int(doc["d"])
+    (d,) = _sizes(d=doc["d"])
     pts = np.asarray(doc["points"], dtype=np.float64)
-    if not (1 <= d <= MAX_SUPPORTED_D and pts.shape == (4**d, 2 * d) and np.isfinite(pts).all()):
+    if not (d <= MAX_SUPPORTED_D and pts.shape == (4**d, 2 * d) and np.isfinite(pts).all()):
         raise ValueError(f"d={d} needs 4^d finite points in dim 2d, got shape {pts.shape}")
     return InstanceSpec(
         packing=Packing(pts),

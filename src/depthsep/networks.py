@@ -45,7 +45,7 @@ class Activation:
     """
 
     tag: str
-    fn: Callable[[np.ndarray], np.ndarray] | None = None
+    fn: Callable[[np.ndarray], np.ndarray]
     lipschitz: float | None = None
     variation: tuple[float, float] | None = None
     monotone: bool = False
@@ -53,8 +53,6 @@ class Activation:
     derivative: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
-        if self.fn is None:
-            raise ValueError(f"activation {self.tag!r} has no callable")
         return self.fn(z)
 
 

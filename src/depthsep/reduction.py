@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -36,7 +35,7 @@ from typing import Iterator
 import mpmath as mp
 import numpy as np
 
-from .bits import _all_bits, as_bits, ip_mod2
+from .bits import _all_bits, _positive, _sizes, as_bits, ip_mod2
 from .networks import DenseNetwork, absorb_input_map, average_ensemble
 
 __all__ = [
@@ -81,20 +80,6 @@ _CERT_MAX_L = 8  # placement lengths it enumerates (8!/4! = 1680 block injection
 
 class EnumerationBudget(RuntimeError):
     """Requested exact enumeration is too large for desk-scale arithmetic."""
-
-
-def _is_size(value) -> bool:
-    """Whether value is a positive integer; numpy integers are, bools are not."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
-
-
-def _sizes(**sizes) -> tuple[int, ...]:
-    """The sizes as Python ints, or ValueError naming the first that is not
-    a positive integer.  A numpy unsigned size would wrap in 100 d or 2d + 2D."""
-    for name, value in sizes.items():
-        if not _is_size(value):
-            raise ValueError(f"{name} must be a positive integer, got {value!r}")
-    return tuple(map(int, sizes.values()))
 
 
 def _bound_armed(d: int, D: int) -> bool:
@@ -193,8 +178,8 @@ def _block_positions(n: int, k: int, L: int, rng: np.random.Generator) -> np.nda
     entries 0..j-1, so given them it is uniform over the L - j free
     positions.  Every entry makes one proposal up front; rows whose first
     proposals are distinct are final, and the others are settled entry by
-    entry from the first one that repeats an earlier proposal, each round
-    redrawing only the rows that still collide.
+    entry, each round redrawing only the rows that still collide (an entry
+    before a row's first repeat draws nothing).
     """
     pos = rng.integers(0, L, size=(n, k))
     ordered = np.sort(pos, axis=1)
@@ -202,9 +187,7 @@ def _block_positions(n: int, k: int, L: int, rng: np.random.Generator) -> np.nda
     if not rows.size:
         return pos
     sub = pos[rows]
-    order = np.argsort(sub, axis=1, kind="stable")  # equal proposals stay in entry order
-    ordered = np.take_along_axis(sub, order, axis=1)
-    for j in range(order[:, 1:][ordered[:, 1:] == ordered[:, :-1]].min(), k):
+    for j in range(1, k):
         hit = np.flatnonzero((sub[:, :j] == sub[:, j, None]).any(axis=1))
         while hit.size:
             new = rng.integers(0, L, size=hit.size)
@@ -417,20 +400,21 @@ class CountDistribution:
         return Fraction(self.numerators.get(sig, 0), self.denominator)
 
 
-def _check_l2_length(d: int, D: int) -> None:
-    """Reject an exact L2 norm with integers of more than about 2 _MAX_L2_LENGTH bits."""
-    if D < 0:
-        raise ValueError("D must be non-negative")
+def _check_l2_length(d: int, D: int) -> tuple[int, int]:
+    """(d, D) as ints; reject a norm with integers of over about 2 _MAX_L2_LENGTH bits."""
+    d, D = _sizes(d=d, D=D)
     if 4 * d + D > _MAX_L2_LENGTH:
         raise EnumerationBudget(f"exact L2 norm needs 4d + D <= {_MAX_L2_LENGTH}, got {4 * d + D}")
+    return d, D
 
 
-def check_l2_size(d: int, D: int) -> None:
-    """Reject an L2 sweep beyond d = _MAX_L2_D, past which the sweep over
-    type classes outgrows seconds, or past the integer-length cap."""
-    _check_l2_length(d, D)
+def check_l2_size(d: int, D: int) -> tuple[int, int]:
+    """(d, D) as ints; reject an L2 sweep beyond d = _MAX_L2_D, past which the
+    sweep over type classes outgrows seconds, or past the integer-length cap."""
+    d, D = _check_l2_length(d, D)
     if d > _MAX_L2_D:
         raise EnumerationBudget(f"the L2 sweep takes about 13 s at d = 6, D = 600; d <= {_MAX_L2_D}")
+    return d, D
 
 
 def exact_count_distribution(x, y, D: int) -> CountDistribution:
@@ -439,10 +423,12 @@ def exact_count_distribution(x, y, D: int) -> CountDistribution:
     Convolution of (i) the uniform law over the 4^d mask arrangements of
     the fixed (x, y), which depends only on its coordinate types
     (_mask_law), and (ii) the even-conditioned multinomial pad law at
-    parameter 1/4, whose normalizer is exactly 1/2 + 2^{-D-1}.
+    parameter 1/4, whose normalizer is exactly 1/2 + 2^{-D-1}.  Takes the
+    sampler's sizes, d >= 1 and D >= 1.
     """
     types = count_signature(x, y)
-    d, law = sum(types), _mask_law(*types)
+    d, D = _sizes(d=sum(types), D=D)
+    law = _mask_law(*types)
     n_pads = sum(math.comb(D - e + 2, 2) for e in range(0, D + 1, 2))  # per even (1,1) count e
     if len(law) * n_pads > _MAX_LAW_TERMS:
         raise EnumerationBudget(
@@ -538,7 +524,7 @@ def exact_l2_norm_squared(x, y, D: int) -> Fraction:
     _l2_closed_form), with no count law built.
     """
     types = count_signature(x, y)
-    _check_l2_length(sum(types), D)
+    _, D = _check_l2_length(sum(types), D)
     return _l2_closed_form(types, D)[0]
 
 
@@ -546,7 +532,7 @@ def l2_bound_report(d: int, D: int) -> dict:
     """Check exact_l2_norm_squared(x, y, D) <= 64 * 4^{-(4d+D)} over all 4^d inputs,
     one type class at a time (worst_input is the first input of the first worst
     class); the bound is armed only for D >= 100 d, below it the worst ratio is reported."""
-    check_l2_size(d, D)
+    d, D = check_l2_size(d, D)
     start = time.perf_counter()
     bound = Fraction(64, 4 ** (4 * d + D))
     worst, worst_input, n_pairs = None, None, 0
@@ -609,18 +595,20 @@ def _mpf(n: int) -> mp.mpf:
     return mp.mpf((n >> zeros, zeros))
 
 
-def check_a1_size(d: int, D: int) -> None:
-    """The ratio bound is stated for d and D divisible by 4.  Reject a sweep
-    beyond d = _MAX_A1_D, past which the splits outgrow seconds, or with
-    integers of more than about 2 _MAX_A1_LENGTH bits."""
-    if d < 1 or D < 1 or d % 4 != 0 or D % 4 != 0:
-        raise ValueError("d and D must both be positive and divisible by 4")
+def check_a1_size(d: int, D: int) -> tuple[int, int]:
+    """(d, D) as ints; the ratio bound is stated for d and D divisible by 4.
+    Reject a sweep beyond d = _MAX_A1_D, past which the splits outgrow
+    seconds, or with integers of more than about 2 _MAX_A1_LENGTH bits."""
+    d, D = _sizes(d=d, D=D)
+    if d % 4 != 0 or D % 4 != 0:
+        raise ValueError(f"d and D must both be divisible by 4, got {d} and {D}")
     if d > _MAX_A1_D:
         raise EnumerationBudget(f"the ratio-bound sweep takes about 2 s at d = 64, D = 6400; "
                                 f"d <= {_MAX_A1_D}")
     if D + d > _MAX_A1_LENGTH:
         raise EnumerationBudget(f"the ratio-bound sweep takes about 6 s at d = 64, D = 199936; "
                                 f"D + d <= {_MAX_A1_LENGTH}, got {D + d}")
+    return d, D
 
 
 def multinomial_square_ratio_report(d: int, D: int) -> dict:
@@ -638,7 +626,7 @@ def multinomial_square_ratio_report(d: int, D: int) -> dict:
     each sorted split is evaluated once; n_terms counts the terms of the
     closed-form sums taken.
     """
-    check_a1_size(d, D)
+    d, D = check_a1_size(d, D)
     start = time.perf_counter()
     worst = 0.0
     worst_split = None
@@ -671,14 +659,16 @@ def multinomial_square_ratio_report(d: int, D: int) -> dict:
     }
 
 
-def check_a2_size(d: int, s: Fraction) -> None:
-    """Reject an MGF sweep outside 0 < s < 1/(24 d) or beyond d = _MAX_A2_D."""
-    if d < 1:
-        raise ValueError("d must be positive")
-    if not 0 < s < Fraction(1, 24 * d):
-        raise ValueError("need 0 < s < 1/(24 d)")
+def check_a2_size(d: int, s: Fraction) -> int:
+    """d as a Python int; reject an MGF sweep outside 0 < s < 1/(24 d) or
+    beyond d = _MAX_A2_D."""
+    (d,) = _sizes(d=d)
+    _positive(s=s)
+    if not s < Fraction(1, 24 * d):
+        raise ValueError(f"need 0 < s < 1/(24 d) = 1/{24 * d}, got s = {s}")
     if d > _MAX_A2_D:
         raise EnumerationBudget(f"MGF sweep over type classes requires d <= {_MAX_A2_D}")
+    return d
 
 
 def mgf_bound_report(d: int, s: Fraction) -> dict:
@@ -691,8 +681,8 @@ def mgf_bound_report(d: int, s: Fraction) -> dict:
     inputs of failing classes; worst_input is the first input of the first
     worst class.
     """
+    d = check_a2_size(d, s)
     s = Fraction(s)
-    check_a2_size(d, s)
     start = time.perf_counter()
     worst, worst_input, failures = 0.0, None, 0
     with mp.workprec(220):
@@ -805,8 +795,7 @@ def hoeffding_block_count(B: float, d: int) -> int:
     """Number of averaged blocks, ceil(2500 B^2 d), that drives the
     per-input Hoeffding deviation below 0.04 with margin for a union bound
     over all 2^{2d} inputs."""
-    if B <= 0:
-        raise ValueError("output bound B must be positive")
+    (B,), (d,) = _positive(B=B), _sizes(d=d)
     return math.ceil(2500.0 * B * B * d)
 
 
@@ -898,9 +887,9 @@ def verify_ip_preservation(n_trials: int, d_values=(1, 2, 3, 4, 5, 6), seed: int
     """
     (n_trials,) = _sizes(n_trials=n_trials)
     d_values = tuple(d_values)
-    if not d_values or not all(map(_is_size, d_values)):
-        raise ValueError(f"d_values must be a non-empty list of positive integers, got {d_values}")
-    d_values = tuple(map(int, d_values))
+    if not d_values:
+        raise ValueError("d_values must be a non-empty list of positive integers, got ()")
+    d_values = _sizes(**{f"d_values entry {i}": d for i, d in enumerate(d_values)})
     per_d = -(-n_trials // len(d_values))
     violations = 0
     for d in d_values:

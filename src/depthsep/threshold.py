@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .bits import _positive
 from .instance import hypercube_enumeration
 from .networks import Activation, DenseNetwork, THRESHOLD, ThresholdCircuit, splice
 
@@ -200,10 +201,7 @@ def compile_scalar(
     Raises BudgetExceeded if the greedy staircase needs more segments than
     the activation's variation profile licenses, or a grid above _MAX_GRID.
     """
-    if not (math.isfinite(delta) and delta > 0):
-        raise ValueError("delta must be positive and finite")
-    if not (math.isfinite(R) and R > 0):
-        raise ValueError("R must be positive and finite")
+    R, delta = _positive(R=R, delta=delta)
     budget = segment_budget(sigma, R, delta)
     if sigma.steps is not None:
         plan = _segment_steps(sigma, -R, R, delta)
@@ -229,8 +227,7 @@ def compile_network(net: DenseNetwork, delta: float) -> DenseNetwork:
     """
     if net.depth != 2:
         raise ValueError("only depth-2 networks are compiled")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    (delta,) = _positive(delta=delta)
     if net.activation.tag == "threshold":
         return net
     m = net.widths[0]

@@ -7,12 +7,12 @@ finite-difference test) instead of pulling in an autodiff stack.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bits import _positive, _sizes
 from .instance import InstanceSpec, sample_a4d
 from .networks import RELU, Activation, DenseNetwork, activation_by_tag
 
@@ -40,21 +40,17 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        counts = (self.width, self.epochs, self.batch_size, self.samples_per_epoch)
-        if not all(isinstance(n, numbers.Integral) for n in counts):
-            raise ValueError("width, epochs, batch_size and samples_per_epoch must be integers")
-        if min(counts) < 1:
-            raise ValueError("hyperparameters must be positive")
+        counts = dict(width=self.width, epochs=self.epochs, batch_size=self.batch_size,
+                      samples_per_epoch=self.samples_per_epoch)
+        for name, value in zip(counts, _sizes(**counts)):
+            object.__setattr__(self, name, value)
+        clip = {} if self.weight_clip is None else {"weight_clip": self.weight_clip}
+        _positive(learning_rate=self.learning_rate, **clip)
         if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
             raise ValueError("seed must be a non-negative integer")
         _trainable(self.activation)
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError("learning rate must be finite and positive")
         if self.optimizer not in _OPTIMIZERS:
             raise ValueError(f"optimizer must be one of {sorted(_OPTIMIZERS)}")
-        clip = self.weight_clip
-        if clip is not None and not (math.isfinite(clip) and clip > 0):
-            raise ValueError("weight clip must be finite and positive")
 
 
 @dataclass
@@ -207,16 +203,14 @@ def estimate_population_loss(
     net: DenseNetwork, spec: InstanceSpec, n: int, seed: int
 ) -> tuple[float, float]:
     """Monte-Carlo mean of (net - target)^2 over the support, with its
-    standard error."""
-    if n < 1:
-        raise ValueError("need at least one sample")
+    standard error; an empty sample is an error."""
     if net.input_dim != 4 * spec.d:
         raise ValueError(f"network input dim {net.input_dim} != {4 * spec.d}")
     batch = sample_a4d(spec, n, seed)
     preds = net.evaluate_batch(batch.points)
     sq = (preds - batch.labels.astype(np.float64)) ** 2
     mean = float(sq.mean())
-    stderr = float(sq.std(ddof=1) / np.sqrt(n)) if n > 1 else float("inf")
+    stderr = float(sq.std(ddof=1) / np.sqrt(sq.size)) if sq.size > 1 else float("inf")
     return mean, stderr
 
 
