@@ -1,6 +1,7 @@
 """Bit-vector kernel: parity inner products, XOR, and coordinate rounding,
-plus the package's two argument rules: _sizes for sizes and counts (positive
-integers) and _positive for accuracies and bounds (positive finite reals).
+plus the package's argument rules: _sizes for sizes and counts (positive
+integers), _seed for seeds (non-negative integers), _positive for accuracies
+and bounds (positive finite reals) and _json_array for numbers read from JSON.
 
 Everything here is stateless and safe to call from multiple threads.
 """
@@ -25,6 +26,14 @@ def _sizes(**sizes) -> tuple[int, ...]:
     return tuple(map(int, sizes.values()))
 
 
+def _seed(seed) -> int:
+    """The seed as a Python int, or ValueError unless it is a non-negative
+    integer; a bool is not one."""
+    if not (isinstance(seed, numbers.Integral) and not isinstance(seed, bool) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return int(seed)
+
+
 def _positive(**values) -> tuple[float, ...]:
     """The values as floats, or ValueError naming the first that is not a
     positive finite real; bools are not reals here, NaN fails both tests."""
@@ -32,6 +41,19 @@ def _positive(**values) -> tuple[float, ...]:
         if not (isinstance(value, numbers.Real) and not isinstance(value, bool) and 0 < value < math.inf):
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
     return tuple(map(float, values.values()))
+
+
+def _json_array(value, name: str, ndim: int, integral: bool = False) -> np.ndarray:
+    """A number (ndim 0) or a rectangular ndim-deep list parsed from JSON, as
+    a float64 (int64 if ``integral``) array, or ValueError naming the field if
+    it is ragged or holds anything but numbers (integers if ``integral``):
+    strings, booleans and nulls are refused, not coerced."""
+    arr = np.asarray(value, dtype=object)
+    kinds, what = ((int,), "integer") if integral else ((int, float), "number")
+    if arr.ndim != ndim or not all(type(v) in kinds for v in arr.flat):
+        shape = f"a {ndim}-d array of JSON {what}s" if ndim else f"a JSON {what}"
+        raise ValueError(f"{name} must be {shape}")
+    return arr.astype(np.int64 if integral else np.float64)
 
 
 def _all_bits(arr: np.ndarray) -> bool:

@@ -40,6 +40,7 @@ def _load(path: str, option: str, parse=str):
 
 _SEED = click.IntRange(min=0)
 _SIZE = click.IntRange(min=1)
+_INSTANCE_D = click.IntRange(min=1, max=instance.MAX_SUPPORTED_D)  # the packing's storage cap
 
 
 def _positive_finite(ctx, param, value):
@@ -66,7 +67,7 @@ def main():
 
 
 @main.command("build-instance")
-@click.option("--d", "d", type=_SIZE, required=True, help="Pair-count parameter; input dim is 4d.")
+@click.option("--d", "d", type=_INSTANCE_D, required=True, help="Pair-count parameter; input dim is 4d.")
 @click.option("--seed", type=_SEED, default=0, show_default=True)
 @click.option("--max-attempts", type=_SIZE, default=None, help="Greedy packing proposal budget.")
 @click.option("--out", type=str, default="-", help="Instance JSON path ('-' for stdout).")
@@ -75,7 +76,10 @@ def main():
 @click.option("--samples-out", type=str, default=None, help="CSV path for the samples.")
 def build_instance_cmd(d, seed, max_attempts, out, samples, samples_out):
     """Construct the packing, matching, and support description."""
-    spec = instance.build_instance(d, seed=seed, max_attempts=max_attempts)
+    try:
+        spec = instance.build_instance(d, seed=seed, max_attempts=max_attempts)
+    except instance.PackingInfeasible as exc:
+        raise click.BadParameter(str(exc), param_hint="--max-attempts") from exc
     _write(out, instance.spec_to_json(spec))
     if samples > 0:
         batch = instance.sample_a4d(spec, samples, seed=seed + 1)
@@ -160,7 +164,9 @@ def reduce_cmd(d, big_d, blocks, seed, base_path, base_width, out):
         )
     try:
         averaged, records = reduction.build_averaged_network(base, cfg, seed=seed)
-    except ValueError as exc:  # a --base network of the wrong depth or input size
+        bound = reduction.output_bound(base)
+        blocks_needed = reduction.hoeffding_block_count(bound, d)
+    except ValueError as exc:  # a --base network of the wrong depth or input size, or bounded by 0
         raise click.BadParameter(str(exc), param_hint="--base") from exc
     if out:
         _write(out, networks.network_to_json(averaged))
@@ -176,7 +182,6 @@ def reduce_cmd(d, big_d, blocks, seed, base_path, base_width, out):
         )
         via_net = averaged.evaluate(np.concatenate([x, y]).astype(float))
         worst = max(worst, abs(direct - via_net))
-    bound = reduction.output_bound(base)
     report = {
         "d": d,
         "D": cfg.D,
@@ -184,7 +189,7 @@ def reduce_cmd(d, big_d, blocks, seed, base_path, base_width, out):
         "width": list(averaged.widths),
         "block_equivalence_error": worst,
         "base_output_bound": bound,
-        "hoeffding_blocks_for_union_bound": reduction.hoeffding_block_count(bound, d),
+        "hoeffding_blocks_for_union_bound": blocks_needed,
         "bound_armed": cfg.bound_armed,
     }
     click.echo(json.dumps(report, sort_keys=True))
@@ -253,7 +258,7 @@ _CONFIG_SEED_HELP = "Overrides the --config file's seed (which defaults to 0)."
 
 
 @main.command("train-baseline")
-@click.option("--d", "d", type=_SIZE, required=True)
+@click.option("--d", "d", type=_INSTANCE_D, required=True)
 @click.option("--width", type=_SIZE, default=None)
 @click.option("--epochs", type=_SIZE, default=None)
 @click.option("--seed", type=_SEED, default=None, help=_CONFIG_SEED_HELP)
@@ -280,7 +285,7 @@ def train_baseline_cmd(d, width, epochs, seed, config_path, out):
 
 
 @main.command("report")
-@click.option("--d", "d", type=_SIZE, required=True)
+@click.option("--d", "d", type=_INSTANCE_D, required=True)
 @click.option("--widths", type=str, default="4,16,64", show_default=True, callback=_width_list)
 @click.option("--epochs", type=_SIZE, default=None)
 @click.option("--seed", type=_SEED, default=None, help=_CONFIG_SEED_HELP)

@@ -98,6 +98,9 @@ class Approx1DSpec:
 
     def __post_init__(self):
         _positive(accuracy=self.accuracy)
+        for name in ("lo", "hi", "lipschitz"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.hi > self.lo:
             raise ValueError("need hi > lo")
         if self.lipschitz < 0:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bits import _sizes, ip_mod2, round_half_away
+from .bits import _json_array, _seed, _sizes, ip_mod2, round_half_away
 
 __all__ = [
     "Packing",
@@ -194,6 +194,7 @@ class InstanceSpec:
     support_radius: float = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "seed", _seed(self.seed))
         self.matching.setflags(write=False)
         n = self.packing.n_points
         if sorted(self.matching.tolist()) != list(range(n)):
@@ -321,13 +322,13 @@ def spec_from_json(text: str) -> InstanceSpec:
     """Load an instance; ValueError if d disagrees with the points or they break an invariant."""
     doc = json.loads(text)
     (d,) = _sizes(d=doc["d"])
-    pts = np.asarray(doc["points"], dtype=np.float64)
+    pts = _json_array(doc["points"], "points", 2)
     if not (d <= MAX_SUPPORTED_D and pts.shape == (4**d, 2 * d) and np.isfinite(pts).all()):
         raise ValueError(f"d={d} needs 4^d finite points in dim 2d, got shape {pts.shape}")
     return InstanceSpec(
         packing=Packing(pts),
-        matching=np.asarray(doc["matching"], dtype=np.int64),
-        seed=int(doc["seed"]),
+        matching=_json_array(doc["matching"], "matching", 1, integral=True),
+        seed=doc["seed"],
     )
 
 

@@ -16,6 +16,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .bits import _json_array, _sizes
+
 __all__ = [
     "Activation",
     "RELU",
@@ -37,11 +39,10 @@ class Activation:
     """Scalar activation with the metadata the compilers need.
 
     ``variation`` is a pair (c, alpha) such that the total variation on any
-    interval [a, b] is at most c * (1 + (|a| + |b|)**alpha).  ``steps``
-    marks a piecewise-constant activation by its exact jump positions and
-    levels, letting the threshold compiler handle it symbolically.
-    ``derivative``, where set, is the activation's derivative, which the
-    depth-2 trainer needs.
+    interval [a, b] is at most c * (1 + (|a| + |b|)**alpha).  The threshold
+    compiler takes activations with a ``lipschitz`` constant; the threshold
+    itself has none and needs no compiling.  ``derivative``, where set, is
+    the activation's derivative, which the depth-2 trainer needs.
     """
 
     tag: str
@@ -49,7 +50,6 @@ class Activation:
     lipschitz: float | None = None
     variation: tuple[float, float] | None = None
     monotone: bool = False
-    steps: tuple[tuple[float, ...], tuple[float, ...]] | None = None
     derivative: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
@@ -82,13 +82,7 @@ def _sigmoid_derivative(z):
 RELU = Activation(
     "relu", _relu, lipschitz=1.0, variation=(1.0, 1.0), monotone=True, derivative=_relu_derivative
 )
-THRESHOLD = Activation(
-    "threshold",
-    _threshold,
-    variation=(1.0, 0.0),
-    monotone=True,
-    steps=((0.5,), (0.0, 1.0)),
-)
+THRESHOLD = Activation("threshold", _threshold, variation=(1.0, 0.0), monotone=True)
 SIGMOID = Activation(
     "sigmoid", _sigmoid, lipschitz=0.25, variation=(1.0, 0.0), monotone=True,
     derivative=_sigmoid_derivative,
@@ -302,16 +296,17 @@ def network_to_json(net: DenseNetwork) -> str:
 
 
 def network_from_json(text: str) -> DenseNetwork:
-    """Load a network; raise ValueError naming a missing field or the layer
-    of a non-finite value."""
+    """Load a network; raise ValueError naming a missing field, a field that
+    is not a number or array of numbers, or the layer of a non-finite value."""
     doc = json.loads(text)
     try:
         hidden = tuple(
-            (np.asarray(layer["W"], dtype=np.float64), np.asarray(layer["b"], dtype=np.float64))
-            for layer in doc["layers"]
+            (_json_array(layer["W"], f"layer {i} W", 2), _json_array(layer["b"], f"layer {i} b", 1))
+            for i, layer in enumerate(doc["layers"])
         )
-        out_w, out_b = np.asarray(doc["output"]["w"], dtype=np.float64), float(doc["output"]["b"])
-        tag, input_dim = doc["activation"], int(doc["input_dim"])
+        out_w = _json_array(doc["output"]["w"], "output w", 1)
+        out_b = float(_json_array(doc["output"]["b"], "output b", 0))
+        tag, (input_dim,) = doc["activation"], _sizes(input_dim=doc["input_dim"])
     except KeyError as exc:
         raise ValueError(f"network JSON lacks the field {exc.args[0]!r}") from None
     layers = {f"layer {i}": layer for i, layer in enumerate(hidden)} | {"output": (out_w, out_b)}

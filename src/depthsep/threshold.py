@@ -10,7 +10,7 @@ every neuron, at per-neuron accuracy delta / (width * weight_bound).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,7 +32,7 @@ __all__ = [
 # A run's sampled values span at most 2 * _GREEDY_MARGIN * delta, so every
 # grid sample lies within 0.85 delta of its level.  The grid points and the
 # breakpoints (grid midpoints) cut the domain into pieces at most
-# h = delta / (4L) long, so the certificate of _certify_plan is at most
+# h = delta / (4L) long, so the certificate of SegmentPlan is at most
 # 0.85 delta + L h / 2 <= 0.85 delta + delta / 8 = 0.975 delta on every piece.
 _GREEDY_MARGIN = 0.85
 # Largest Lipschitz grid (about 8 R L / delta points) compile_scalar samples:
@@ -49,27 +49,55 @@ class BudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class SegmentPlan:
-    """Staircase approximant: level ``levels[i]`` holds on
+    """Staircase approximant of ``sigma``: level ``levels[i]`` holds on
     [breakpoints[i], breakpoints[i+1]), with the final level extending to
     the domain's right end.
 
-    ``certified_error`` is a proven bound on sup |sigma - staircase| over
-    the domain (see ``_certify_plan``), always <= tolerance.
-    ``grid_points`` is the size of the Lipschitz grid, 0 for a symbolic plan.
+    The constructor proves the plan or refuses it.  The grid points of
+    ``_grid`` (``grid_points`` of them) and the breakpoints cut the domain
+    into pieces [a, b], each inside one segment with level c.  At t in
+    [a, b] an L-Lipschitz sigma is within min(|sigma(a) - c| + L (t - a),
+    |sigma(b) - c| + L (b - t)) of c, which is at most
+    (|sigma(a) - c| + |sigma(b) - c| + L (b - a)) / 2.  ``certified_error``
+    is the largest of these values over the pieces; a plan whose bound is
+    above ``tolerance`` raises RuntimeError, and one with more segments
+    than ``segment_budget`` allows raises BudgetExceeded.
     """
 
+    sigma: Activation
     breakpoints: np.ndarray
     levels: np.ndarray
     tolerance: float
     domain: tuple[float, float]
-    certified_error: float = float("nan")
-    grid_points: int = 0
+    certified_error: float = field(init=False)
+    grid_points: int = field(init=False)
 
     def __post_init__(self):
         for arr in (self.breakpoints, self.levels):
             arr.setflags(write=False)
-        if len(self.breakpoints) != len(self.levels):
+        if not 0 < len(self.breakpoints) == len(self.levels):
             raise ValueError("breakpoints and levels must align")
+        if not (np.diff(self.breakpoints) >= 0.0).all():
+            raise ValueError("breakpoints must be sorted")
+        lo, hi = self.domain
+        if not -math.inf < lo < hi < math.inf:
+            raise ValueError(f"domain must be a finite interval, got {self.domain}")
+        budget = segment_budget(self.sigma, max(abs(lo), abs(hi)), self.tolerance)
+        grid = _grid(self.sigma, lo, hi, self.tolerance)
+        xs = np.union1d(grid, self.breakpoints)
+        s = np.asarray(self.sigma.fn(xs), dtype=np.float64)
+        c = self.values(xs[:-1])
+        piece = np.abs(s[:-1] - c) + np.abs(s[1:] - c) + self.sigma.lipschitz * np.diff(xs)
+        err = 0.5 * float(piece.max())
+        if not err <= self.tolerance:
+            raise RuntimeError(f"staircase certification failed: {err:.3e} > {self.tolerance:.3e}")
+        object.__setattr__(self, "certified_error", err)
+        object.__setattr__(self, "grid_points", len(grid))
+        if self.n_segments > budget:
+            raise BudgetExceeded(
+                f"{self.n_segments} segments exceed budget {budget} for "
+                f"{self.sigma.tag!r} on [{lo}, {hi}] at delta={self.tolerance}"
+            )
 
     @property
     def n_segments(self) -> int:
@@ -86,32 +114,15 @@ def segment_budget(sigma: Activation, R: float, delta: float) -> int:
     activation's declared variation profile."""
     if sigma.variation is None:
         raise ValueError(f"activation {sigma.tag!r} has no variation profile")
+    R, delta = _positive(R=R, delta=delta)
     c, alpha = sigma.variation
     return int(math.floor(2.0 * c * (1.0 + 2.0 * R) ** alpha / delta)) + 1
 
 
-def _segment_steps(sigma: Activation, lo: float, hi: float, delta: float) -> SegmentPlan:
-    """Symbolic plan for an exactly piecewise-constant activation."""
-    positions, levels = sigma.steps
-    bps = [lo]
-    lvls = [levels[0]]
-    for k, p in enumerate(positions):
-        if lo < p <= hi:
-            bps.append(p)
-            lvls.append(levels[k + 1])  # step value belongs to the right level
-        elif p <= lo:
-            lvls[0] = levels[k + 1]
-    return SegmentPlan(
-        breakpoints=np.asarray(bps, dtype=np.float64),
-        levels=np.asarray(lvls, dtype=np.float64),
-        tolerance=delta,
-        domain=(lo, hi),
-        certified_error=0.0,
-    )
-
-
 def _grid(sigma: Activation, lo: float, hi: float, delta: float) -> np.ndarray:
     """At least 2 evenly spaced points on [lo, hi], at most delta/(4L) apart."""
+    if sigma.lipschitz is None:
+        raise ValueError(f"activation {sigma.tag!r} needs a Lipschitz constant")
     span = (hi - lo) * 4.0 * sigma.lipschitz / delta
     if not span < _MAX_GRID:
         raise BudgetExceeded(
@@ -121,9 +132,7 @@ def _grid(sigma: Activation, lo: float, hi: float, delta: float) -> np.ndarray:
     return np.linspace(lo, hi, max(2, math.ceil(span) + 1))
 
 
-def _segment_lipschitz(
-    sigma: Activation, lo: float, hi: float, delta: float
-) -> SegmentPlan:
+def _segment_lipschitz(sigma: Activation, lo: float, hi: float, delta: float) -> SegmentPlan:
     """Greedy left-to-right staircase for a Lipschitz activation.
 
     Scans the grid, extending the current run while its sampled values
@@ -131,8 +140,6 @@ def _segment_lipschitz(
     as its level.  A new run starts halfway between its first sample and
     the sample before it.
     """
-    if sigma.lipschitz is None:
-        raise ValueError(f"activation {sigma.tag!r} needs a Lipschitz constant")
     xs = _grid(sigma, lo, hi, delta)
     band = 2.0 * _GREEDY_MARGIN * delta
     vals = np.asarray(sigma.fn(xs), dtype=np.float64).tolist()
@@ -149,34 +156,12 @@ def _segment_lipschitz(
     levels.append(0.5 * (top + bot))
     cut = np.asarray(cuts, dtype=np.intp)
     return SegmentPlan(
+        sigma,
         breakpoints=np.concatenate(([lo], 0.5 * (xs[cut - 1] + xs[cut]))),
         levels=np.asarray(levels, dtype=np.float64),
         tolerance=delta,
         domain=(lo, hi),
-        grid_points=len(xs),
     )
-
-
-def _certify_plan(plan: SegmentPlan, sigma: Activation) -> SegmentPlan:
-    """Set ``certified_error`` to a proven bound on sup |sigma - staircase|.
-
-    The grid points and the breakpoints cut the domain into pieces [a, b],
-    each inside one segment with level c.  At t in [a, b] an L-Lipschitz
-    sigma is within min(|sigma(a) - c| + L (t - a), |sigma(b) - c| + L (b - t))
-    of c, which is at most (|sigma(a) - c| + |sigma(b) - c| + L (b - a)) / 2.
-    The bound is the largest of these values over the pieces.
-    """
-    lo, hi = plan.domain
-    xs = np.union1d(_grid(sigma, lo, hi, plan.tolerance), plan.breakpoints)
-    s = np.asarray(sigma.fn(xs), dtype=np.float64)
-    c = plan.values(xs[:-1])
-    piece = np.abs(s[:-1] - c) + np.abs(s[1:] - c) + sigma.lipschitz * np.diff(xs)
-    err = 0.5 * float(piece.max())
-    if err > plan.tolerance:
-        raise RuntimeError(
-            f"staircase certification failed: {err:.3e} > {plan.tolerance:.3e}"
-        )
-    return replace(plan, certified_error=err)
 
 
 def _plan_to_network(plan: SegmentPlan) -> DenseNetwork:
@@ -193,25 +178,15 @@ def _plan_to_network(plan: SegmentPlan) -> DenseNetwork:
     return DenseNetwork(1, (layer,), jumps[fired], float(plan.levels[0]), THRESHOLD)
 
 
-def compile_scalar(
-    sigma: Activation, R: float, delta: float
-) -> tuple[DenseNetwork, SegmentPlan]:
-    """Depth-2 threshold network within delta of sigma on [-R, R].
+def compile_scalar(sigma: Activation, R: float, delta: float) -> tuple[DenseNetwork, SegmentPlan]:
+    """Depth-2 threshold network within delta of the Lipschitz activation
+    sigma on [-R, R].
 
     Raises BudgetExceeded if the greedy staircase needs more segments than
     the activation's variation profile licenses, or a grid above _MAX_GRID.
     """
     R, delta = _positive(R=R, delta=delta)
-    budget = segment_budget(sigma, R, delta)
-    if sigma.steps is not None:
-        plan = _segment_steps(sigma, -R, R, delta)
-    else:
-        plan = _certify_plan(_segment_lipschitz(sigma, -R, R, delta), sigma)
-    if plan.n_segments > budget:
-        raise BudgetExceeded(
-            f"{plan.n_segments} segments exceed budget {budget} for "
-            f"{sigma.tag!r} on [-{R}, {R}] at delta={delta}"
-        )
+    plan = _segment_lipschitz(sigma, -R, R, delta)
     return _plan_to_network(plan), plan
 
 

@@ -7,12 +7,11 @@ finite-difference test) instead of pulling in an autodiff stack.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bits import _positive, _sizes
+from .bits import _positive, _seed, _sizes
 from .instance import InstanceSpec, sample_a4d
 from .networks import RELU, Activation, DenseNetwork, activation_by_tag
 
@@ -46,8 +45,7 @@ class TrainConfig:
             object.__setattr__(self, name, value)
         clip = {} if self.weight_clip is None else {"weight_clip": self.weight_clip}
         _positive(learning_rate=self.learning_rate, **clip)
-        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
-            raise ValueError("seed must be a non-negative integer")
+        object.__setattr__(self, "seed", _seed(self.seed))
         _trainable(self.activation)
         if self.optimizer not in _OPTIMIZERS:
             raise ValueError(f"optimizer must be one of {sorted(_OPTIMIZERS)}")

@@ -1,8 +1,9 @@
 """Argument boundaries: every size or count is a positive integer
-(``bits._sizes``) and every accuracy, bound or step a positive finite real
-(``bits._positive``), checked where the argument enters.  A rejected value
-raises a ValueError naming the argument; a numpy unsigned size gives the
-same result as the equal Python int."""
+(``bits._sizes``), every accuracy, bound or step a positive finite real
+(``bits._positive``) and every seed a non-negative integer (``bits._seed``),
+checked where the argument enters; JSON fields are not coerced.  A rejected
+value raises a ValueError naming the argument; a numpy unsigned size gives
+the same result as the equal Python int."""
 
 import json
 import math
@@ -64,6 +65,27 @@ REALS = [
     ("compile_scalar", "R", lambda v: threshold.compile_scalar(networks.RELU, v, 0.1)),
     ("compile_scalar", "delta", lambda v: threshold.compile_scalar(networks.RELU, 1.0, v)),
     ("compile_network", "delta", lambda v: threshold.compile_network(NET, v)),
+    ("segment_budget", "R", lambda v: threshold.segment_budget(networks.RELU, v, 0.1)),
+    ("segment_budget", "delta", lambda v: threshold.segment_budget(networks.RELU, 1.0, v)),
+]
+
+
+def _spec_with(**fields):
+    return instance.spec_from_json(json.dumps({**SPEC_DOC, **fields}))
+
+
+def _approx_with(**fields):
+    return depth3.Approx1DSpec(**{"target": depth3.reference_g1, "lo": 0.0, "hi": 1.0, "lipschitz": 1.0,
+                                  "accuracy": 0.1, **fields})
+
+
+# (entry point, argument, call, values that were once coerced or accepted)
+REFUSED = [
+    ("spec_from_json", "seed", lambda v: _spec_with(seed=v), [2.7, True, -4]),
+    ("spec_from_json", "matching", lambda v: _spec_with(matching=v), [[0, 1, 2, 3.7], [True, 0, 2, 3]]),
+    ("TrainConfig", "seed", lambda v: training.TrainConfig(width=1, seed=v), [True]),
+    *(("Approx1DSpec", name, lambda v, name=name: _approx_with(**{name: v}), [math.nan, math.inf, -math.inf])
+      for name in ("lo", "hi", "lipschitz")),
 ]
 
 BAD_SIZES = [0, -1, 1.5, True, math.nan, math.inf]
@@ -89,7 +111,8 @@ def _canonical(result):
 
 CASES = ([(e, n, c, v) for e, n, c, _ in SIZES for v in BAD_SIZES]
          + [(e, n, c, v) for e, n, c in REALS for v in BAD_REALS]
-         + [(e, n, c, np.uint8(v)) for e, n, c, v in SIZES if v is not None])
+         + [(e, n, c, np.uint8(v)) for e, n, c, v in SIZES if v is not None]
+         + [(e, n, c, v) for e, n, c, values in REFUSED for v in values])
 
 
 @pytest.mark.parametrize(

@@ -25,6 +25,11 @@ def invoke(runner, args, expect_exit=0):
 SMALL_NET = networks.network_to_json(
     networks.DenseNetwork(2, ((np.ones((1, 2)), np.zeros(1)),), np.ones(1), 0.0, networks.RELU)
 )
+# a depth-2 base for reduce --d 1 --D 2 (2 (4d + D) = 12 inputs) whose output bound is 0
+ZERO_NET = networks.network_to_json(
+    networks.DenseNetwork(12, ((np.zeros((2, 12)), np.zeros(2)),), np.zeros(2), 0.0, networks.RELU)
+)
+TOO_BIG_D = str(instance.MAX_SUPPORTED_D + 1)
 
 
 def _broken_network_file(tmp_path, fault):
@@ -86,6 +91,8 @@ def test_bad_network_file_is_a_usage_error(runner, tmp_path, fault, args, option
         ),
         (["train-baseline", "--d", "1", "--config"], '{"width": 2, "seed": -1}', "--config"),
         (["report", "--d", "1", "--out", "OUT", "--config"], '{"seed": 1.5}', "--config"),
+        (["train-baseline", "--d", "1", "--config"], '{"width": 2, "seed": true}', "--config"),
+        (["reduce", "--d", "1", "--D", "2", "--base"], ZERO_NET, "--base"),
     ],
 )
 def test_bad_input_file_is_a_usage_error(runner, tmp_path, args, contents, option):
@@ -128,6 +135,10 @@ def test_bad_input_file_is_a_usage_error(runner, tmp_path, args, contents, optio
         (["reduce", "--d", "1", "--base-width", "0"], "--base-width"),
         (["verify-all", "--seed", "-1", "--only", "baseline"], "--seed"),
         (["eval", "--d", "0", "--point", "1"], "--d"),
+        (["build-instance", "--d", TOO_BIG_D], "--d"),
+        (["report", "--d", TOO_BIG_D, "--out", "OUT"], "--d"),
+        (["train-baseline", "--d", TOO_BIG_D, "--width", "2"], "--d"),
+        (["build-instance", "--d", "3", "--max-attempts", "5"], "--max-attempts"),
     ],
 )
 def test_bad_flag_is_a_usage_error(runner, tmp_path, args, option):

@@ -466,6 +466,31 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"'{key}'"):
             network_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "where, value, message",
+        [
+            (("input_dim",), 2.9, "input_dim must be a positive integer"),
+            (("input_dim",), True, "input_dim must be a positive integer"),
+            (("input_dim",), "2", "input_dim must be a positive integer"),
+            (("layers", 0, "W", 0, 0), "1.5", "layer 0 W must be a 2-d array of JSON numbers"),
+            (("layers", 0, "W", 0, 0), True, "layer 0 W must be a 2-d array of JSON numbers"),
+            (("layers", 0, "b", 0), False, "layer 0 b must be a 1-d array of JSON numbers"),
+            (("output", "w", 0), "1.5", "output w must be a 1-d array of JSON numbers"),
+            (("output", "b"), "0.5", "output b must be a JSON number"),
+            (("output", "b"), [0.5], "output b must be a JSON number"),
+        ],
+    )
+    def test_rejects_coerced_field(self, rng, where, value, message):
+        """Strings, booleans and fractional sizes were once read as numbers."""
+        doc = json.loads(network_to_json(random_net(rng)))
+        *path, key = where
+        target = doc
+        for k in path:
+            target = target[k]
+        target[key] = value
+        with pytest.raises(ValueError, match=f"^{message}"):
+            network_from_json(json.dumps(doc))
+
     def test_custom_activation_not_serializable(self):
         from depthsep.networks import Activation
 

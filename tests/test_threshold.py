@@ -19,7 +19,7 @@ from depthsep.networks import (
 )
 from depthsep.threshold import (
     BudgetExceeded,
-    _certify_plan,
+    SegmentPlan,
     boolean_cube_max_error,
     compile_network,
     compile_scalar,
@@ -51,13 +51,10 @@ def random_relu_net(rng, input_dim=8, width=8, C=2.0):
 
 class TestCompileScalar:
     def test_threshold_is_its_own_compilation(self):
-        net, plan = compile_scalar(THRESHOLD, R=1.0, delta=0.1)
-        assert plan.n_segments == 2
-        assert plan.certified_error == 0.0
-        xs = np.linspace(-1, 1, 4001)
-        target = np.where(xs >= 0.5, 1.0, 0.0)
-        assert np.array_equal(net.evaluate_batch(xs[:, None]), target)
-        assert net.widths == (1,)
+        """compile_network passes a threshold net through; the scalar
+        compiler takes only Lipschitz activations, which the step is not."""
+        with pytest.raises(ValueError, match="needs a Lipschitz constant"):
+            compile_scalar(THRESHOLD, R=1.0, delta=0.1)
 
     def test_relu_certified(self):
         net, plan = compile_scalar(RELU, R=10.0, delta=0.01)
@@ -101,17 +98,15 @@ class TestCompileScalar:
             compile_scalar(RELU, R=1.0, delta=0.0)
 
     def test_certification_detects_bad_plan(self):
-        # sensitivity guard: a staircase with a wrong level must not certify
-        from depthsep.threshold import SegmentPlan, _certify_plan
-
-        plan = SegmentPlan(
-            breakpoints=np.array([-1.0, 0.0]),
-            levels=np.array([0.0, 1.0]),  # relu reaches 1 only at x = 1
-            tolerance=0.2,
-            domain=(-1.0, 1.0),
-        )
+        # sensitivity guard: a staircase with a wrong level must not be built
         with pytest.raises(RuntimeError, match="certification failed"):
-            _certify_plan(plan, RELU)
+            SegmentPlan(
+                RELU,
+                breakpoints=np.array([-1.0, 0.0]),
+                levels=np.array([0.0, 1.0]),  # relu reaches 1 only at x = 1
+                tolerance=0.2,
+                domain=(-1.0, 1.0),
+            )
 
     def test_sigmoid_certified(self):
         from depthsep.networks import SIGMOID
@@ -167,11 +162,11 @@ class TestCertificate:
     @pytest.mark.parametrize("shift", [0.003, -0.003])
     def test_moved_level_fails(self, shift):
         _, plan = compile_scalar(RELU, R=10.0, delta=0.01)
-        assert _certify_plan(plan, RELU).certified_error == plan.certified_error
+        assert replace(plan).certified_error == plan.certified_error
         levels = plan.levels.copy()
         levels[plan.n_segments // 2] += shift
         with pytest.raises(RuntimeError, match="certification failed"):
-            _certify_plan(replace(plan, levels=levels), RELU)
+            replace(plan, levels=levels)
 
     @pytest.mark.parametrize("shift", [0.004, -0.004])
     def test_moved_breakpoint_fails(self, shift):
@@ -179,7 +174,25 @@ class TestCertificate:
         bps = plan.breakpoints.copy()
         bps[plan.n_segments // 2] += shift
         with pytest.raises(RuntimeError, match="certification failed"):
-            _certify_plan(replace(plan, breakpoints=bps), RELU)
+            replace(plan, breakpoints=bps)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(levels=np.array([0.0, np.nan])), "certification failed"),
+            (dict(breakpoints=np.array([0.0, -1.0])), "sorted"),
+            (dict(breakpoints=np.array([]), levels=np.array([])), "align"),
+            (dict(domain=(1.0, -1.0)), "finite interval"),
+            (dict(domain=(-1.0, np.inf)), "finite interval"),
+        ],
+    )
+    def test_malformed_plan_refused(self, fields, message):
+        """A NaN level once certified, since NaN > tolerance is false; an
+        unsorted plan evaluates differently from its network."""
+        plan = dict(breakpoints=np.array([-1.0, 0.0]), levels=np.array([0.0, 0.5]),
+                    tolerance=1.0, domain=(-1.0, 1.0))
+        with pytest.raises((RuntimeError, ValueError), match=message):
+            SegmentPlan(RELU, **{**plan, **fields})
 
     def test_constant_activation_is_one_segment(self):
         net, plan = compile_scalar(constant_activation(), R=2.0, delta=0.1)
