@@ -46,14 +46,19 @@ def _positive(**values) -> tuple[float, ...]:
 def _json_array(value, name: str, ndim: int, integral: bool = False) -> np.ndarray:
     """A number (ndim 0) or a rectangular ndim-deep list parsed from JSON, as
     a float64 (int64 if ``integral``) array, or ValueError naming the field if
-    it is ragged or holds anything but numbers (integers if ``integral``):
-    strings, booleans and nulls are refused, not coerced."""
+    it is ragged, holds anything but numbers (integers if ``integral``) or
+    holds one outside that type's range: strings, booleans and nulls are
+    refused, not coerced."""
     arr = np.asarray(value, dtype=object)
     kinds, what = ((int,), "integer") if integral else ((int, float), "number")
+    shape = f"a {ndim}-d array of JSON {what}s" if ndim else f"a JSON {what}"
     if arr.ndim != ndim or not all(type(v) in kinds for v in arr.flat):
-        shape = f"a {ndim}-d array of JSON {what}s" if ndim else f"a JSON {what}"
         raise ValueError(f"{name} must be {shape}")
-    return arr.astype(np.int64 if integral else np.float64)
+    dtype = np.int64 if integral else np.float64
+    try:
+        return arr.astype(dtype)
+    except OverflowError:
+        raise ValueError(f"{name} must be {shape} within the {np.dtype(dtype).name} range") from None
 
 
 def _all_bits(arr: np.ndarray) -> bool:

@@ -38,6 +38,13 @@ def _load(path: str, option: str, parse=str):
         raise click.BadParameter(f"{path!r}: {exc}", param_hint=option) from exc
 
 
+def _instance_text(text: str) -> str:
+    """An instance file's text once each field reads by its rule; whether
+    the instance holds its invariants is the packing check's verdict."""
+    instance._spec_fields(text)
+    return text
+
+
 _SEED = click.IntRange(min=0)
 _SIZE = click.IntRange(min=1)
 _INSTANCE_D = click.IntRange(min=1, max=instance.MAX_SUPPORTED_D)  # the packing's storage cap
@@ -311,7 +318,7 @@ def report_cmd(d, widths, epochs, seed, config_path, out):
 def verify_all_cmd(seed, only, instance_path, out):
     """Run the full verification battery; nonzero exit on any failure."""
     only_list = [t for t in only.split(",") if t] if only else None
-    text = _load(instance_path, "--instance") if instance_path else None
+    text = _load(instance_path, "--instance", _instance_text) if instance_path else None
     try:
         summary = harness.verify_all(seed=seed, only=only_list, spec_override=text)
     except ValueError as exc:  # an unknown check name; failed checks are reported, not raised

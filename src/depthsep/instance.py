@@ -318,18 +318,28 @@ def spec_to_json(spec: InstanceSpec) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
-def spec_from_json(text: str) -> InstanceSpec:
-    """Load an instance; ValueError if d disagrees with the points or they break an invariant."""
+def _spec_fields(text: str) -> tuple[int, np.ndarray, np.ndarray, int]:
+    """The d, points, matching and seed of an instance's JSON text, each read
+    by its rule, or ValueError naming the first field that is missing or
+    breaks it; the instance's invariants are left to spec_from_json."""
     doc = json.loads(text)
-    (d,) = _sizes(d=doc["d"])
-    pts = _json_array(doc["points"], "points", 2)
+    if not isinstance(doc, dict):
+        raise ValueError("instance JSON must be an object")
+    try:
+        (d,) = _sizes(d=doc["d"])
+        points = _json_array(doc["points"], "points", 2)
+        return d, points, _json_array(doc["matching"], "matching", 1, integral=True), _seed(doc["seed"])
+    except KeyError as exc:
+        raise ValueError(f"instance JSON lacks the field {exc.args[0]!r}") from None
+
+
+def spec_from_json(text: str) -> InstanceSpec:
+    """Load an instance; ValueError if a field is missing or malformed, if d
+    disagrees with the points or if they break an invariant."""
+    d, pts, matching, seed = _spec_fields(text)
     if not (d <= MAX_SUPPORTED_D and pts.shape == (4**d, 2 * d) and np.isfinite(pts).all()):
         raise ValueError(f"d={d} needs 4^d finite points in dim 2d, got shape {pts.shape}")
-    return InstanceSpec(
-        packing=Packing(pts),
-        matching=_json_array(doc["matching"], "matching", 1, integral=True),
-        seed=doc["seed"],
-    )
+    return InstanceSpec(packing=Packing(pts), matching=matching, seed=seed)
 
 
 def samples_to_csv(batch: SampleBatch) -> str:

@@ -79,6 +79,37 @@ def _sigmoid_derivative(z):
     return s * (1.0 - s)
 
 
+# In-place forms of the built-in activations for evaluate_batch's
+# workspaces: the same IEEE operations on the same operands as their ``fn``,
+# without a temporary.  ``fn`` itself stays out of place, since training
+# reads the pre-activations again for the derivative.
+
+
+def _relu_in_place(z):
+    return np.maximum(z, 0.0, out=z)
+
+
+def _threshold_in_place(z):
+    return np.greater_equal(z, 0.5, out=z, casting="unsafe")
+
+
+def _sigmoid_in_place(z):
+    np.negative(z, out=z)
+    with np.errstate(over="ignore"):
+        np.exp(z, out=z)
+    z += 1.0
+    return np.divide(1.0, z, out=z)
+
+
+_IN_PLACE = ((_relu, _relu_in_place), (_threshold, _threshold_in_place), (_sigmoid, _sigmoid_in_place))
+
+
+def _in_place_form(activation: Activation) -> Callable[[np.ndarray], np.ndarray]:
+    """The in-place form of a built-in ``fn`` (matched by identity, so an
+    unhashable custom fn is fine), else the activation itself."""
+    return next((form for fn, form in _IN_PLACE if fn is activation.fn), activation)
+
+
 RELU = Activation(
     "relu", _relu, lipschitz=1.0, variation=(1.0, 1.0), monotone=True, derivative=_relu_derivative
 )
@@ -153,11 +184,16 @@ class DenseNetwork:
         if X.shape[1] != self.input_dim:
             raise ValueError(f"input dim {X.shape[1]} != {self.input_dim}")
         rows = max(1, _ACTIVATION_BLOCK // max((*self.widths, 1)))
+        # One workspace per hidden layer, reused by every row block: in a
+        # fresh process each new block-sized temporary is mapped and
+        # faulted in again.  A built-in activation is applied in place.
+        spaces = [np.empty((min(rows, len(X)), width)) for width in self.widths]
+        activation = _in_place_form(self.activation)
         out = np.empty(X.shape[0])
         for i in range(0, X.shape[0], rows):
             h = X[i : i + rows]
-            for layer in self.hidden:
-                h = self.activation(_pre_activation(layer, h))
+            for layer, space in zip(self.hidden, spaces):
+                h = activation(_pre_activation(layer, h, space[: len(h)]))
             out[i : i + rows] = h @ self.out_w + self.out_b
         return out
 
@@ -252,21 +288,29 @@ class _SplicedLayer(tuple):
         return self.factors
 
 
-def _pre_activation(layer: tuple[np.ndarray, np.ndarray], h: np.ndarray) -> np.ndarray:
-    """h W'^T + b' for one block of rows.  A spliced layer computes its r
-    neuron inputs first and scales them by h_w, costing r (fan_in + k)
-    multiply-adds per row instead of r k fan_in."""
-    if isinstance(layer, _SplicedLayer):
-        W, b, h_w, h_b = layer.factors
-        u = h @ W.T
-        u += b
-        z = u[:, :, None] * h_w
-        z += h_b
-        return z.reshape(len(h), len(W) * len(h_w))
-    W, b = layer
-    z = h @ W.T
-    z += b
-    return z
+def _affine(h: np.ndarray, W: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """h W^T + b, into ``out`` if given; a fan-in-1 W is a broadcast
+    product, which gives the same bits as a K = 1 GEMM at a fraction of
+    its cost."""
+    if W.shape[1] == 1:
+        out = np.multiply(h, W[:, 0], out=out)
+    else:
+        out = np.matmul(h, W.T, out=out)
+    out += b
+    return out
+
+
+def _pre_activation(layer: tuple[np.ndarray, np.ndarray], h: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """h W'^T + b' for one block of rows, written into ``out`` (C-contiguous,
+    one row per row of h).  A spliced layer computes its r neuron inputs
+    first and scales them by h_w, costing r (fan_in + k) multiply-adds per
+    row instead of r k fan_in."""
+    if not isinstance(layer, _SplicedLayer):
+        return _affine(h, *layer, out)
+    W, b, h_w, h_b = layer.factors
+    z = np.multiply(_affine(h, W, b)[:, :, None], h_w, out=out.reshape(len(h), len(W), len(h_w)))
+    z += h_b
+    return out
 
 
 def splice(W: np.ndarray, b: np.ndarray, h: DenseNetwork) -> tuple[np.ndarray, np.ndarray]:
@@ -283,7 +327,8 @@ def splice(W: np.ndarray, b: np.ndarray, h: DenseNetwork) -> tuple[np.ndarray, n
 
 
 def network_to_json(net: DenseNetwork) -> str:
-    """Serialize to JSON; round-trips bit-exactly for finite doubles."""
+    """Serialize to JSON; round-trips bit-exactly for finite doubles, and a
+    layer of width 0 (whose W is written as []) too."""
     if net.activation.tag not in _BUILTIN_ACTIVATIONS:
         raise ValueError("only relu/threshold/sigmoid networks serialize")
     doc = {
@@ -300,17 +345,19 @@ def network_from_json(text: str) -> DenseNetwork:
     is not a number or array of numbers, or the layer of a non-finite value."""
     doc = json.loads(text)
     try:
-        hidden = tuple(
-            (_json_array(layer["W"], f"layer {i} W", 2), _json_array(layer["b"], f"layer {i} b", 1))
-            for i, layer in enumerate(doc["layers"])
-        )
+        tag, (input_dim,) = doc["activation"], _sizes(input_dim=doc["input_dim"])
+        hidden, fan_in = [], input_dim
+        for i, layer in enumerate(doc["layers"]):
+            # a layer of width 0 is written as W = [], which has no column count
+            W = np.empty((0, fan_in)) if layer["W"] == [] else _json_array(layer["W"], f"layer {i} W", 2)
+            hidden.append((W, _json_array(layer["b"], f"layer {i} b", 1)))
+            fan_in = len(W)
         out_w = _json_array(doc["output"]["w"], "output w", 1)
         out_b = float(_json_array(doc["output"]["b"], "output b", 0))
-        tag, (input_dim,) = doc["activation"], _sizes(input_dim=doc["input_dim"])
     except KeyError as exc:
         raise ValueError(f"network JSON lacks the field {exc.args[0]!r}") from None
     layers = {f"layer {i}": layer for i, layer in enumerate(hidden)} | {"output": (out_w, out_b)}
     for name, arrays in layers.items():
         if not all(np.isfinite(a).all() for a in arrays):
             raise ValueError(f"{name} holds a non-finite weight or bias")
-    return DenseNetwork(input_dim, hidden, out_w, out_b, activation_by_tag(tag))
+    return DenseNetwork(input_dim, tuple(hidden), out_w, out_b, activation_by_tag(tag))

@@ -1,12 +1,14 @@
 """Argument boundaries: every size or count is a positive integer
 (``bits._sizes``), every accuracy, bound or step a positive finite real
 (``bits._positive``) and every seed a non-negative integer (``bits._seed``),
-checked where the argument enters; JSON fields are not coerced.  A rejected
-value raises a ValueError naming the argument; a numpy unsigned size gives
-the same result as the equal Python int."""
+checked where the argument enters; JSON fields are not coerced, and a JSON
+number beyond its type's range is refused.  A rejected value raises a
+ValueError naming the argument; a numpy unsigned size gives the same result
+as the equal Python int."""
 
 import json
 import math
+import reprlib
 from fractions import Fraction
 
 import numpy as np
@@ -74,6 +76,12 @@ def _spec_with(**fields):
     return instance.spec_from_json(json.dumps({**SPEC_DOC, **fields}))
 
 
+def _net_with_weight(value):
+    doc = json.loads(networks.network_to_json(NET))
+    doc["layers"][0]["W"][0][0] = value
+    return networks.network_from_json(json.dumps(doc))
+
+
 def _approx_with(**fields):
     return depth3.Approx1DSpec(**{"target": depth3.reference_g1, "lo": 0.0, "hi": 1.0, "lipschitz": 1.0,
                                   "accuracy": 0.1, **fields})
@@ -82,7 +90,9 @@ def _approx_with(**fields):
 # (entry point, argument, call, values that were once coerced or accepted)
 REFUSED = [
     ("spec_from_json", "seed", lambda v: _spec_with(seed=v), [2.7, True, -4]),
-    ("spec_from_json", "matching", lambda v: _spec_with(matching=v), [[0, 1, 2, 3.7], [True, 0, 2, 3]]),
+    ("spec_from_json", "matching", lambda v: _spec_with(matching=v),
+     [[0, 1, 2, 3.7], [True, 0, 2, 3], [0, 1, 2, 10**30]]),
+    ("network_from_json", "layer 0 W", lambda v: _net_with_weight(v), [10**400]),
     ("TrainConfig", "seed", lambda v: training.TrainConfig(width=1, seed=v), [True]),
     *(("Approx1DSpec", name, lambda v, name=name: _approx_with(**{name: v}), [math.nan, math.inf, -math.inf])
       for name in ("lo", "hi", "lipschitz")),
@@ -116,7 +126,8 @@ CASES = ([(e, n, c, v) for e, n, c, _ in SIZES for v in BAD_SIZES]
 
 
 @pytest.mark.parametrize(
-    "entry, name, call, value", [pytest.param(*case, id=f"{case[0]}-{case[1]}-{case[3]!r}") for case in CASES]
+    "entry, name, call, value",
+    [pytest.param(*case, id=f"{case[0]}-{case[1]}-{reprlib.repr(case[3])}") for case in CASES],
 )
 def test_argument_boundary(entry, name, call, value):
     if isinstance(value, np.uint8):

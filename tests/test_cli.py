@@ -1,7 +1,11 @@
 """CLI surface: every subcommand, file outputs, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +34,10 @@ ZERO_NET = networks.network_to_json(
     networks.DenseNetwork(12, ((np.zeros((2, 12)), np.zeros(2)),), np.zeros(2), 0.0, networks.RELU)
 )
 TOO_BIG_D = str(instance.MAX_SUPPORTED_D + 1)
+# an instance whose matching holds a number beyond int64, a network with a weight beyond float64
+_SPEC_DOC = json.loads(instance.spec_to_json(instance.build_instance(1, seed=4)))
+HUGE_MATCHING = json.dumps({**_SPEC_DOC, "matching": [0, 1, 2, 10**30]})
+HUGE_WEIGHT = json.dumps({**json.loads(SMALL_NET), "layers": [{"W": [[10**400, 1.0]], "b": [0.0]}]})
 
 
 def _broken_network_file(tmp_path, fault):
@@ -93,11 +101,14 @@ def test_bad_network_file_is_a_usage_error(runner, tmp_path, fault, args, option
         (["report", "--d", "1", "--out", "OUT", "--config"], '{"seed": 1.5}', "--config"),
         (["train-baseline", "--d", "1", "--config"], '{"width": 2, "seed": true}', "--config"),
         (["reduce", "--d", "1", "--D", "2", "--base"], ZERO_NET, "--base"),
+        (["verify-all", "--only", "packing", "--instance"], HUGE_MATCHING, "--instance"),
+        (["eval", "--point", "1,2", "--net"], HUGE_WEIGHT, "--net"),
     ],
 )
 def test_bad_input_file_is_a_usage_error(runner, tmp_path, args, contents, option):
-    """A missing file, a wrong-size base network and a config with an unknown
-    field or a bad value exit 2 naming the option, with no traceback."""
+    """A missing file, a wrong-size base network, a config with an unknown
+    field or a bad value and a JSON number out of range exit 2 naming the
+    option, with no traceback."""
     path = tmp_path / "input.json"
     if contents is not None:
         path.write_text(contents)
@@ -447,6 +458,18 @@ class TestReport:
 
 
 class TestVerifyAllCommand:
+    def test_runs_as_a_module_in_a_fresh_process(self):
+        """``python -m depthsep`` from a checkout, the path a first call pays
+        every allocation of."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run(
+            [sys.executable, "-m", "depthsep", "verify-all", "--only", "exact-net", "--seed", "0"],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout)["pass"]
+
     def test_subset_passes(self, runner):
         result = invoke(runner, ["verify-all", "--only", "baseline,gradient"])
         doc = json.loads(result.output)

@@ -91,14 +91,102 @@ class TestRowBlocks:
         np.testing.assert_allclose(net.evaluate_batch(x), dense_forward(net, x), rtol=0, atol=1e-12)
         assert net.evaluate_batch(x).shape == (1,)
 
-    def test_threshold_staircase_is_exact(self):
-        net, _ = compile_scalar(RELU, R=10.0, delta=0.01)
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda: compile_scalar(RELU, R=10.0, delta=0.01)[0], id="relu-staircase"),
+            pytest.param(lambda: compile_scalar(SIGMOID, R=10.0, delta=0.01)[0], id="sigmoid-staircase"),
+            pytest.param(
+                lambda: relu_1d_approximator(Approx1DSpec(reference_g2, -10.0, 10.0, 1.0, 0.01)), id="relu-1d"
+            ),
+        ],
+    )
+    def test_threshold_staircase_is_exact(self, make):
+        """Fan-in-1 layers (staircases, 1-d approximants) are evaluated as a
+        broadcast product, bit for bit the K = 1 product of the weights."""
+        net = make()
+        assert net.hidden[0][0].shape[1] == 1
         block = block_rows(net)
         xs = np.linspace(-10.0, 10.0, 3 * block + 7)
         for n in (0, 1, block - 1, block, block + 1, xs.size):
             X = xs[:n, None]
             assert np.array_equal(net.evaluate_batch(X), dense_forward(net, X))
         assert np.array_equal(net.evaluate_batch(xs[3:4]), dense_forward(net, xs[3:4]))
+
+
+# values where an in-place activation could part from its fn: NaN, the
+# infinities, signed zeros, the threshold's step and its neighbours, the
+# sigmoid's exp overflow and the largest doubles
+EDGE_VALUES = np.array(
+    [np.nan, np.inf, -np.inf, 0.0, -0.0, 0.5, np.nextafter(0.5, np.inf), np.nextafter(0.5, -np.inf),
+     710.0, -710.0, 1e308, -1e308]
+)
+
+
+class TestInPlaceActivations:
+    """evaluate_batch applies a built-in activation in its workspace; the
+    result is the public fn's, bit for bit."""
+
+    @pytest.mark.parametrize("activation", [RELU, SIGMOID, THRESHOLD], ids=lambda a: a.tag)
+    def test_in_place_form_is_fn_bit_for_bit(self, activation):
+        z = np.concatenate([EDGE_VALUES, np.random.default_rng(4).normal(0.0, 40.0, size=997)])
+        work = z.copy()
+        in_place = networks._in_place_form(activation)
+        assert in_place is not activation
+        got = in_place(work)
+        assert got is work
+        assert got.tobytes() == activation.fn(z).tobytes()
+
+    @pytest.mark.parametrize("activation", [RELU, SIGMOID, THRESHOLD], ids=lambda a: a.tag)
+    def test_public_fn_stays_out_of_place(self, activation):
+        """Training calls fn and then derivative on the same pre-activations."""
+        z = EDGE_VALUES.copy()
+        out = activation.fn(z)
+        assert z.tobytes() == EDGE_VALUES.tobytes() and not np.shares_memory(out, z)
+
+    @pytest.mark.parametrize("activation", [RELU, SIGMOID, THRESHOLD], ids=lambda a: a.tag)
+    def test_input_kept_and_result_owned(self, activation):
+        net = wide_net(np.random.default_rng(6), activation, widths=(4096, 24))
+        X = np.random.default_rng(7).normal(size=(3 * block_rows(net) + 5, 4))
+        kept = X.copy()
+        first = net.evaluate_batch(X)
+        assert X.tobytes() == kept.tobytes()
+        assert first.flags.owndata and not np.shares_memory(first, X)
+        want = first.copy()
+        net.evaluate_batch(-X)
+        assert first.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("activation", [RELU, SIGMOID, THRESHOLD], ids=lambda a: a.tag)
+    def test_fan_in_one_layer_is_the_k1_product(self, activation):
+        """Block by block, so that the output products see the same rows, a
+        fan-in-1 layer and its in-place activation give the bits of the
+        K = 1 product followed by fn."""
+        net = wide_net(np.random.default_rng(2), activation, widths=(4096,), input_dim=1)
+        block = block_rows(net)
+        X = np.linspace(-10.0, 10.0, 3 * block + 7)[:, None]
+        want = np.concatenate([dense_forward(net, X[i : i + block]) for i in range(0, len(X), block)])
+        assert net.evaluate_batch(X).tobytes() == want.tobytes()
+
+    def test_custom_activation_evaluates_through_fn(self):
+        """A custom fn, here an unhashable callable, is called once per layer
+        and row block on the pre-activations."""
+
+        @dataclasses.dataclass
+        class Sine:
+            calls: list
+
+            def __call__(self, z):
+                self.calls.append(z.shape)
+                return np.sin(z)
+
+        sine = Sine([])
+        rng = np.random.default_rng(9)
+        net = wide_net(rng, networks.Activation("sin", sine), widths=(4096, 24))
+        block = block_rows(net)
+        X = rng.normal(size=(2 * block + 1, 4))
+        got = net.evaluate_batch(X)
+        assert sine.calls == [(block, 4096), (block, 24)] * 2 + [(1, 4096), (1, 24)]
+        np.testing.assert_allclose(got, dense_forward(net, X), rtol=0, atol=1e-12)
 
 
 class TestEvaluate:
@@ -222,7 +310,9 @@ class TestFactoredLayers:
         W, b, h_w, h_b = layer.factors
         X = np.random.default_rng(8).uniform(0.0, 1.0, size=(300, W.shape[1]))
         want = ((X @ W.T + b)[:, :, None] * h_w + h_b).reshape(len(X), -1)
-        assert networks._pre_activation(layer, X).tobytes() == want.tobytes()
+        out = np.empty_like(want)
+        assert networks._pre_activation(layer, X, out) is out
+        assert out.tobytes() == want.tobytes()
 
     def test_factors_read_only(self):
         for layer in build_generic(1, 0.1).net.hidden:
@@ -490,6 +580,19 @@ class TestSerialization:
         target[key] = value
         with pytest.raises(ValueError, match=f"^{message}"):
             network_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("width, out_b", [(4, 0.0), (0, 0.75)])
+    def test_width_zero_layer_round_trips(self, width, out_b):
+        """An all-zero (or width-0) ReLU net compiles to a width-0 threshold
+        layer, which the evaluator reads as the output bias alone."""
+        net = DenseNetwork(3, ((np.zeros((width, 3)), np.zeros(width)),), np.zeros(width), out_b, RELU)
+        compiled = compile_network(net, 0.1)
+        assert compiled.widths == (0,)
+        back = network_from_json(network_to_json(compiled))
+        assert back.widths == (0,) and back.hidden[0][0].shape == (0, 3)
+        X = np.random.default_rng(3).uniform(size=(5, 3))
+        assert np.array_equal(back.evaluate_batch(X), compiled.evaluate_batch(X))
+        assert np.array_equal(back.evaluate_batch(X), np.full(5, out_b))
 
     def test_custom_activation_not_serializable(self):
         from depthsep.networks import Activation
