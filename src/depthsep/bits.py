@@ -1,7 +1,8 @@
 """Bit-vector kernel: parity inner products, XOR, and coordinate rounding,
 plus the package's argument rules: _sizes for sizes and counts (positive
 integers), _seed for seeds (non-negative integers), _positive for accuracies
-and bounds (positive finite reals) and _json_array for numbers read from JSON.
+and bounds (positive finite reals), and _json_array and _json_object for values
+read from JSON.
 
 Everything here is stateless and safe to call from multiple threads.
 """
@@ -59,6 +60,13 @@ def _json_array(value, name: str, ndim: int, integral: bool = False) -> np.ndarr
         return arr.astype(dtype)
     except OverflowError:
         raise ValueError(f"{name} must be {shape} within the {np.dtype(dtype).name} range") from None
+
+
+def _json_object(value, name: str) -> dict:
+    """A JSON object, or ValueError naming the field."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be an object")
+    return value
 
 
 def _all_bits(arr: np.ndarray) -> bool:

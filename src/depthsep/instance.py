@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bits import _json_array, _seed, _sizes, ip_mod2, round_half_away
+from .bits import _json_array, _json_object, _seed, _sizes, ip_mod2, round_half_away
 
 __all__ = [
     "Packing",
@@ -54,8 +54,13 @@ NORM_BOUND = 0.8
 
 # Greedy packing: proposals drawn and Gram-screened per matmul, and the band
 # around 0.4^2 in which a screened squared distance is recomputed exactly.
+# The screen 2r^2 - 2 u.w of the squared distance between two points of norm
+# about r errs by ~1e-15: below _CLOSE the pair is closer than 0.4, above
+# _BAND it is farther, and in between the single-draw test decides.
 _PROPOSAL_BLOCK = 512
 _SCREEN_SLACK = 1e-9
+_CLOSE = MIN_PAIRWISE_DISTANCE**2 - _SCREEN_SLACK
+_BAND = _CLOSE + 2 * _SCREEN_SLACK
 
 
 class PackingInfeasible(RuntimeError):
@@ -108,10 +113,15 @@ def _min_pairwise(points: np.ndarray, block: int = 512) -> float:
         return math.inf
     sq = (points * points).sum(1)
     row_min = np.empty(n - 1)
+    lower = np.tri(block, dtype=bool)
     for i in range(0, n - 1, block):
         m = min(block, n - 1 - i)
-        d2 = sq[i : i + m, None] + sq[None, i:] - 2.0 * (points[i : i + m] @ points[i:].T)
-        d2[np.tril_indices(m, 0, n - i)] = np.inf
+        g = points[i : i + m] @ points[i:].T
+        g *= 2.0
+        d2 = sq[i : i + m, None] + sq[None, i:]
+        d2 -= g
+        # the pairs (i + a, i + b) with b <= a fill the leading m x m square
+        d2[:, :m][lower[:m, :m]] = np.inf
         row_min[i : i + m] = d2.min(1)
     slack = 64 * dim * np.finfo(np.float64).eps * sq.max()
     rows = np.flatnonzero(row_min <= row_min.min() + 2 * slack)
@@ -137,34 +147,66 @@ def build_packing(d: int, seed: int, max_attempts: int | None = None) -> Packing
     n = 4**d
     (max_attempts,) = _sizes(max_attempts=max(10_000, 200 * n) if max_attempts is None else max_attempts)
     rng = np.random.default_rng(seed)
-    dim = 2 * d
-    pts = np.empty((n, dim))
+    pts = np.empty((n, 2 * d))
     placed = drawn = 0
-    close = MIN_PAIRWISE_DISTANCE**2 - _SCREEN_SLACK
     while placed < n and drawn < max_attempts:
-        # A block of draws is the same stream as single draws.  The screen
-        # 2r^2 - 2 v.p is the squared distance to points placed before the
-        # block to ~1e-15; survivors are rescaled and tested as single draws.
-        raw = rng.standard_normal((min(_PROPOSAL_BLOCK, max_attempts - drawn), dim))
+        # A block of draws is the same stream as single draws.  It is decided
+        # in runs of at most n - placed proposals, so no run overshoots n, and
+        # each run keeps what the single draws would keep.
+        raw = rng.standard_normal((min(_PROPOSAL_BLOCK, max_attempts - drawn), 2 * d))
         drawn += raw.shape[0]
-        start = placed
-        approx = raw * (PACKING_SPHERE_RADIUS / np.linalg.norm(raw, axis=1))[:, None]
-        screen = 2 * PACKING_SPHERE_RADIUS**2 - 2.0 * (approx @ pts[:start].T)
-        for k in np.flatnonzero((screen >= close).all(axis=1)):
-            v = raw[k] * (PACKING_SPHERE_RADIUS / np.linalg.norm(raw[k]))
-            near = np.flatnonzero(screen[k] <= close + 2 * _SCREEN_SLACK)
-            others = np.concatenate((pts[near], pts[start:placed]))
-            if (np.linalg.norm(others - v, axis=1) > MIN_PAIRWISE_DISTANCE).all():
-                pts[placed] = v
-                placed += 1
-                if placed == n:
-                    break
+        while len(raw) and placed < n:
+            run, raw = raw[: n - placed], raw[n - placed :]
+            accepted = _accept_run(run, pts[:placed])
+            pts[placed : placed + len(accepted)] = accepted
+            placed += len(accepted)
     if placed < n:
         raise PackingInfeasible(
             f"placed {placed}/{n} points in {max_attempts} attempts "
             f"(d={d}, seed={seed}); raise max_attempts or change the seed"
         )
     return Packing(pts)
+
+
+def _far(p: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The single-draw test: whether each row of p is more than 0.4 from v
+    (or from the matching row of v)."""
+    return np.linalg.norm(p - v, axis=1) > MIN_PAIRWISE_DISTANCE
+
+
+def _survivors(run: np.ndarray, placed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The proposals of ``run`` that pass the screen against ``placed``, each
+    scaled onto the sphere as a single draw is, and whether each one is more
+    than 0.4 from every placed point."""
+    r = PACKING_SPHERE_RADIUS
+    nearest = np.full(len(run), np.inf)
+    if len(placed):
+        g = (run * (r / np.linalg.norm(run, axis=1))[:, None]) @ placed.T
+        # 2r^2 - 2x falls as x grows, so a row's least screen is at its max
+        nearest = 2 * r**2 - 2.0 * g.max(axis=1)
+    survivors = np.flatnonzero(nearest >= _CLOSE)
+    # np.linalg.norm of one row is sqrt(row.dot(row))
+    norms = np.sqrt([run[k].dot(run[k]) for k in survivors])
+    v = run[survivors] * (r / norms)[:, None]
+    clear = np.ones(len(v), dtype=bool)
+    for i in np.flatnonzero(nearest[survivors] <= _BAND):
+        near = placed[2 * r**2 - 2.0 * g[survivors[i]] <= _BAND]
+        clear[i] = _far(near, v[i]).all()
+    return v, clear
+
+
+def _accept_run(run: np.ndarray, placed: np.ndarray) -> np.ndarray:
+    """The proposals of ``run`` that single draws after ``placed`` would
+    keep, in order, each scaled onto the sphere as a single draw is."""
+    v, kept = _survivors(run, placed)
+    screen = 2 * PACKING_SPHERE_RADIUS**2 - 2.0 * (v @ v.T)
+    clash = np.triu(screen <= _BAND, 1)  # pairs j < k not screened apart
+    j, k = np.nonzero(clash & (screen >= _CLOSE))
+    clash[j, k] = ~_far(v[j], v[k])
+    # survivor k is dropped iff it clashes with an earlier survivor still kept
+    for k in np.flatnonzero(clash.any(axis=0)):
+        kept[k] &= not (clash[:k, k] & kept[:k]).any()
+    return v[kept]
 
 
 def hypercube_enumeration(n_bits: int) -> np.ndarray:
@@ -322,9 +364,7 @@ def _spec_fields(text: str) -> tuple[int, np.ndarray, np.ndarray, int]:
     """The d, points, matching and seed of an instance's JSON text, each read
     by its rule, or ValueError naming the first field that is missing or
     breaks it; the instance's invariants are left to spec_from_json."""
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise ValueError("instance JSON must be an object")
+    doc = _json_object(json.loads(text), "instance JSON")
     try:
         (d,) = _sizes(d=doc["d"])
         points = _json_array(doc["points"], "points", 2)

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bits import _json_array, _sizes
+from .bits import _json_array, _json_object, _sizes
 
 __all__ = [
     "Activation",
@@ -129,7 +129,7 @@ _BUILTIN_ACTIVATIONS = {"relu": RELU, "threshold": THRESHOLD, "sigmoid": SIGMOID
 def activation_by_tag(tag: str) -> Activation:
     try:
         return _BUILTIN_ACTIVATIONS[tag]
-    except KeyError:
+    except (KeyError, TypeError):  # a TypeError from an unhashable tag read from JSON
         raise ValueError(f"unknown activation tag {tag!r}") from None
 
 
@@ -342,18 +342,23 @@ def network_to_json(net: DenseNetwork) -> str:
 
 def network_from_json(text: str) -> DenseNetwork:
     """Load a network; raise ValueError naming a missing field, a field that
-    is not a number or array of numbers, or the layer of a non-finite value."""
-    doc = json.loads(text)
+    is not the object, array or number it should be, or the layer of a
+    non-finite value."""
+    doc = _json_object(json.loads(text), "network JSON")
     try:
         tag, (input_dim,) = doc["activation"], _sizes(input_dim=doc["input_dim"])
+        if not isinstance(doc["layers"], list):
+            raise ValueError("layers must be an array")
         hidden, fan_in = [], input_dim
         for i, layer in enumerate(doc["layers"]):
+            layer = _json_object(layer, f"layer {i}")
             # a layer of width 0 is written as W = [], which has no column count
             W = np.empty((0, fan_in)) if layer["W"] == [] else _json_array(layer["W"], f"layer {i} W", 2)
             hidden.append((W, _json_array(layer["b"], f"layer {i} b", 1)))
             fan_in = len(W)
-        out_w = _json_array(doc["output"]["w"], "output w", 1)
-        out_b = float(_json_array(doc["output"]["b"], "output b", 0))
+        output = _json_object(doc["output"], "output")
+        out_w = _json_array(output["w"], "output w", 1)
+        out_b = float(_json_array(output["b"], "output b", 0))
     except KeyError as exc:
         raise ValueError(f"network JSON lacks the field {exc.args[0]!r}") from None
     layers = {f"layer {i}": layer for i, layer in enumerate(hidden)} | {"output": (out_w, out_b)}

@@ -227,6 +227,19 @@ def sequential_greedy_packing(d, seed, max_attempts=None):
     return None, max_attempts
 
 
+def sequential_accept(run, placed):
+    """The rows of ``run`` the sequential greedy keeps after ``placed``, in
+    order: each row is scaled onto the sphere of radius 0.76 as one draw and
+    kept when np.linalg.norm puts it more than 0.4 from every point kept so
+    far."""
+    pts = [*placed]
+    for raw in run:
+        v = raw * (0.76 / np.linalg.norm(raw))
+        if not pts or (np.linalg.norm(np.array(pts) - v, axis=1) > 0.4).all():
+            pts.append(v)
+    return np.array(pts[len(placed) :]).reshape(-1, run.shape[1])
+
+
 def difference_min_pairwise(points, block=512):
     """Minimum pairwise distance from the full difference tensor
     ((a - b)**2).sum() of each block of rows against all points."""

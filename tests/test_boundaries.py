@@ -82,6 +82,10 @@ def _net_with_weight(value):
     return networks.network_from_json(json.dumps(doc))
 
 
+def _net_with(**fields):
+    return networks.network_from_json(json.dumps({**json.loads(networks.network_to_json(NET)), **fields}))
+
+
 def _approx_with(**fields):
     return depth3.Approx1DSpec(**{"target": depth3.reference_g1, "lo": 0.0, "hi": 1.0, "lipschitz": 1.0,
                                   "accuracy": 0.1, **fields})
@@ -93,6 +97,10 @@ REFUSED = [
     ("spec_from_json", "matching", lambda v: _spec_with(matching=v),
      [[0, 1, 2, 3.7], [True, 0, 2, 3], [0, 1, 2, 10**30]]),
     ("network_from_json", "layer 0 W", lambda v: _net_with_weight(v), [10**400]),
+    ("network_from_json", "network JSON", lambda v: networks.network_from_json(json.dumps(v)), [[2]]),
+    ("network_from_json", "layers", lambda v: _net_with(layers=v), [5]),
+    ("network_from_json", "layer 0", lambda v: _net_with(layers=v), [[5]]),
+    ("network_from_json", "output", lambda v: _net_with(output=v), [7]),
     ("TrainConfig", "seed", lambda v: training.TrainConfig(width=1, seed=v), [True]),
     *(("Approx1DSpec", name, lambda v, name=name: _approx_with(**{name: v}), [math.nan, math.inf, -math.inf])
       for name in ("lo", "hi", "lipschitz")),

@@ -38,6 +38,9 @@ TOO_BIG_D = str(instance.MAX_SUPPORTED_D + 1)
 _SPEC_DOC = json.loads(instance.spec_to_json(instance.build_instance(1, seed=4)))
 HUGE_MATCHING = json.dumps({**_SPEC_DOC, "matching": [0, 1, 2, 10**30]})
 HUGE_WEIGHT = json.dumps({**json.loads(SMALL_NET), "layers": [{"W": [[10**400, 1.0]], "b": [0.0]}]})
+# network documents with a field that is not the JSON type it should be
+NOT_OBJECTS = ["[2]", *(json.dumps({**json.loads(SMALL_NET), **field})
+                        for field in ({"layers": [5]}, {"output": 7}, {"layers": 5}, {"activation": ["relu"]}))]
 
 
 def _broken_network_file(tmp_path, fault):
@@ -103,12 +106,21 @@ def test_bad_network_file_is_a_usage_error(runner, tmp_path, fault, args, option
         (["reduce", "--d", "1", "--D", "2", "--base"], ZERO_NET, "--base"),
         (["verify-all", "--only", "packing", "--instance"], HUGE_MATCHING, "--instance"),
         (["eval", "--point", "1,2", "--net"], HUGE_WEIGHT, "--net"),
+        *(
+            (args, bad, option)
+            for args, option in (
+                (["eval", "--point", "1,2", "--net"], "--net"),
+                (["compile-threshold", "--delta", "0.1", "--net"], "--net"),
+                (["reduce", "--d", "1", "--D", "2", "--base"], "--base"),
+            )
+            for bad in NOT_OBJECTS
+        ),
     ],
 )
 def test_bad_input_file_is_a_usage_error(runner, tmp_path, args, contents, option):
     """A missing file, a wrong-size base network, a config with an unknown
-    field or a bad value and a JSON number out of range exit 2 naming the
-    option, with no traceback."""
+    field or a bad value, a JSON number out of range and a network field of
+    the wrong JSON type exit 2 naming the option, with no traceback."""
     path = tmp_path / "input.json"
     if contents is not None:
         path.write_text(contents)

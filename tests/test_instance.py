@@ -6,7 +6,9 @@ import json
 
 import numpy as np
 import pytest
-from oracle_utils import difference_min_pairwise, sequential_greedy_packing
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracle_utils import difference_min_pairwise, sequential_accept, sequential_greedy_packing
 
 from depthsep import instance
 from depthsep.bits import ip_mod2
@@ -106,13 +108,64 @@ class TestScreenedPacking:
             assert got.points.tobytes() == want.tobytes()
             assert repr(got.min_pairwise_distance) == repr(difference_min_pairwise(want))
 
-    @pytest.mark.parametrize("d,seed", [(1, 7), (2, 1), (3, 4)])
+    @pytest.mark.parametrize("d,seed", [(1, 7), (2, 1), (3, 4), (4, 2), (5, 3)])
     def test_smallest_budget_matches_oracle(self, d, seed):
         want, used = sequential_greedy_packing(d, seed)
         assert build_packing(d, seed, max_attempts=used).points.tobytes() == want.tobytes()
         with pytest.raises(PackingInfeasible, match=f"in {used - 1} attempts"):
             build_packing(d, seed, max_attempts=used - 1)
         assert sequential_greedy_packing(d, seed, max_attempts=used - 1)[0] is None
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([1, 2]), st.integers(0, 2**64 - 1), st.integers(1, 3000))
+    def test_any_budget_matches_oracle(self, d, seed, max_attempts):
+        """Runs of up to 16 proposals hold conflict chains: a survivor whose
+        only conflict is with one that was itself dropped is kept."""
+        want, _ = sequential_greedy_packing(d, seed, max_attempts)
+        if want is None:
+            with pytest.raises(PackingInfeasible):
+                build_packing(d, seed, max_attempts)
+        else:
+            assert build_packing(d, seed, max_attempts).points.tobytes() == want.tobytes()
+
+    @staticmethod
+    def _on_circle(degrees):
+        """Points of the circle of radius 0.76 at the given angles."""
+        a = np.deg2rad(np.asarray(degrees, dtype=np.float64))
+        return np.stack([0.76 * np.cos(a), 0.76 * np.sin(a)], axis=1)
+
+    # the angle at which two points of the circle are 0.4 apart, and an angle
+    # that moves that distance by about 1e-12, far inside the recheck band
+    EDGE = math.degrees(2 * math.asin(0.4 / (2 * 0.76)))
+    TICK = math.degrees(1e-12 / 0.76)
+
+    @pytest.mark.parametrize(
+        "placed, run, kept",
+        [
+            # 0.4 - 1e-12 and 0.4 + 1e-12 from the placed point
+            ([0.0], [-EDGE + TICK, EDGE + TICK], [1]),
+            # the same distances inside the run
+            ([], [0.0, EDGE - TICK, -EDGE - TICK], [0, 2]),
+            # 1 is dropped for 0, so 2, close to 1 only, is kept
+            ([], [0.0, 20.0, 40.0], [0, 2]),
+            # 0 is dropped by the recheck against the placed point, so 1,
+            # close to 0 only, is kept
+            ([0.0], [EDGE - TICK, EDGE - TICK + 20.0], [1]),
+        ],
+        ids=["band-before-run", "band-in-run", "chain-in-run", "chain-before-run"],
+    )
+    def test_run_keeps_what_single_draws_keep(self, placed, run, kept):
+        placed, run = self._on_circle(placed), self._on_circle(run)
+        got = instance._accept_run(run, placed)
+        assert got.tobytes() == sequential_accept(run, placed).tobytes()
+        assert got.tobytes() == sequential_accept(run[kept], placed).tobytes()
+
+    def test_band_cases_fall_in_the_band(self):
+        """The 0.4 +- 1e-12 pairs above are decided by the exact recheck."""
+        pts = self._on_circle([0.0, self.EDGE - self.TICK, self.EDGE + self.TICK])
+        screen = 2 * 0.76**2 - 2.0 * (pts[1:] @ pts[0])
+        assert ((instance._CLOSE <= screen) & (screen <= instance._BAND)).all()
+        assert list(np.linalg.norm(pts[1:] - pts[0], axis=1) > 0.4) == [False, True]
 
     @pytest.mark.parametrize("n,dim,scale", [(2, 3, 1.0), (5, 1, 1e3), (700, 4, 1.0), (1100, 12, 1e-3)])
     def test_min_pairwise_matches_difference_formula(self, n, dim, scale):
