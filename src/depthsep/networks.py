@@ -11,6 +11,8 @@ factors next to its dense weights and is evaluated through them.
 from __future__ import annotations
 
 import json
+import os
+import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -110,6 +112,40 @@ def _in_place_form(activation: Activation) -> Callable[[np.ndarray], np.ndarray]
     return next((form for fn, form in _IN_PLACE if fn is activation.fn), activation)
 
 
+def _usable_cores() -> int:
+    """The number of cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_workers(run: Callable[[int, int], None], workers: int) -> None:
+    """Call run(w, workers) for w = 0 .. workers - 1, w = 0 on the calling
+    thread and each other w on a thread of its own.  Every thread is joined
+    before this returns, and the first exception a thread raised is raised
+    here."""
+    errors: list[BaseException] = []
+
+    def guarded(worker: int) -> None:
+        try:
+            run(worker, workers)
+        except BaseException as exc:  # handed to the calling thread, which raises it
+            errors.append(exc)
+
+    threads = []
+    try:
+        for worker in range(1, workers):
+            thread = threading.Thread(target=guarded, args=(worker,))
+            thread.start()
+            threads.append(thread)
+        run(0, workers)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
 RELU = Activation(
     "relu", _relu, lipschitz=1.0, variation=(1.0, 1.0), monotone=True, derivative=_relu_derivative
 )
@@ -120,7 +156,9 @@ SIGMOID = Activation(
 )
 
 # Rows are evaluated in blocks so that one hidden activation block holds
-# about this many float64 values, which bounds the temporaries.
+# about this many float64 values, which bounds the temporaries.  A block is
+# the unit of evaluate_batch's work split: whichever thread evaluates a
+# block does the same IEEE operations on the same rows.
 _ACTIVATION_BLOCK = 1 << 18
 
 _BUILTIN_ACTIVATIONS = {"relu": RELU, "threshold": THRESHOLD, "sigmoid": SIGMOID}
@@ -178,23 +216,46 @@ class DenseNetwork:
         return max(vals)
 
     def evaluate_batch(self, X: np.ndarray) -> np.ndarray:
+        """The network's output on one point (1-d ``X``) or on each row of
+        ``X`` (2-d), as a 1-d array with one value per row.
+
+        Rows are evaluated in blocks of about ``_ACTIVATION_BLOCK`` hidden
+        values.  When there are several blocks, every hidden layer is
+        spliced or has fan-in 1 and the activation is a built-in one, the
+        blocks are dealt round-robin to one thread per usable core, the
+        calling thread included: those layers are numpy's single-threaded
+        broadcast, add and activation loops, while a plain fan-in > 1 layer
+        is a BLAS GEMM that spreads over the cores by itself, and a custom
+        activation is arbitrary Python.  Each block's output is the same
+        bits whichever thread evaluates it.
+        """
         X = np.asarray(X, dtype=np.float64)
         if X.ndim == 1:
             X = X[None, :]
+        if X.ndim != 2:
+            raise ValueError(f"X must be one point (1-d) or rows (2-d), got shape {X.shape}")
         if X.shape[1] != self.input_dim:
             raise ValueError(f"input dim {X.shape[1]} != {self.input_dim}")
         rows = max(1, _ACTIVATION_BLOCK // max((*self.widths, 1)))
-        # One workspace per hidden layer, reused by every row block: in a
-        # fresh process each new block-sized temporary is mapped and
-        # faulted in again.  A built-in activation is applied in place.
-        spaces = [np.empty((min(rows, len(X)), width)) for width in self.widths]
+        starts = range(0, len(X), rows)
         activation = _in_place_form(self.activation)
-        out = np.empty(X.shape[0])
-        for i in range(0, X.shape[0], rows):
-            h = X[i : i + rows]
-            for layer, space in zip(self.hidden, spaces):
-                h = activation(_pre_activation(layer, h, space[: len(h)]))
-            out[i : i + rows] = h @ self.out_w + self.out_b
+        out = np.empty(len(X))
+
+        def run(worker: int, workers: int) -> None:
+            # One workspace per hidden layer, reused by every block of this
+            # worker: in a fresh process each new block-sized temporary is
+            # mapped and faulted in again.
+            spaces = [np.empty((min(rows, len(X)), width)) for width in self.widths]
+            for i in starts[worker::workers]:
+                h = X[i : i + rows]
+                for layer, space in zip(self.hidden, spaces):
+                    h = activation(_pre_activation(layer, h, space[: len(h)]))
+                out[i : i + rows] = h @ self.out_w + self.out_b
+
+        numpy_loops = activation is not self.activation and all(
+            isinstance(layer, _SplicedLayer) or layer[0].shape[1] == 1 for layer in self.hidden
+        )
+        _run_workers(run, min(len(starts), _usable_cores()) if numpy_loops and len(starts) > 1 else 1)
         return out
 
     def evaluate(self, x: np.ndarray) -> float:

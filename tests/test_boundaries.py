@@ -21,6 +21,7 @@ from depthsep.cli import main
 SPEC = instance.build_instance(1, seed=7)
 NET = networks.DenseNetwork(4, ((np.ones((2, 4)), np.zeros(2)),), np.ones(2), 0.0, networks.RELU)
 SPEC_DOC = json.loads(instance.spec_to_json(SPEC))
+NET_1 = networks.DenseNetwork(1, ((np.ones((2, 1)), np.zeros(2)),), np.ones(2), 0.0, networks.RELU)
 
 
 def _spec_with_d(d):
@@ -102,6 +103,7 @@ REFUSED = [
     ("network_from_json", "layer 0", lambda v: _net_with(layers=v), [[5]]),
     ("network_from_json", "output", lambda v: _net_with(output=v), [7]),
     ("TrainConfig", "seed", lambda v: training.TrainConfig(width=1, seed=v), [True]),
+    ("evaluate_batch", "X", NET_1.evaluate_batch, [2.0, [[[0.5]], [[1.5]]]]),
     *(("Approx1DSpec", name, lambda v, name=name: _approx_with(**{name: v}), [math.nan, math.inf, -math.inf])
       for name in ("lo", "hi", "lipschitz")),
 ]

@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -187,6 +188,106 @@ class TestInPlaceActivations:
         got = net.evaluate_batch(X)
         assert sine.calls == [(block, 4096), (block, 24)] * 2 + [(1, 4096), (1, 24)]
         np.testing.assert_allclose(got, dense_forward(net, X), rtol=0, atol=1e-12)
+
+
+def factored_forward(net, X):
+    """dense_forward, except that a spliced layer's pre-activations are its
+    factored products ((h W^T + b)[:, :, None] * h_w + h_b)."""
+    h = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    for layer in net.hidden:
+        if isinstance(layer, networks._SplicedLayer):
+            W, b, h_w, h_b = layer.factors
+            z = ((h @ W.T + b)[:, :, None] * h_w + h_b).reshape(len(h), -1)
+        else:
+            z = h @ layer[0].T + layer[1]
+        h = net.activation(z)
+    return h @ net.out_w + net.out_b
+
+
+def record_threads(monkeypatch, raise_on=None):
+    """Record the thread of every _pre_activation call; raise on the calls
+    made by thread ``raise_on`` ("main" or "worker"), if given."""
+    seen, original = [], networks._pre_activation
+
+    def spy(layer, h, out):
+        seen.append(threading.current_thread())  # the object, as an ident may be reused
+        if raise_on == ("main" if seen[-1] is threading.main_thread() else "worker"):
+            raise ZeroDivisionError(f"raised on the {raise_on} thread")
+        return original(layer, h, out)
+
+    monkeypatch.setattr(networks, "_pre_activation", spy)
+    return seen
+
+
+WORKER_NETS = {
+    "spliced-relu": lambda: build_generic(2, 0.05).net,
+    "threshold-staircase": lambda: compile_scalar(RELU, R=10.0, delta=0.01)[0],
+    "sigmoid-staircase": lambda: compile_scalar(SIGMOID, R=10.0, delta=0.01)[0],
+    "sigmoid-fan-in-1": lambda: wide_net(np.random.default_rng(5), SIGMOID, widths=(4096,), input_dim=1),
+}
+
+
+class TestWorkers:
+    """Row blocks of a net whose hidden layers are all spliced or fan-in 1,
+    with a built-in activation, are dealt round-robin to one thread per
+    usable core; every block gives the bits it gives on one thread."""
+
+    @pytest.mark.parametrize("cores", [2, 3])
+    @pytest.mark.parametrize("name", list(WORKER_NETS))
+    def test_blocks_match_blockwise_forward(self, monkeypatch, name, cores):
+        net = WORKER_NETS[name]()
+        assert all(isinstance(layer, networks._SplicedLayer) or layer[0].shape[1] == 1 for layer in net.hidden)
+        monkeypatch.setattr(networks, "_usable_cores", lambda: cores)
+        block = block_rows(net)
+        rng = np.random.default_rng(cores)
+        n_max = (3 * cores + 1) * block
+        X_all = (rng.uniform(-12.0, 12.0, size=(n_max, 1)) if net.input_dim == 1
+                 else rng.permutation(support_and_uniform(net.input_dim, seed=cores, n=n_max)))
+        before, seen = threading.active_count(), record_threads(monkeypatch)
+        for blocks in (1, 2, 3, 3 * cores + 1):
+            for n in ((blocks - 1) * block + 1, blocks * block):
+                X = X_all[:n]
+                want = np.concatenate([factored_forward(net, X[i : i + block]) for i in range(0, n, block)])
+                seen.clear()
+                assert net.evaluate_batch(X).tobytes() == want.tobytes(), (blocks, n)
+                assert len(set(seen)) == min(blocks, cores) and threading.main_thread() in seen
+                assert threading.active_count() == before
+
+    @pytest.mark.parametrize("raise_on", ["worker", "main"])
+    def test_exception_reaches_caller(self, monkeypatch, raise_on):
+        """An exception raised in a block reaches the caller with its type
+        and message, and every worker has been joined."""
+        net = WORKER_NETS["threshold-staircase"]()
+        monkeypatch.setattr(networks, "_usable_cores", lambda: 2)
+        X = np.linspace(-10.0, 10.0, 4 * block_rows(net))[:, None]
+        before = threading.active_count()
+        record_threads(monkeypatch, raise_on=raise_on)
+        with pytest.raises(ZeroDivisionError, match=f"^raised on the {raise_on} thread$"):
+            net.evaluate_batch(X)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda: wide_net(np.random.default_rng(8), RELU, widths=(4096, 24)), id="plain-gemm"),
+            pytest.param(
+                lambda: dataclasses.replace(
+                    build_generic(2, 0.05).net, activation=networks.Activation("relu-copy", lambda z: np.maximum(z, 0))
+                ),
+                id="custom-activation",
+            ),
+        ],
+    )
+    def test_calling_thread_only(self, monkeypatch, make):
+        """A plain fan-in > 1 layer is a BLAS GEMM, which spreads over the
+        cores itself, and a custom activation is arbitrary Python: their
+        blocks all run on the calling thread."""
+        net = make()
+        monkeypatch.setattr(networks, "_usable_cores", lambda: 2)
+        X = np.random.default_rng(3).normal(size=(4 * block_rows(net), net.input_dim))
+        seen = record_threads(monkeypatch)
+        np.testing.assert_allclose(net.evaluate_batch(X), dense_forward(net, X), rtol=0, atol=1e-12)
+        assert len(seen) == 4 * len(net.hidden) and set(seen) == {threading.main_thread()}
 
 
 class TestEvaluate:
