@@ -231,29 +231,32 @@ def _check_a1(seed: int) -> dict:
     worst = max(r["max_ratio"] for r in reports)
     if not all(r["pass"] for r in reports) or worst >= 1.0:
         raise AssertionError(f"ratio bound fails, max ratio {worst}")
-    n_splits = sum(r["n_splits"] for r in reports)
     return {"detail": f"max LHS/RHS ratio {worst:.4f} at (d,D) in {{(4,4),(4,8),(4,400),(8,800)}}, "
-                      f"n_splits={n_splits}, largest D={max(D for _, D in sizes)}"}
+                      f"n_splits={sum(r['n_splits'] for r in reports)}, "
+                      f"largest D={max(D for _, D in sizes)}, {_exact(reports)}"}
+
+
+def _exact(reports: list[dict]) -> str:
+    return (f"verdict exact from n_exp_bounds={sum(r['n_exp_bounds'] for r in reports)} rational bounds "
+            f"on exp, max_taylor_order={max(r['max_taylor_order'] for r in reports)}")
 
 
 def _check_a2(seed: int) -> dict:
-    worst, n_classes = 0.0, 0
-    for d in range(1, 9):
-        rep = reduction.mgf_bound_report(d, Fraction(1, 48 * d))
+    reports = [reduction.mgf_bound_report(d, Fraction(1, 48 * d)) for d in range(1, 9)]
+    for d, rep in enumerate(reports, 1):
         if not rep["pass"]:
             raise AssertionError(f"mgf bound fails at d={d}, (x,y)={rep['worst_input']}")
-        worst, n_classes = max(worst, rep["max_ratio"]), n_classes + rep["n_classes"]
-    return {"detail": f"max E/RHS ratio {worst:.4f} for d=1..8, n_classes={n_classes}"}
+    return {"detail": f"max E/RHS ratio {max(r['max_ratio'] for r in reports):.4f} for d=1..8, "
+                      f"n_classes={sum(r['n_classes'] for r in reports)}, {_exact(reports)}"}
 
 
 def _check_l2(seed: int) -> dict:
-    worst, n_classes = 0.0, 0
-    for d in (1, 2, 3):
-        rep = reduction.l2_bound_report(d, 100 * d)
+    reports = [reduction.l2_bound_report(d, 100 * d) for d in (1, 2, 3)]
+    for d, rep in enumerate(reports, 1):
         if not (rep["pass"] and rep["bound_armed"]):
             raise AssertionError(f"l2 bound fails at d={d}, D={100 * d}, (x,y)={rep['worst_input']}")
-        worst, n_classes = max(worst, rep["max_ratio"]), n_classes + rep["n_classes"]
-    return {"detail": f"max l2^2/bound ratio {worst:.4f} at D=100d for d=1,2,3, n_classes={n_classes}"}
+    return {"detail": f"max l2^2/bound ratio {max(r['max_ratio'] for r in reports):.4f} at D=100d "
+                      f"for d=1,2,3, n_classes={sum(r['n_classes'] for r in reports)}"}
 
 
 def _check_equivalences(seed: int) -> dict:

@@ -16,15 +16,16 @@ The randomization maps a pair (x, y) of d-bit vectors to a pair (X, Y) of
 Because a uniform permutation spreads any fixed column multiset uniformly
 over its arrangements, the law of (X, Y) is a function of the 4-part count
 signature alone.  That makes the squared L2 norm of the law computable in
-exact rational arithmetic, which this module does, alongside exact-LHS /
-high-precision-RHS verification of the two combinatorial bounds the norm
-analysis rests on.
+exact rational arithmetic, which this module does.  It also decides the two
+combinatorial bounds the norm analysis rests on exactly: rational sides
+against fixed-point integer bounds on exp (_exp_bounds), with no slack.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -32,7 +33,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
-import mpmath as mp
 import numpy as np
 
 from .bits import _all_bits, _positive, _sizes, as_bits, ip_mod2
@@ -67,12 +67,12 @@ __all__ = [
 # about 1.4 s on a 2-core VM; a one-signature input at d = 1 keeps as many
 # pad weights as terms, about 0.4 KB each.
 _MAX_LAW_TERMS = 2_000_000
-_MAX_L2_D = 6  # l2_bound_report(6, 600) sweeps 84 type classes in about 13 s on a 2-core VM
+_MAX_L2_D = 6  # l2_bound_report(6, 600) sweeps 84 type classes in about 12 s on a 2-core VM
 _MAX_L2_LENGTH = 200_000
-_MAX_A2_D = 16  # mgf_bound_report at d = 16 sweeps 969 type classes in about 1.3 s
-_MAX_A1_D = 64  # multinomial_square_ratio_report(64, 6400) takes about 2 s on a 2-core VM
-_MAX_A1_LENGTH = 200_000  # (64, 199936) takes about 6 s
-_RHS_SLACK = 1e-10
+_MAX_A2_D = 16  # mgf_bound_report at d = 16 sweeps 969 type classes in about 0.85 s on a 2-core VM
+_MAX_A1_D = 64  # multinomial_square_ratio_report(64, 6400) takes about 0.8 s on a 2-core VM
+_MAX_A1_LENGTH = 200_000  # (64, 199936) takes about 0.9 s
+_EXP_BITS = 256  # fractional bits of _exp_bounds: the bound reports' floats are within 2^-250
 _IP_CHUNK = 20_000  # trials per randomize_batch call in verify_ip_preservation
 _CERT_MAX_D = 4  # pad lengths enumerated by ip_preservation_certificate (4^D pad pairs each)
 _CERT_MAX_L = 8  # placement lengths it enumerates (8!/4! = 1680 block injections)
@@ -80,11 +80,6 @@ _CERT_MAX_L = 8  # placement lengths it enumerates (8!/4! = 1680 block injection
 
 class EnumerationBudget(RuntimeError):
     """Requested exact enumeration is too large for desk-scale arithmetic."""
-
-
-def _bound_armed(d: int, D: int) -> bool:
-    """The L2-norm bound is stated for D >= 100 d, the regime the analysis covers."""
-    return D >= 100 * d
 
 
 @dataclass(frozen=True)
@@ -111,7 +106,7 @@ class ReductionConfig:
 
     @property
     def bound_armed(self) -> bool:
-        return _bound_armed(self.d, self.D)
+        return self.D >= 100 * self.d
 
 
 @dataclass(frozen=True, eq=False)
@@ -413,7 +408,7 @@ def check_l2_size(d: int, D: int) -> tuple[int, int]:
     sweep over type classes outgrows seconds, or past the integer-length cap."""
     d, D = _check_l2_length(d, D)
     if d > _MAX_L2_D:
-        raise EnumerationBudget(f"the L2 sweep takes about 13 s at d = 6, D = 600; d <= {_MAX_L2_D}")
+        raise EnumerationBudget(f"the L2 sweep takes about 12 s at d = 6, D = 600; d <= {_MAX_L2_D}")
     return d, D
 
 
@@ -528,85 +523,99 @@ def exact_l2_norm_squared(x, y, D: int) -> Fraction:
     return _l2_closed_form(types, D)[0]
 
 
+def _class_sweep(d: int, ratio_of) -> dict:
+    """The shared fields of a check on every d-bit input, run one type class
+    at a time: ratio_of(types) gives (ratio, holds), the first largest ratio
+    gives worst_input, and failures counts the inputs of failing classes."""
+    start = time.perf_counter()
+    classes = [(*ratio_of(types), types, first) for types, first in _type_classes(d)]
+    worst, _, _, worst_input = max(classes, key=lambda c: c[0])
+    failures = sum(_multinom(d, types) for _, holds, types, _ in classes if not holds)
+    return {"n_inputs": 4**d, "n_classes": len(classes), "max_ratio": float(worst),
+            "worst_input": worst_input, "failures": failures, "elapsed_s": time.perf_counter() - start}
+
+
 def l2_bound_report(d: int, D: int) -> dict:
     """Check exact_l2_norm_squared(x, y, D) <= 64 * 4^{-(4d+D)} over all 4^d inputs,
     one type class at a time (worst_input is the first input of the first worst
     class); the bound is armed only for D >= 100 d, below it the worst ratio is reported."""
     d, D = check_l2_size(d, D)
-    start = time.perf_counter()
     bound = Fraction(64, 4 ** (4 * d + D))
-    worst, worst_input, n_pairs = None, None, 0
-    for types, first in _type_classes(d):
+    n_pairs = 0
+
+    def ratio_of(types):
+        nonlocal n_pairs
         value, pairs = _l2_closed_form(types, D)
         n_pairs += pairs
-        if worst is None or value / bound > worst:
-            worst, worst_input = value / bound, first
-    armed = _bound_armed(d, D)
+        return value / bound, value <= bound
+
+    sweep = _class_sweep(d, ratio_of)
+    armed = ReductionConfig(d, D).bound_armed
+    ok = sweep.pop("failures") == 0 or not armed
     return {
         "check": "pair-law-l2-norm",
         "parameters": {"d": d, "D": D},
-        "n_inputs": 4**d,
-        "n_classes": math.comb(d + 3, 3),
+        **sweep,
         "n_shift_pairs": n_pairs,
-        "max_ratio": float(worst),
-        "worst_input": worst_input,
         "bound_armed": armed,
-        "pass": worst <= 1 or not armed,
-        "elapsed_s": time.perf_counter() - start,
+        "pass": ok,
     }
 
 
 # ---------------------------------------------------------------------------
-# bound verifiers: exact rational LHS vs 220-bit RHS
+# bound verifiers: exact decisions against fixed-point bounds on exp
 # ---------------------------------------------------------------------------
 
 
-def _a1_series(split: tuple[int, ...]) -> list[int]:
-    """r_p = sum over j <= split with |j| = p of multinomial(p; j) prod_i C(split_i, j_i),
-    for p = 0..sum(split): the binomial convolution of the rows C(split_i, .)."""
-    r = [1]
+def _exp_bounds(p: int, q: int) -> tuple[int, int, int]:
+    """Integers lo <= e^(p/q) 2^_EXP_BITS <= hi for integers p >= 0, q >= 1,
+    and the Taylor order K; hi / lo - 1 < (2 + (4K + 8) 2^-8) 2^-_EXP_BITS.
+
+    For a = p / (q 2^j) <= 1, T_K(a) <= e^a <= T_K(a) + 3^ceil(a) a^(K+1) / (K+1)!.
+    Both are summed with w = _EXP_BITS + j + 8 fractional bits, lo rounded
+    down and hi up, each term off by under two units, until a term is at
+    most one unit; j squarings, each doubling the relative width, give
+    e^(p/q), and the last rounding to _EXP_BITS bits adds a unit to each side."""
+    j = (p // q).bit_length()
+    w, den = _EXP_BITS + j + 8, q << j
+    lo = hi = lo_term = hi_term = 1 << w
+    K = 0
+    while hi_term > 1:
+        K += 1
+        lo_term, hi_term = lo_term * p // (K * den), -(-hi_term * p // (K * den))
+        lo, hi = lo + lo_term, hi + hi_term
+    hi += 3 * hi_term  # the remainder, at most 3 a^(K+1) / (K+1)! <= 3 a^K / K!
+    for _ in range(j):
+        lo, hi = lo * lo >> w, -(-hi * hi >> w)
+    return lo >> (w - _EXP_BITS), -(-hi >> (w - _EXP_BITS)), K
+
+
+def _a1_lhs(split: tuple[int, int, int, int], D: int) -> int:
+    """The LHS of the ratio bound for one split s of d, in closed form, as the
+    integer A = sum_{p <= min(d, D)} perm(D, p) 4^(d-p) c_p with LHS = 4^(D-d) A / perm(D + d, d),
+    where sum_p c_p t^p = prod_i sum_j C(s_i, j) (s_i! / j!) t^j.  The LHS is
+    (D!)^2 / (D+d)! times the t^D coefficient of prod_i F_i(t) = e^{4t} sum_p c_p t^p,
+    as C(k+s, s) = sum_j C(s, j) C(k, j) gives
+    F_i(t) = sum_k (k + s_i)! t^k / (k!)^2 = e^t sum_j C(s_i, j) (s_i! / j!) t^j."""
+    c = [1]
     for s in split:
-        r = [sum(math.comb(p, j) * math.comb(s, j) * r[p - j]
-                 for j in range(max(0, p - len(r) + 1), min(p, s) + 1))
-             for p in range(len(r) + s)]
-    return r
-
-
-def _a1_lhs(split: tuple[int, int, int, int], D: int) -> Fraction:
-    """Exact LHS of the ratio bound for one split of d, in closed form:
-
-        prod_i split_i! / perm(D + d, d) * sum_{p <= min(d, D)} C(D, p) 4^(D-p) r_p
-
-    with r = _a1_series(split).  The LHS is (D!)^2 / (D+d)! times the t^D
-    coefficient of prod_i F_i(t), F_i(t) = sum_k (k + s_i)! t^k / (k!)^2
-    = s_i! e^t sum_j C(s_i, j) t^j / j! (from C(k+s, s) = sum_j C(s, j) C(k, j)),
-    so prod_i F_i = prod_i s_i! e^{4t} sum_p r_p t^p / p!, with s = split."""
+        c = _poly_mul(c, [math.comb(s, j) * math.perm(s, s - j) for j in range(s + 1)])
     d = sum(split)
-    r, m = _a1_series(split), min(d, D)
-    total = sum(math.comb(D, p) * 4 ** (m - p) * r[p] for p in range(m + 1)) << 2 * (D - m)
-    return Fraction(math.prod(map(math.factorial, split)) * total, math.perm(D + d, d))
-
-
-def _mpf(n: int) -> mp.mpf:
-    """The positive integer n as an mpf at the working precision, rounded as
-    mp.mpf(n) rounds it; its trailing zero bits are split off first, which
-    mpmath would strip eight bits per step."""
-    zeros = (n & -n).bit_length() - 1
-    return mp.mpf((n >> zeros, zeros))
+    return sum(math.perm(D, p) * 4 ** (d - p) * c[p] for p in range(min(d, D) + 1))
 
 
 def check_a1_size(d: int, D: int) -> tuple[int, int]:
     """(d, D) as ints; the ratio bound is stated for d and D divisible by 4.
     Reject a sweep beyond d = _MAX_A1_D, past which the splits outgrow
-    seconds, or with integers of more than about 2 _MAX_A1_LENGTH bits."""
+    seconds, or with D + d beyond _MAX_A1_LENGTH."""
     d, D = _sizes(d=d, D=D)
     if d % 4 != 0 or D % 4 != 0:
         raise ValueError(f"d and D must both be divisible by 4, got {d} and {D}")
     if d > _MAX_A1_D:
-        raise EnumerationBudget(f"the ratio-bound sweep takes about 2 s at d = 64, D = 6400; "
+        raise EnumerationBudget(f"the ratio-bound sweep takes about 0.8 s at d = 64, D = 6400; "
                                 f"d <= {_MAX_A1_D}")
     if D + d > _MAX_A1_LENGTH:
-        raise EnumerationBudget(f"the ratio-bound sweep takes about 6 s at d = 64, D = 199936; "
+        raise EnumerationBudget(f"the ratio-bound sweep takes about 0.9 s at d = 64, D = 199936; "
                                 f"D + d <= {_MAX_A1_LENGTH}, got {D + d}")
     return d, D
 
@@ -620,95 +629,89 @@ def multinomial_square_ratio_report(d: int, D: int) -> dict:
     stays below exp((4/D) sum (d_i - d/4)^2) (1 + d/D)^{3/2} 4^{D-d}.
 
     Both parameters must be divisible by 4 (the regime the bound is stated
-    for).  The LHS is exact rational (_a1_lhs); the RHS is evaluated at
-    220-bit precision with multiplicative slack 1e-10, orders of magnitude
-    below the bound's actual gap.  Both sides are symmetric in the split, so
-    each sorted split is evaluated once; n_terms counts the terms of the
-    closed-form sums taken.
+    for).  Squared, the check is u^2 (D / (D + d))^3 <= e^(8 spread / D) with
+    u = LHS / 4^(D-d) = _a1_lhs / perm(D + d, d): a split passes only if the
+    lower bound of _exp_bounds proves it, and its ratio is the float of an
+    upper bound within 2^-250.  Both sides are symmetric in the split, so
+    each sorted split is evaluated once; n_terms counts the terms summed.
     """
     d, D = check_a1_size(d, D)
     start = time.perf_counter()
-    worst = 0.0
-    worst_split = None
-    failures = []
-    ratios: dict[tuple[int, ...], float] = {}
-    with mp.workprec(220):
-        scale, power = (1 + mp.mpf(d) / D) ** mp.mpf(1.5), mp.mpf(4) ** (D - d)
-        for split in _compositions4(d):
-            key = tuple(sorted(split))
-            if key not in ratios:
-                lhs = _a1_lhs(key, D)
-                spread = sum((di - d // 4) ** 2 for di in key)
-                rhs = mp.e ** (mp.mpf(4) / D * spread) * scale * power
-                ratios[key] = float(_mpf(lhs.numerator) / _mpf(lhs.denominator) / rhs)
-            ratio = ratios[key]
-            if ratio > worst:
-                worst, worst_split = ratio, split
-            if ratio > 1.0 + _RHS_SLACK:
-                failures.append({"split": list(split), "ratio": ratio})
+    m = math.perm(D + d, d) ** 2 * (D + d) ** 3
+    exps: dict[int, tuple[int, int, int]] = {}  # 8 spread -> _exp_bounds(8 spread, D)
+
+    def ratio_of(key):
+        p = 8 * sum((di - d // 4) ** 2 for di in key)
+        if p not in exps:
+            exps[p] = _exp_bounds(p, D)
+        n, den = _a1_lhs(key, D) ** 2 * D**3 << _EXP_BITS, m * exps[p][0]  # ratio^2 <= n / den
+        k = max(0, _EXP_BITS - (n.bit_length() - den.bit_length()) // 2)  # the root gets _EXP_BITS bits
+        return (math.isqrt((n << 2 * k) // den) + 1) / (1 << k), n <= den
+
+    splits = [(split, tuple(sorted(split))) for split in _compositions4(d)]
+    ratios = {key: ratio_of(key) for key in {key for _, key in splits}}
+    worst_split, worst_key = max(splits, key=lambda s: ratios[s[1]][0])  # the first largest
     return {
         "check": "multinomial-square-ratio",
         "parameters": {"d": d, "D": D},
-        "n_splits": math.comb(d + 3, 3),
+        "n_splits": len(splits),
         "n_terms": len(ratios) * (min(d, D) + 1),
-        "max_ratio": worst,
+        "n_exp_bounds": len(exps),
+        "max_taylor_order": max(k for *_, k in exps.values()),
+        "max_ratio": ratios[worst_key][0],
         "worst_split": list(worst_split),
-        "pass": not failures,
-        "failures": failures,
+        "pass": all(holds for _, holds in ratios.values()),
+        "failures": [{"split": list(s), "ratio": ratios[k][0]} for s, k in splits if not ratios[k][1]],
         "elapsed_s": time.perf_counter() - start,
     }
 
 
-def check_a2_size(d: int, s: Fraction) -> int:
-    """d as a Python int; reject an MGF sweep outside 0 < s < 1/(24 d) or
+def check_a2_size(d: int, s) -> tuple[int, Fraction]:
+    """(d, s) as an int and an exact Fraction (a rational as it is, any other
+    real as its float); reject an MGF sweep outside 0 < s < 1/(24 d) or
     beyond d = _MAX_A2_D."""
     (d,) = _sizes(d=d)
     _positive(s=s)
+    s = Fraction(s) if isinstance(s, numbers.Rational) else Fraction(float(s))
     if not s < Fraction(1, 24 * d):
         raise ValueError(f"need 0 < s < 1/(24 d) = 1/{24 * d}, got s = {s}")
     if d > _MAX_A2_D:
         raise EnumerationBudget(f"MGF sweep over type classes requires d <= {_MAX_A2_D}")
-    return d
+    return d, s
 
 
-def mgf_bound_report(d: int, s: Fraction) -> dict:
+def mgf_bound_report(d: int, s) -> dict:
     """Check E over mask pairs of exp(s * sum_i (c_i - d)^2) <= (1/(1-24ds))^2
     for every (x, y).
 
     The counts c_i are the arrangement signature of a fixed (x, y), whose law
     depends only on its type class (_mask_law); the expectation runs exactly
-    over that law at 220-bit precision, once per class.  failures counts the
-    inputs of failing classes; worst_input is the first input of the first
-    worst class.
+    over that law, once per class, against the upper bound of _exp_bounds
+    for each deviation: a class passes only if that bound proves it, and its
+    ratio is the bound's float, within 2^-250.
     """
-    d = check_a2_size(d, s)
-    s = Fraction(s)
-    start = time.perf_counter()
-    worst, worst_input, failures = 0.0, None, 0
-    with mp.workprec(220):
-        s_mp = mp.mpf(s.numerator) / mp.mpf(s.denominator)
-        rhs = (1 / (1 - 24 * d * s_mp)) ** 2
-        exp_s = lru_cache(maxsize=None)(lambda dev: mp.e ** (s_mp * dev))  # shared by the classes
-        for types, first in _type_classes(d):
-            mults: Counter[int] = Counter()  # mask pairs per deviation dev = sum_i (c_i - d)^2
-            for sig, mult in _mask_law(*types).items():
-                mults[sum((c - d) ** 2 for c in sig)] += mult
-            total = mp.fsum(mult * exp_s(dev) for dev, mult in mults.items())
-            ratio = float(total / 4**d / rhs)
-            if ratio > worst:
-                worst, worst_input = ratio, tuple(first)
-            if ratio > 1.0 + _RHS_SLACK:
-                failures += _multinom(d, types)
+    d, s = check_a2_size(d, s)
+    p, q = s.numerator, s.denominator
+    scale, den = (q - 24 * d * p) ** 2, q * q * 4**d << _EXP_BITS  # ratio = scale sum mult e^(s dev) / den
+    exps: dict[int, tuple[int, int, int]] = {}  # dev -> _exp_bounds(p dev, q)
+
+    def ratio_of(types):
+        mults: Counter[int] = Counter()  # mask pairs per deviation dev = sum_i (c_i - d)^2
+        for sig, mult in _mask_law(*types).items():
+            mults[sum((c - d) ** 2 for c in sig)] += mult
+        exps.update((dev, _exp_bounds(p * dev, q)) for dev in mults.keys() - exps.keys())
+        num = scale * sum(mult * exps[dev][1] for dev, mult in mults.items())
+        return num / den, num <= den
+
+    sweep = _class_sweep(d, ratio_of)
     return {
         "check": "mask-signature-mgf",
-        "parameters": {"d": d, "s": [s.numerator, s.denominator]},
-        "n_inputs": 4**d,
-        "n_classes": math.comb(d + 3, 3),
-        "max_ratio": worst,
-        "worst_input": worst_input,
-        "pass": failures == 0,
-        "failures": failures,
-        "elapsed_s": time.perf_counter() - start,
+        "parameters": {"d": d, "s": [p, q]},
+        **sweep,
+        "n_exp_bounds": len(exps),
+        "max_taylor_order": max(k for *_, k in exps.values()),
+        "worst_input": tuple(sweep["worst_input"]),
+        "pass": sweep["failures"] == 0,
     }
 
 
@@ -775,20 +778,15 @@ def output_bound(net: DenseNetwork) -> float:
     """
     if not net.activation.monotone:
         raise ValueError("interval propagation needs a monotone activation")
-    lo = np.zeros(net.input_dim)
-    hi = np.ones(net.input_dim)
+
+    def image(W, b, lo, hi):  # the range of W z + b over the box lo <= z <= hi
+        Wp, Wn = np.maximum(W, 0.0), np.minimum(W, 0.0)
+        return Wp @ lo + Wn @ hi + b, Wp @ hi + Wn @ lo + b
+
+    lo, hi = np.zeros(net.input_dim), np.ones(net.input_dim)
     for W, b in net.hidden:
-        Wp = np.maximum(W, 0.0)
-        Wn = np.minimum(W, 0.0)
-        pre_lo = Wp @ lo + Wn @ hi + b
-        pre_hi = Wp @ hi + Wn @ lo + b
-        lo = np.asarray(net.activation(pre_lo), dtype=np.float64)
-        hi = np.asarray(net.activation(pre_hi), dtype=np.float64)
-    wp = np.maximum(net.out_w, 0.0)
-    wn = np.minimum(net.out_w, 0.0)
-    out_lo = wp @ lo + wn @ hi + net.out_b
-    out_hi = wp @ hi + wn @ lo + net.out_b
-    return float(max(abs(out_lo), abs(out_hi)))
+        lo, hi = (np.asarray(net.activation(v), dtype=np.float64) for v in image(W, b, lo, hi))
+    return float(max(map(abs, image(net.out_w, net.out_b, lo, hi))))
 
 
 def hoeffding_block_count(B: float, d: int) -> int:
@@ -895,10 +893,8 @@ def verify_ip_preservation(n_trials: int, d_values=(1, 2, 3, 4, 5, 6), seed: int
     for d in d_values:
         D = 100 * d
         rng = np.random.default_rng([seed, d])
-        remaining = per_d
-        while remaining > 0:
-            n = min(_IP_CHUNK, remaining)
-            remaining -= n
+        for start in range(0, per_d, _IP_CHUNK):
+            n = min(_IP_CHUNK, per_d - start)
             xs = rng.integers(0, 2, size=(n, d), dtype=np.int8)
             ys = rng.integers(0, 2, size=(n, d), dtype=np.int8)
             X, Y = randomize_batch(xs, ys, D, rng)

@@ -210,7 +210,7 @@ def test_criterion_08_mgf_bound():
         t0,
         120,
         ok,
-        f"max E/RHS ratio = {worst:.4f} at s = 1/(48d), tolerance 1+1e-10",
+        f"max E/RHS ratio = {worst:.4f} at s = 1/(48d), decided exactly",
     )
 
 

@@ -4,7 +4,8 @@
 checked where the argument enters; JSON fields are not coerced, and a JSON
 number beyond its type's range is refused.  A rejected value raises a
 ValueError naming the argument; a numpy unsigned size gives the same result
-as the equal Python int."""
+as the equal Python int, and a numpy float32 MGF parameter s the same as the
+equal Python float."""
 
 import json
 import math
@@ -129,9 +130,16 @@ def _canonical(result):
     return repr(result)
 
 
+# (entry point, argument, call, a numpy value that must act as the equal Python number)
+EQUAL_NUMBERS = [
+    ("check_a2_size", "s", lambda v: reduction.check_a2_size(2, v), np.float32(0.01)),
+    ("mgf_bound_report", "s", lambda v: reduction.mgf_bound_report(2, v), np.float32(0.01)),
+]
+
 CASES = ([(e, n, c, v) for e, n, c, _ in SIZES for v in BAD_SIZES]
          + [(e, n, c, v) for e, n, c in REALS for v in BAD_REALS]
          + [(e, n, c, np.uint8(v)) for e, n, c, v in SIZES if v is not None]
+         + EQUAL_NUMBERS
          + [(e, n, c, v) for e, n, c, values in REFUSED for v in values])
 
 
@@ -140,8 +148,8 @@ CASES = ([(e, n, c, v) for e, n, c, _ in SIZES for v in BAD_SIZES]
     [pytest.param(*case, id=f"{case[0]}-{case[1]}-{reprlib.repr(case[3])}") for case in CASES],
 )
 def test_argument_boundary(entry, name, call, value):
-    if isinstance(value, np.uint8):
-        assert _canonical(call(value)) == _canonical(call(int(value))), entry
+    if isinstance(value, np.generic):
+        assert _canonical(call(value)) == _canonical(call(value.item())), entry
     else:
         with pytest.raises(ValueError, match=f"^{name} must be "):
             call(value)

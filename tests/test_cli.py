@@ -344,7 +344,7 @@ class TestVerifyLemmas:
         assert l2["n_inputs"] == 16 and l2["n_shift_pairs"] > 0 and l2["elapsed_s"] >= 0
 
     def test_paper_regime_a1(self, runner):
-        """D = 100 d and beyond for d = 4, 8, 16, with the RHS and its slack unchanged."""
+        """D = 100 d and beyond for d = 4, 8, 16, with the RHS unchanged and the verdict exact."""
         result = invoke(runner, ["verify-lemmas", "--a1", "4,8,16x400,800,1600"])
         doc = json.loads(result.output)
         assert doc["pass"] and len(doc["reports"]) == 9

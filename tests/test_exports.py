@@ -1,9 +1,14 @@
 """Each library module's __all__ resolves and names every public function
-and class the module defines."""
+and class the module defines; importing the CLI loads no test-only
+dependency."""
 
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -26,3 +31,15 @@ def test_all_matches_public_definitions(name):
         and obj.__module__ == mod.__name__
     }
     assert sorted(defined - set(exported)) == []
+
+
+def test_cli_import_does_not_load_mpmath():
+    """The bound reports decide exactly in integers; mpmath is a test
+    dependency, used only by the oracles, so a fresh interpreter that
+    imports the CLI has not loaded it."""
+    src = str(Path(depthsep.__file__).resolve().parents[1])
+    code = "import sys, depthsep.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'mpmath'))"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+                            env={**os.environ, "PYTHONPATH": src})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -10,6 +10,7 @@ from collections import Counter, defaultdict
 from fractions import Fraction
 from math import comb, factorial, perm
 
+import mpmath as mp
 import numpy as np
 import pytest
 from oracle_utils import (
@@ -38,11 +39,13 @@ from depthsep import reduction
 from depthsep.bits import ip_mod2
 from depthsep.networks import RELU, DenseNetwork
 from depthsep.reduction import (
+    _EXP_BITS,
     EnumerationBudget,
     ReductionConfig,
     _a1_lhs,
     _block_positions,
     _even_pad_weights,
+    _exp_bounds,
     _mask_law,
     _place,
     _type_classes,
@@ -873,6 +876,12 @@ def test_even_pad_weights_equal_multinomials():
         assert _even_pad_weights(D) == expected
 
 
+def _scaled_lhs(split, D):
+    """The LHS from _a1_lhs's integer A: 4^(D-d) A / perm(D + d, d)."""
+    d = sum(split)
+    return Fraction(_a1_lhs(split, D) * 4**D, 4**d * perm(D + d, d))
+
+
 class TestRatioBound:
     def test_balanced_split_hand_value(self):
         """At d = D = 4 the balanced split has spread 0, so the bound is
@@ -907,11 +916,11 @@ class TestRatioBound:
         composition sum below) for d = 4, 8, 12 and D = 1..8."""
         for d, D in [(4, 4), (4, 8), (8, 4)]:
             for split in compositions4(d):
-                assert _a1_lhs(split, D) == fraction_a1_lhs(split, D)
+                assert _scaled_lhs(split, D) == fraction_a1_lhs(split, D)
         for d in (4, 8, 12):
             for split in {tuple(sorted(s)) for s in compositions4(d)}:
                 for D in range(1, 9):
-                    assert _a1_lhs(split, D) == fraction_a1_lhs(split, D)
+                    assert _scaled_lhs(split, D) == fraction_a1_lhs(split, D)
 
     @pytest.mark.parametrize("d", [4, 8, 12])
     def test_closed_form_equals_composition_sum(self, d):
@@ -919,7 +928,7 @@ class TestRatioBound:
         compositions, on every split, odd D included."""
         for D in range(1, 21):
             for split in compositions4(d):
-                assert _a1_lhs(split, D) == composition_a1_lhs(split, D)
+                assert _scaled_lhs(split, D) == composition_a1_lhs(split, D)
 
     @pytest.mark.parametrize("d, D", [(d, D) for d in (4, 8) for D in (4, 8, 12, 16)])
     def test_report_equals_per_split_sweep(self, d, D):
@@ -976,6 +985,80 @@ class TestMgfBound:
     def test_s_range_enforced(self):
         with pytest.raises(ValueError):
             mgf_bound_report(1, Fraction(1, 24))
+
+
+def _exp_oracle(p, q):
+    """e^(p/q) as a Fraction with relative error below 2^-(_EXP_BITS + 60), from mpmath."""
+    with mp.workprec(_EXP_BITS + 80 + 2 * p // q):
+        man, exp = mp.exp(mp.mpf(p) / q).man_exp
+    return Fraction(man) * Fraction(2) ** exp
+
+
+def _scaled_exp(monkeypatch, c):
+    """Scale both of _exp_bounds' bounds by the rational c (lo down, hi up),
+    so that the reports decide against c e^x instead of e^x."""
+    exact = reduction._exp_bounds
+
+    def scaled(p, q):
+        lo, hi, K = exact(p, q)
+        return lo * c.numerator // c.denominator, -(-hi * c.numerator // c.denominator), K
+
+    monkeypatch.setattr(reduction, "_exp_bounds", scaled)
+
+
+class TestExactDecision:
+    """The bound reports decide against rational bounds on exp, with no slack."""
+
+    @pytest.mark.parametrize("p, q", [(1, 1), (3, 7), (1, 768), (96, 4), (24576, 4), (7, 3)])
+    def test_exp_bounds_bracket_and_decide_at_1e15(self, p, q):
+        lo, hi, K = _exp_bounds(p, q)
+        exact = _exp_oracle(p, q) * 2**_EXP_BITS
+        assert lo <= exact <= hi and K >= 1
+        assert Fraction(hi, lo) - 1 < Fraction(1, 2**240)
+        above, below = exact * (1 + Fraction(1, 10**15)), exact * (1 - Fraction(1, 10**15))
+        assert not above <= lo and below <= lo  # "v <= e^(p/q)", as A1 decides it
+        assert hi <= above and not hi <= below  # "e^(p/q) <= v", as A2 decides it
+
+    def test_exp_of_zero_is_exact(self):
+        lo, hi, _ = _exp_bounds(0, 5)
+        assert lo == hi == 2**_EXP_BITS
+
+    @pytest.mark.parametrize("excess, passes", [(Fraction(1, 10**12), False), (-Fraction(1, 10**12), True)])
+    def test_a1_worst_ratio_at_one_plus_1e12(self, monkeypatch, excess, passes):
+        """A right side that puts the worst ratio at 1 + 1e-12 fails, one at
+        1 - 1e-12 passes; the former slack of 1e-10 passed both."""
+        plain = multinomial_square_ratio_report(4, 400)
+        # the ratio scales as c^(-1/2) when exp is scaled by c
+        _scaled_exp(monkeypatch, (Fraction(plain["max_ratio"]) / (1 + excess)) ** 2)
+        rep = multinomial_square_ratio_report(4, 400)
+        assert rep["max_ratio"] == pytest.approx(1 + float(excess), abs=1e-15)
+        assert rep["worst_split"] == plain["worst_split"]
+        assert rep["pass"] is passes
+        assert [f["split"] for f in rep["failures"]] == ([] if passes else [[1, 1, 1, 1]])
+
+    @pytest.mark.parametrize("excess, passes", [(Fraction(1, 10**12), False), (-Fraction(1, 10**12), True)])
+    def test_a2_worst_ratio_at_one_plus_1e12(self, monkeypatch, excess, passes):
+        s = Fraction(1, 48 * 3)
+        plain = mgf_bound_report(3, s)
+        _scaled_exp(monkeypatch, (1 + excess) / Fraction(plain["max_ratio"]))
+        rep = mgf_bound_report(3, s)
+        assert rep["max_ratio"] == pytest.approx(1 + float(excess), abs=1e-15)
+        assert rep["worst_input"] == plain["worst_input"]
+        assert rep["pass"] is passes
+        assert (rep["failures"] == 0) is passes
+
+    def test_reports_state_the_size_of_the_decision(self, monkeypatch):
+        """One exponential bound per distinct argument, and one LHS per sorted split."""
+        calls = []
+        exact_lhs = reduction._a1_lhs
+        monkeypatch.setattr(reduction, "_a1_lhs", lambda split, D: calls.append(split) or exact_lhs(split, D))
+        a1 = multinomial_square_ratio_report(8, 800)
+        spreads = {sum((di - 2) ** 2 for di in s) for s in compositions4(8)}
+        assert a1["n_exp_bounds"] == len(spreads) and a1["max_taylor_order"] >= 1
+        assert sorted(calls) == sorted({tuple(sorted(s)) for s in compositions4(8)})
+        a2 = mgf_bound_report(2, Fraction(1, 96))
+        devs = {sum((c - 2) ** 2 for c in sig) for t in compositions4(2) for sig in _mask_law(*t)}
+        assert a2["n_exp_bounds"] == len(devs) and a2["max_taylor_order"] >= 1
 
 
 class TestAveragedNetwork:
