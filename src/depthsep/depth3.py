@@ -6,10 +6,11 @@ hidden layer computes, per coordinate pair, a clamp gadget that equals the
 AND of the rounded bits, and the second layer folds their sum through a
 truncated triangle wave whose integer values alternate 0, 1, 0, 1, ...
 ``build_generic`` assembles the same composition from any 1-d approximation
-primitive.  Both are one composition: d copies of a clamp-ramp network feed
-one triangle-wave network, each spliced into an affine layer in place of
-its neurons, with the intermediate affine stage absorbed into the second
-hidden layer so the result stays depth 3.
+primitive.  Both are one ``networks._substitute`` call on one affine
+skeleton: the ramp network takes the place of the d pair neurons and the
+triangle-wave network that of the single neuron summing them, with the
+ramp's output neuron absorbed into the second hidden layer so the result
+stays depth 3.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .bits import _positive, _sizes
-from .networks import RELU, Activation, DenseNetwork, splice
+from .networks import RELU, DenseNetwork, _substitute
 
 __all__ = [
     "Approx1DSpec",
@@ -72,13 +73,12 @@ def build_exact_relu(d: int) -> DenseNetwork:
 def _compose(d: int, h1: DenseNetwork, h2: DenseNetwork) -> DenseNetwork:
     """h2(sum_i h1(12 sqrt(d) (x_i + y_i))) as one depth-3 network on 4d inputs.
 
-    h1 is spliced into the d pair neurons; h2 is spliced into the single
-    neuron that reads their outputs, which absorbs h1's output layer.
+    h1 takes the place of the d pair neurons and h2 that of the single
+    neuron summing their outputs.
     """
     pairs = 12.0 * math.sqrt(d) * np.hstack([np.zeros((d, 2 * d)), np.eye(d), np.eye(d)])
-    layer1 = splice(pairs, np.zeros(d), h1)
-    layer2 = splice(np.tile(h1.out_w, d)[None, :], np.array([d * h1.out_b]), h2)
-    return DenseNetwork(4 * d, (layer1, layer2), h2.out_w, h2.out_b, h1.activation)
+    skeleton = ((pairs, np.zeros(d)), (np.ones((1, d)), np.zeros(1)))
+    return _substitute(skeleton, np.ones(1), 0.0, (h1, h2))
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,7 @@ class Approx1DSpec:
     accuracy: float
 
     def __post_init__(self):
-        _positive(accuracy=self.accuracy)
+        object.__setattr__(self, "accuracy", _positive(accuracy=self.accuracy)[0])
         for name in ("lo", "hi", "lipschitz"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
@@ -146,24 +146,13 @@ class GenericBuildReport:
                      for W, b in self.net.hidden)
 
 
-def _constant_half_network(d: int, activation: Activation) -> GenericBuildReport:
-    n_in = 4 * d
-    W1 = np.zeros((1, n_in))
-    b1 = np.zeros(1)
-    W2 = np.zeros((1, 1))
-    b2 = np.zeros(1)
-    net = DenseNetwork(n_in, ((W1, b1), (W2, b2)), np.zeros(1), 0.5, activation)
-    return GenericBuildReport(net)
-
-
 def build_generic(
     d: int, eps: float, approximator: Approximator1D = relu_1d_approximator
 ) -> GenericBuildReport:
     """Depth-3 network within eps of the target uniformly on the support.
 
-    For eps > 1/2 the constant-1/2 network already meets the bound and is
-    returned as-is.  Otherwise the clamp ramp is approximated to eps/(2d)
-    on [0, 8] and the triangle wave to eps/2 on [-2d-1, 2d+1]; the first
+    The clamp ramp is approximated to eps/(2d) on [0, 8] and the triangle
+    wave to eps/2 on [-2d-1, 2d+1], for every eps > 0; the first
     hidden layer holds d copies of the ramp approximant (driven by
     12 sqrt(d) (x_i + y_i)), and the wave approximant's hidden layer
     becomes the second hidden layer with the ramp output neurons absorbed
@@ -171,21 +160,8 @@ def build_generic(
     second-layer weights stay within O(d/eps^2).
     """
     (d,), (eps,) = _sizes(d=d), _positive(eps=eps)
-    if eps > 0.5:
-        # a constant 1/2 already meets the bound; match the approximator's
-        # activation so downstream tooling sees a consistent family
-        probe = approximator(Approx1DSpec(reference_g1, -8.0, 8.0, 1.0, 1.0))
-        return _constant_half_network(d, probe.activation)
-
-    delta1 = eps / (2.0 * d)
-    delta2 = eps / 2.0
-    h1 = approximator(Approx1DSpec(reference_g1, 0.0, 8.0, 1.0, delta1))
+    h1 = approximator(Approx1DSpec(reference_g1, 0.0, 8.0, 1.0, eps / (2.0 * d)))
     h2 = approximator(
-        Approx1DSpec(reference_g2, -(2.0 * d + 1.0), 2.0 * d + 1.0, 1.0, delta2)
+        Approx1DSpec(reference_g2, -(2.0 * d + 1.0), 2.0 * d + 1.0, 1.0, eps / 2.0)
     )
-    if h1.depth != 2 or h2.depth != 2 or h1.input_dim != 1 or h2.input_dim != 1:
-        raise ValueError("approximator must return depth-2 scalar-input networks")
-    if h1.activation.tag != h2.activation.tag:
-        raise ValueError("approximator must use one activation consistently")
-
     return GenericBuildReport(_compose(d, h1, h2))

@@ -192,7 +192,7 @@ def _check_compiler_scalar(seed: int) -> dict:
 
 def _check_compiler_network(seed: int) -> dict:
     rng = np.random.default_rng(seed + 7)
-    worst = 0.0
+    worst, sizes = 0.0, []
     for _ in range(3):
         W = rng.uniform(-2, 2, size=(8, 8))
         b = rng.uniform(-2, 2, size=8)
@@ -200,9 +200,12 @@ def _check_compiler_network(seed: int) -> dict:
         net = networks.DenseNetwork(8, ((W, b),), v, float(rng.uniform(-2, 2)), networks.RELU)
         compiled = threshold.compile_network(net, delta=0.05)
         worst = max(worst, threshold.boolean_cube_max_error(net, compiled))
+        (width,) = compiled.widths
+        sizes.append(f"width {width} ({width // net.widths[0]} segments per neuron)")
     if worst > 0.05:
         raise AssertionError(f"network compile error {worst:.4f} > 0.05")
-    return {"detail": f"max exhaustive error {worst:.4f} over 3 random nets"}
+    return {"detail": f"max exhaustive error {worst:.4f} over 3 random 8x8 ReLU nets compiled to "
+                      f"{', '.join(sizes)}"}
 
 
 def _check_ip_preservation(seed: int) -> dict:

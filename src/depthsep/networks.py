@@ -4,7 +4,7 @@ A network is a stack of hidden layers (affine map followed by a scalar
 activation) and a final affine output neuron.  Depth is the number of
 hidden layers plus one, so the networks built here are depth 2 or depth 3.
 All transformation helpers return new networks; instances are treated as
-immutable after construction.  A layer made by :func:`splice` keeps its
+immutable after construction.  A layer made by ``_substitute`` keeps its
 factors next to its dense weights and is evaluated through them.
 """
 
@@ -30,7 +30,6 @@ __all__ = [
     "absorb_input_map",
     "activation_by_tag",
     "average_ensemble",
-    "splice",
     "network_to_json",
     "network_from_json",
 ]
@@ -374,17 +373,29 @@ def _pre_activation(layer: tuple[np.ndarray, np.ndarray], h: np.ndarray, out: np
     return out
 
 
-def splice(W: np.ndarray, b: np.ndarray, h: DenseNetwork) -> tuple[np.ndarray, np.ndarray]:
-    """Put the scalar depth-2 network h in place of every neuron of the layer (W, b).
+def _substitute(layers: Sequence[tuple[np.ndarray, np.ndarray]], out_w: np.ndarray, out_b: float,
+                hs: Sequence[DenseNetwork]) -> DenseNetwork:
+    """The affine skeleton ``layers`` read by (out_w, out_b), with the scalar
+    depth-2 network hs[i] put in place of every neuron of layer i.
 
-    Neuron i becomes h's k hidden units, rows i k .. i k + k - 1 of the
-    returned layer, so sum_i a_i h(W[i] x + b[i]) reads the new layer
-    through output weights kron(a, h.out_w) and offset h.out_b sum(a).
-    The returned (W', b') pair keeps W, b and h's hidden layer as its
-    factors, which ``evaluate_batch`` uses; transforms that rebuild the
-    weights return plain pairs.
+    Neuron j of layer (W, b) becomes h's k hidden units, rows j k .. j k + k - 1,
+    kept as a layer with the factors W, b and h's hidden layer.  The next
+    layer (W', b'), or the output, reads them through kron(W', h.out_w) and
+    b' + W'.sum(axis=-1) h.out_b, which absorbs h's output neuron.  Every h
+    must be depth 2 with one input, all with one activation tag.
     """
-    return _SplicedLayer(W, b, h.hidden[0][0][:, 0], h.hidden[0][1])
+    for h in hs:
+        if h.depth != 2 or h.input_dim != 1:
+            raise ValueError(f"a substituted network must be depth 2 with one input, got depth {h.depth} "
+                             f"with {h.input_dim} inputs")
+    tags = sorted({h.activation.tag for h in hs})
+    if len(tags) != 1:
+        raise ValueError(f"substituted networks must share one activation, got {tags}")
+    hidden, (W, b) = [], layers[0]
+    for h, (W_next, b_next) in zip(hs, (*layers[1:], (out_w, out_b)), strict=True):
+        hidden.append(_SplicedLayer(W, b, h.hidden[0][0][:, 0], h.hidden[0][1]))
+        W, b = np.kron(W_next, h.out_w), b_next + W_next.sum(axis=-1) * h.out_b
+    return DenseNetwork(layers[0][0].shape[1], tuple(hidden), W, float(b), hs[0].activation)
 
 
 def network_to_json(net: DenseNetwork) -> str:

@@ -3,8 +3,9 @@
 A bounded-variation scalar function is approximated by a piecewise-constant
 staircase and realized exactly as a width-n depth-2 threshold network (one
 step neuron per jump).  A whole depth-2 network follows by compiling its
-activation once on the pre-activation range and splicing the staircase into
-every neuron, at per-neuron accuracy delta / (width * weight_bound).
+activation once on the pre-activation range and putting the staircase in
+place of every neuron (``networks._substitute``), at per-neuron accuracy
+delta / (width * weight_bound).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .bits import _positive
 from .instance import hypercube_enumeration
-from .networks import Activation, DenseNetwork, THRESHOLD, ThresholdCircuit, splice
+from .networks import Activation, DenseNetwork, THRESHOLD, ThresholdCircuit, _substitute
 
 __all__ = [
     "BudgetExceeded",
@@ -212,10 +213,7 @@ def compile_network(net: DenseNetwork, delta: float) -> DenseNetwork:
         return DenseNetwork(net.input_dim, (empty,), np.zeros(0), net.out_b, THRESHOLD)
     R_pre = (net.input_dim + 1) * C
     scalar_net, _plan = compile_scalar(net.activation, R_pre, delta / (m * C))
-    layer = splice(*net.hidden[0], scalar_net)
-    out_w = np.kron(net.out_w, scalar_net.out_w)
-    out_b = net.out_b + float(net.out_w.sum()) * scalar_net.out_b
-    return DenseNetwork(net.input_dim, (layer,), out_w, out_b, THRESHOLD)
+    return _substitute(net.hidden, net.out_w, net.out_b, (scalar_net,))
 
 
 def to_circuit(net: DenseNetwork) -> ThresholdCircuit:

@@ -44,7 +44,9 @@ class TrainConfig:
         for name, value in zip(counts, _sizes(**counts)):
             object.__setattr__(self, name, value)
         clip = {} if self.weight_clip is None else {"weight_clip": self.weight_clip}
-        _positive(learning_rate=self.learning_rate, **clip)
+        reals = dict(learning_rate=self.learning_rate, **clip)
+        for name, value in zip(reals, _positive(**reals)):
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "seed", _seed(self.seed))
         _trainable(self.activation)
         if self.optimizer not in _OPTIMIZERS:

@@ -134,6 +134,9 @@ def _canonical(result):
 EQUAL_NUMBERS = [
     ("check_a2_size", "s", lambda v: reduction.check_a2_size(2, v), np.float32(0.01)),
     ("mgf_bound_report", "s", lambda v: reduction.mgf_bound_report(2, v), np.float32(0.01)),
+    ("Approx1DSpec", "accuracy", lambda v: _approx_with(accuracy=v), np.float32(0.05)),
+    ("TrainConfig", "learning_rate", lambda v: training.TrainConfig(width=1, learning_rate=v), np.float32(0.05)),
+    ("TrainConfig", "weight_clip", lambda v: training.TrainConfig(width=1, weight_clip=v), np.float32(0.05)),
 ]
 
 CASES = ([(e, n, c, v) for e, n, c, _ in SIZES for v in BAD_SIZES]

@@ -167,12 +167,33 @@ class TestReluApproximator:
 
 
 class TestGenericBuilder:
-    def test_large_eps_constant_half(self, spec_d1):
-        report = build_generic(1, 0.6)
-        batch = sample_a4d(spec_d1, 2000, seed=5)
-        outs = report.net.evaluate_batch(batch.points)
-        assert np.all(outs == 0.5)
-        assert np.abs(outs - batch.labels).max() <= 0.5
+    @pytest.mark.parametrize("eps", [0.6, 1.0])
+    @pytest.mark.parametrize("approximator", [relu_1d_approximator, threshold_1d_approximator])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_large_eps_meets_bound(self, d, eps, approximator):
+        """eps above 1/2 takes the same composition as any other eps."""
+        report = build_generic(d, eps, approximator)
+        assert report.net.depth == 3
+        err = measure_sup_error(report.net, build_instance(d, seed=90 + d), 20_000, seed=5)
+        assert err <= eps
+        assert report.widths[0] <= 40 * d * d / eps
+        assert report.max_weights[1] <= 40 * d / eps**2
+
+    def test_refuses_unusable_approximator(self):
+        """An approximator's network must be depth 2 with one input, in one
+        activation for both curves."""
+        def two_inputs(spec):
+            net = relu_1d_approximator(spec)
+            return DenseNetwork(2, ((np.hstack([net.hidden[0][0]] * 2), net.hidden[0][1]),),
+                                net.out_w, net.out_b, net.activation)
+
+        def mixed(spec):
+            return (relu_1d_approximator if spec.target is reference_g1 else threshold_1d_approximator)(spec)
+
+        with pytest.raises(ValueError, match="must be depth 2 with one input"):
+            build_generic(1, 0.2, two_inputs)
+        with pytest.raises(ValueError, match="must share one activation"):
+            build_generic(1, 0.2, mixed)
 
     def test_relu_certificate_d1(self, spec_d1):
         report = build_generic(1, 0.1)
@@ -239,7 +260,7 @@ class TestReferenceBuilders:
     @pytest.mark.parametrize(
         "d, eps, approximator",
         [(d, eps, relu_1d_approximator) for d in (1, 2, 3) for eps in (0.1, 0.05)]
-        + [(1, 0.1, threshold_1d_approximator)],
+        + [(d, 0.1, threshold_1d_approximator) for d in (1, 2, 3)],
     )
     def test_generic_network(self, d, eps, approximator):
         h1 = approximator(Approx1DSpec(reference_g1, 0.0, 8.0, 1.0, eps / (2.0 * d)))

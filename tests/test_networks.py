@@ -22,7 +22,6 @@ from depthsep.networks import (
     average_ensemble,
     network_from_json,
     network_to_json,
-    splice,
 )
 from depthsep import build_instance, sample_a4d
 from depthsep.depth3 import (
@@ -323,6 +322,9 @@ class TestEvaluate:
 
 
 class TestSplice:
+    """networks._substitute: scalar depth-2 networks put in place of a
+    skeleton's neurons, their output neurons absorbed by the next layer."""
+
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("kind", ["relu-interpolant", "threshold-staircase"])
     def test_spliced_layer_sums_h_over_neurons(self, seed, kind):
@@ -335,18 +337,60 @@ class TestSplice:
         n, m = 3 + seed, 5
         W, b, a = rng.normal(size=(n, m)), rng.normal(size=n), rng.normal(size=n)
         X = rng.uniform(-1.0, 1.0, size=(500, m))
-        W_s, b_s = splice(W, b, h)
+        spliced = networks._substitute(((W, b),), a, 0.0, (h,))
+        W_s, b_s = spliced.hidden[0]
         assert W_s.shape == (n * h.widths[0], m) and b_s.shape == (n * h.widths[0],)
-        out_w, out_b = np.kron(a, h.out_w), h.out_b * a.sum()
-        spliced = DenseNetwork(m, ((W_s, b_s),), out_w, out_b, h.activation)
+        assert np.array_equal(spliced.out_w, np.kron(a, h.out_w)) and spliced.out_b == h.out_b * a.sum()
         pre = X @ W.T + b
         direct = sum(a[i] * h.evaluate_batch(pre[:, i : i + 1]) for i in range(n))
         np.testing.assert_allclose(spliced.evaluate_batch(X), direct, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("kind", ["relu-interpolant", "threshold-staircase"])
+    def test_two_layers_match_direct_composition(self, seed, kind):
+        """Two substituted layers, each h with a nonzero output offset,
+        against a . h2(W2 h1(W1 x + b1) + b2) + c applied neuron by neuron."""
+        if kind == "relu-interpolant":
+            h1 = relu_1d_approximator(Approx1DSpec(np.cos, -4.0, 4.0, 1.0, 0.1))
+            h2 = relu_1d_approximator(Approx1DSpec(np.sin, -6.0, 6.0, 1.0, 0.1))
+        else:
+            h1, _plan = compile_scalar(SIGMOID, 4.0, 0.05)
+            h2, _plan = compile_scalar(SIGMOID, 6.0, 0.05)
+            h2 = dataclasses.replace(h2, out_b=h2.out_b - 0.3)
+        assert h1.out_b != 0.0 and h2.out_b != 0.0
+        rng = np.random.default_rng(seed)
+        m, n1, n2 = 5, 3 + seed, 4
+        W1, b1 = rng.normal(size=(n1, m)), rng.normal(size=n1)
+        W2, b2 = rng.normal(size=(n2, n1)), rng.normal(size=n2)
+        a, c = rng.normal(size=n2), float(rng.normal())
+        net = networks._substitute(((W1, b1), (W2, b2)), a, c, (h1, h2))
+        assert net.depth == 3 and net.widths == (n1 * h1.widths[0], n2 * h2.widths[0])
+        assert net.activation is h1.activation
+
+        def per_neuron(h, Z):
+            return np.column_stack([h.evaluate_batch(Z[:, j : j + 1]) for j in range(Z.shape[1])])
+
+        X = rng.uniform(-1.0, 1.0, size=(500, m))
+        direct = per_neuron(h2, per_neuron(h1, X @ W1.T + b1) @ W2.T + b2) @ a + c
+        np.testing.assert_allclose(net.evaluate_batch(X), direct, rtol=0, atol=1e-12)
+
+    def test_refuses_other_networks(self):
+        """Only depth-2 one-input networks of one activation are substituted."""
+        h = relu_1d_approximator(Approx1DSpec(reference_g2, -4.0, 4.0, 1.0, 0.1))
+        staircase, _plan = compile_scalar(SIGMOID, 4.0, 0.05)
+        deep = DenseNetwork(1, (h.hidden[0], (np.ones((1, h.widths[0])), np.zeros(1))), np.ones(1), 0.0, RELU)
+        two_inputs = random_net(np.random.default_rng(0), input_dim=2)
+        layer = (np.ones((2, 3)), np.zeros(2))
+        for bad in (deep, two_inputs):
+            with pytest.raises(ValueError, match="must be depth 2 with one input"):
+                networks._substitute((layer,), np.ones(2), 0.0, (bad,))
+        with pytest.raises(ValueError, match="must share one activation"):
+            networks._substitute((layer, (np.ones((1, 2)), np.zeros(1))), np.ones(1), 0.0, (h, staircase))
+
 
 @functools.cache
 def spliced_nets():
-    """Every kind of network the package builds through splice, built once."""
+    """Every kind of network the package builds through _substitute, built once."""
     nets = {f"exact d={d}": build_exact_relu(d) for d in range(1, 7)}
     for name, approximator in (("relu", relu_1d_approximator), ("threshold", threshold_1d_approximator)):
         for d in (1, 2, 3):
