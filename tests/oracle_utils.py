@@ -5,8 +5,10 @@ count-signature shortcuts, common-denominator sums, Gram screens, row
 blocks, the shared arrangement table, the packed bit decode and batched
 sampler, the layer splice, the mask law by coordinate type) so they can
 arbitrate disagreements.  The module also holds the parity wave, the AND
-gadget, the mass and mean of a count law and a central-difference gradient
-of the depth-2 loss, which only the tests use.
+gadget and the mass and mean of a count law, which only the tests use.  The
+brute-force pair law and the central-difference gradient of the depth-2
+loss are the ``verify-all`` battery's own (``depthsep.harness``), imported
+here so that one copy serves both.
 """
 
 import itertools
@@ -19,39 +21,11 @@ from math import factorial
 import mpmath as mp
 import numpy as np
 
+from depthsep.harness import _brute_force_pair_law as brute_force_pair_law  # noqa: F401
+from depthsep.harness import _central_difference_gradient as central_difference_gradient  # noqa: F401
 from depthsep.networks import RELU, THRESHOLD, DenseNetwork
 from depthsep.reduction import exact_count_distribution
 from depthsep.threshold import compile_scalar
-from depthsep.training import loss_and_gradients
-
-
-def brute_force_pair_law(xbits, ybits, D):
-    """Exact law of the randomized pair by enumerating every mask pair,
-    every admissible pad, and every permutation of the columns."""
-    d = len(xbits)
-    L = 4 * d + D
-    law = defaultdict(int)
-    total = 0
-    pads = [
-        (xp, yp)
-        for xp in itertools.product((0, 1), repeat=D)
-        for yp in itertools.product((0, 1), repeat=D)
-        if sum(a & b for a, b in zip(xp, yp)) % 2 == 0
-    ]
-    perms = list(itertools.permutations(range(L)))
-    for xm in itertools.product((0, 1), repeat=d):
-        for ym in itertools.product((0, 1), repeat=d):
-            xs = tuple(a ^ m for a, m in zip(xbits, xm))
-            ys = tuple(a ^ m for a, m in zip(ybits, ym))
-            for xp, yp in pads:
-                A = xs + xm + xs + xm + xp
-                B = ys + ym + ym + ys + yp
-                for p in perms:
-                    X = tuple(A[i] for i in p)
-                    Y = tuple(B[i] for i in p)
-                    law[(X, Y)] += 1
-                    total += 1
-    return {k: Fraction(v, total) for k, v in law.items()}
 
 
 def multinomial(n, parts):
@@ -572,21 +546,3 @@ def expected_counts(law):
         for i in range(4):
             sums[i] += sig[i] * num
     return tuple(Fraction(s, law.denominator) for s in sums)
-
-
-def central_difference_gradient(params, X, y, activation, h=1e-5):
-    """Central differences of the batch loss in every entry of
-    ``params.arrays``, flattened in that order (the analytic gradient's
-    ``arrays`` concatenated)."""
-    num = []
-    for arr in params.arrays:
-        flat = arr.ravel()
-        for i in range(flat.size):
-            old = flat[i]
-            flat[i] = old + h
-            lp, _ = loss_and_gradients(params, X, y, activation)
-            flat[i] = old - h
-            lm, _ = loss_and_gradients(params, X, y, activation)
-            flat[i] = old
-            num.append((lp - lm) / (2 * h))
-    return np.asarray(num)

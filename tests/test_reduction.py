@@ -8,13 +8,14 @@ establishes the conditional-uniformity fact the closed form relies on.
 import itertools
 from collections import Counter, defaultdict
 from fractions import Fraction
-from math import comb, factorial, perm
+from math import comb, perm
 
 import mpmath as mp
 import numpy as np
 import pytest
 from oracle_utils import (
     block_signatures,
+    brute_force_pair_law,
     composition_a1_lhs,
     composition_a1_report,
     compositions4,
@@ -73,44 +74,6 @@ from depthsep.reduction import (
 # ---------------------------------------------------------------------------
 # independent oracles
 # ---------------------------------------------------------------------------
-
-
-def brute_force_pair_law(xbits, ybits, D):
-    """Exact law of the randomized pair by enumerating every mask pair,
-    every admissible pad, and every permutation.  Feasible for
-    4d + D <= 7 or so; deliberately independent of the module's
-    convolution-based law."""
-    d = len(xbits)
-    L = 4 * d + D
-    law = defaultdict(int)
-    total = 0
-    pads = [
-        (xp, yp)
-        for xp in itertools.product((0, 1), repeat=D)
-        for yp in itertools.product((0, 1), repeat=D)
-        if sum(a & b for a, b in zip(xp, yp)) % 2 == 0
-    ]
-    perms = list(itertools.permutations(range(L)))
-    for xm in itertools.product((0, 1), repeat=d):
-        for ym in itertools.product((0, 1), repeat=d):
-            xs = tuple(a ^ m for a, m in zip(xbits, xm))
-            ys = tuple(a ^ m for a, m in zip(ybits, ym))
-            for xp, yp in pads:
-                A = xs + xm + xs + xm + xp
-                B = ys + ym + ym + ys + yp
-                for p in perms:
-                    X = tuple(A[i] for i in p)
-                    Y = tuple(B[i] for i in p)
-                    law[(X, Y)] += 1
-                    total += 1
-    return {k: Fraction(v, total) for k, v in law.items()}
-
-
-def multinomial(n, parts):
-    out = factorial(n)
-    for p in parts:
-        out //= factorial(p)
-    return out
 
 
 def brute_force_signature_law(xbits, ybits, D):
