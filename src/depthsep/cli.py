@@ -133,16 +133,36 @@ def compile_threshold_cmd(net_path, delta, out, report_path):
     except threshold.BudgetExceeded as exc:  # a staircase grid or segment count past its cap
         raise click.BadParameter(str(exc), param_hint="--delta") from exc
     _write(out, networks.network_to_json(compiled))
+    exact = compiled is net  # a threshold net comes back as it is
+    cube = net.input_dim <= threshold._MAX_CUBE_DIM
+    interval = None if exact or compiled.plan is None else list(compiled.plan.domain)
     report = {
         "delta": delta,
         "width_in": list(net.widths),
         "width_out": list(compiled.widths),
         "segments_per_neuron": compiled.widths[0] // max(net.widths[0], 1),
+        "grid_rule_segments": None if exact else _grid_rule_segments(net, delta),
         "max_weight_out": compiled.max_weight,
+        "proven_error": 0.0 if exact else compiled.proven_error,
+        "domain": "cube" if cube else interval,
     }
-    if net.input_dim <= threshold._MAX_CUBE_DIM:
-        report["certified_error"] = threshold.boolean_cube_max_error(net, compiled)
+    if cube:
+        report["exhaustive_error"] = threshold.boolean_cube_max_error(net, compiled)
     _write(report_path, json.dumps(report, sort_keys=True))
+
+
+def _grid_rule_segments(net: networks.DenseNetwork, delta: float) -> int | None:
+    """Segments per neuron (nonzero jumps, as ``segments_per_neuron``
+    counts them) under the rule the compiler no longer uses: one staircase
+    on [-(n+1)C, (n+1)C] for weight bound C, at delta / (m C); None where
+    that rule's grid or segment count passes its cap."""
+    m, C = net.widths[0], net.max_weight
+    if m == 0 or C == 0.0:
+        return 0
+    try:
+        return threshold.compile_scalar(net.activation, (net.input_dim + 1) * C, delta / (m * C))[0].widths[0]
+    except threshold.BudgetExceeded:
+        return None
 
 
 @main.command("reduce")

@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import math
 import time
 from collections import defaultdict
 from dataclasses import dataclass
@@ -128,7 +129,9 @@ def _check_packing(seed: int, spec_override: str | None = None, ds=(1, 2, 3)) ->
     """Build (or load) instances, which checks their packing invariants and
     support radius, and report what they hold; a built instance must also
     come out the same twice and hold the paper's invariants (4^d points,
-    norms <= 0.8, pairwise distances > 0.4) against their own figures."""
+    norms <= 0.8, pairwise distances > 0.4) against their own figures.  At
+    d <= 3 the least distance is also recomputed over all pairs, and must
+    be above 0.4 and equal to the packing's own figure within 1e-12."""
     if spec_override is not None:
         specs, held = [instance.spec_from_json(spec_override)], "override instance invariants"
     else:
@@ -141,10 +144,17 @@ def _check_packing(seed: int, spec_override: str | None = None, ds=(1, 2, 3)) ->
             if not (spec.n_components == 4**d and p.radius_bound <= 0.8 and p.min_pairwise_distance > 0.4):
                 raise AssertionError(f"d={d}: {spec.n_components} points, radius {p.radius_bound}, "
                                      f"min distance {p.min_pairwise_distance} break 4^d, <= 0.8, > 0.4")
+    brute = [spec for spec in specs if spec.d <= 3]
+    for spec in brute:
+        least = min(math.dist(p, q) for p, q in itertools.combinations(spec.packing.points.tolist(), 2))
+        if not (least > 0.4 and abs(least - spec.packing.min_pairwise_distance) <= 1e-12):
+            raise AssertionError(f"d={spec.d}: least distance {least} over all pairs, packing reports "
+                                 f"{spec.packing.min_pairwise_distance}; need > 0.4 and equal")
     read = "; ".join(f"d={s.d}: {s.n_components} points, min distance {s.packing.min_pairwise_distance:.4f}, "
                      f"radius {s.packing.radius_bound:.4f}, support radius {s.support_radius:.4f}"
                      for s in specs)
-    return {"detail": f"{held} hold ({read})"}
+    checked = f"; min distance equal to the least over all pairs at {_ds(s.d for s in brute)}" if brute else ""
+    return {"detail": f"{held} hold ({read}){checked}"}
 
 
 def _check_centers(seed: int) -> dict:
@@ -212,22 +222,44 @@ def _check_compiler_scalar(seed: int) -> dict:
                       f"{plan.n_segments} segments"}
 
 
+def _dense_forward(net: networks.DenseNetwork, X: np.ndarray) -> np.ndarray:
+    """A depth-2 network's output on each row of X by plain numpy products
+    of its dense weights: no row blocks, factors or workspaces."""
+    ((W, b),) = net.hidden
+    return net.activation.fn(X @ W.T + b) @ net.out_w + net.out_b
+
+
 def _check_compiler_network(seed: int, n_nets: int = 3) -> dict:
+    """Compile random 8x8 ReLU nets at delta = 0.05.  Each compiled net's
+    proven error must be at most delta, and its exhaustive error on {0,1}^8,
+    recomputed here by a plain forward pass of both nets, at most the proven
+    error (1e-12 is left for the two passes' rounding) and equal to
+    boolean_cube_max_error's within 1e-9."""
     rng = np.random.default_rng(seed + 7)
-    worst, sizes = 0.0, []
-    for _ in range(n_nets):
+    cube = instance.hypercube_enumeration(8).astype(np.float64)
+    rows = []
+    for k in range(n_nets):
         W = rng.uniform(-2, 2, size=(8, 8))
         b = rng.uniform(-2, 2, size=8)
         v = rng.uniform(-2, 2, size=8)
         net = networks.DenseNetwork(8, ((W, b),), v, float(rng.uniform(-2, 2)), networks.RELU)
         compiled = threshold.compile_network(net, delta=0.05)
-        worst = max(worst, threshold.boolean_cube_max_error(net, compiled))
+        proven = compiled.proven_error
+        exhaustive = float(np.abs(_dense_forward(net, cube) - _dense_forward(compiled, cube)).max())
+        reported = threshold.boolean_cube_max_error(net, compiled)
         (width,) = compiled.widths
-        sizes.append(f"width {width} ({width // net.widths[0]} segments per neuron)")
-    if worst > 0.05:
-        raise AssertionError(f"network compile error {worst:.4f} > 0.05")
-    return {"detail": f"max exhaustive error {worst:.4f} over {n_nets} random 8x8 ReLU nets compiled to "
-                      f"{', '.join(sizes)}"}
+        row = (f"net {k}: width {width} ({width // net.widths[0]} segments per neuron), "
+               f"proven {proven:.4f}, exhaustive {exhaustive:.4f}")
+        if not proven <= 0.05:
+            raise AssertionError(f"{row}: proven error above 0.05")
+        if not exhaustive <= proven + 1e-12:
+            raise AssertionError(f"{row}: exhaustive error above the proven error")
+        if not abs(reported - exhaustive) <= 1e-9:
+            raise AssertionError(f"{row}: boolean_cube_max_error reports {reported!r}")
+        rows.append(row)
+    return {"detail": f"{n_nets} random 8x8 ReLU nets compiled at delta=0.05 over their reached "
+                      f"pre-activations, exhaustive error by an independent forward pass on all "
+                      f"{len(cube)} inputs: {'; '.join(rows)}"}
 
 
 def _check_ip_preservation(seed: int, per_d: int = 16_667) -> dict:
@@ -250,15 +282,47 @@ def _check_ip_certificate(seed: int) -> dict:
                       f"{rep['n_pair_cases']} d=2 pair cases, n_expansions={rep['n_expansions']}"}
 
 
+def _float_a1_ratio(d: int, D: int) -> float:
+    """The largest LHS/RHS ratio of the A1 bound over the 4-part splits of d,
+    in float64: the LHS summed term by term over the compositions of D, each
+    term multinomial(D; c)^2 / multinomial(D + d; c + s) from exact integer
+    factorials, and the RHS exp((4/D) sum (s_i - d/4)^2) (1 + d/D)^1.5 4^(D-d)."""
+    def compositions(total):
+        return [(a, b, c, total - a - b - c) for a in range(total + 1) for b in range(total + 1 - a)
+                for c in range(total + 1 - a - b)]
+
+    def multinomial(parts):
+        return math.factorial(sum(parts)) // math.prod(map(math.factorial, parts))
+
+    ratios = []
+    for split in compositions(d):
+        lhs = math.fsum(multinomial(c) ** 2 / multinomial([ci + si for ci, si in zip(c, split)])
+                        for c in compositions(D))
+        spread = sum((si - d / 4) ** 2 for si in split)
+        ratios.append(lhs / (math.exp(4 / D * spread) * (1 + d / D) ** 1.5 * 4.0 ** (D - d)))
+    return max(ratios)
+
+
 def _check_a1(seed: int, sizes=((4, 4), (4, 8), (4, 400), (8, 800))) -> dict:
+    """The exact sweep at each (d, D) of sizes, and at (4, 4) and (4, 8),
+    where they are among them, its reported worst ratio against a float64
+    recomputation within 1e-9 relative."""
     reports = [reduction.multinomial_square_ratio_report(d, D) for d, D in sizes]
     worst = max(r["max_ratio"] for r in reports)
     if not all(r["pass"] for r in reports) or worst >= 1.0:
         raise AssertionError(f"ratio bound fails, max ratio {worst}")
+    recomputed = [(size, rep) for size, rep in zip(sizes, reports) if tuple(size) in ((4, 4), (4, 8))]
+    for (d, D), rep in recomputed:
+        want = _float_a1_ratio(d, D)
+        if abs(rep["max_ratio"] - want) > 1e-9 * want:
+            raise AssertionError(f"ratio report at (d,D)=({d},{D}) gives max ratio {rep['max_ratio']!r}, "
+                                 f"a float64 recomputation {want!r}")
+    at = ", ".join(f"({d},{D})" for (d, D), _ in recomputed) or "no size"
     return {"detail": f"max LHS/RHS ratio {worst:.4f} at (d,D) in "
                       f"{{{','.join(f'({d},{D})' for d, D in sizes)}}}, "
                       f"n_splits={sum(r['n_splits'] for r in reports)}, "
-                      f"largest D={max(D for _, D in sizes)}, {_exact(reports)}"}
+                      f"largest D={max(D for _, D in sizes)}, {_exact(reports)}; equal to a float64 "
+                      f"recomputation over every composition at {at}"}
 
 
 def _exact(reports: list[dict]) -> str:

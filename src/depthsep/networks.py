@@ -373,6 +373,13 @@ def _pre_activation(layer: tuple[np.ndarray, np.ndarray], h: np.ndarray, out: np
     return out
 
 
+def _image(W: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The exact range (low, high) of W z + b over the box lo <= z <= hi,
+    one pair of entries per row of W."""
+    Wp, Wn = np.maximum(W, 0.0), np.minimum(W, 0.0)
+    return Wp @ lo + Wn @ hi + b, Wp @ hi + Wn @ lo + b
+
+
 def _substitute(layers: Sequence[tuple[np.ndarray, np.ndarray]], out_w: np.ndarray, out_b: float,
                 hs: Sequence[DenseNetwork]) -> DenseNetwork:
     """The affine skeleton ``layers`` read by (out_w, out_b), with the scalar

@@ -36,7 +36,7 @@ from typing import Iterator
 import numpy as np
 
 from .bits import _all_bits, _positive, _sizes, as_bits, ip_mod2
-from .networks import DenseNetwork, absorb_input_map, average_ensemble
+from .networks import DenseNetwork, _image, absorb_input_map, average_ensemble
 
 __all__ = [
     "ReductionConfig",
@@ -779,14 +779,10 @@ def output_bound(net: DenseNetwork) -> float:
     if not net.activation.monotone:
         raise ValueError("interval propagation needs a monotone activation")
 
-    def image(W, b, lo, hi):  # the range of W z + b over the box lo <= z <= hi
-        Wp, Wn = np.maximum(W, 0.0), np.minimum(W, 0.0)
-        return Wp @ lo + Wn @ hi + b, Wp @ hi + Wn @ lo + b
-
     lo, hi = np.zeros(net.input_dim), np.ones(net.input_dim)
     for W, b in net.hidden:
-        lo, hi = (np.asarray(net.activation(v), dtype=np.float64) for v in image(W, b, lo, hi))
-    return float(max(map(abs, image(net.out_w, net.out_b, lo, hi))))
+        lo, hi = (np.asarray(net.activation(v), dtype=np.float64) for v in _image(W, b, lo, hi))
+    return float(max(map(abs, _image(net.out_w, net.out_b, lo, hi))))
 
 
 def hoeffding_block_count(B: float, d: int) -> int:

@@ -25,7 +25,7 @@ from depthsep.harness import _brute_force_pair_law as brute_force_pair_law  # no
 from depthsep.harness import _central_difference_gradient as central_difference_gradient  # noqa: F401
 from depthsep.networks import RELU, THRESHOLD, DenseNetwork
 from depthsep.reduction import exact_count_distribution
-from depthsep.threshold import compile_scalar
+from depthsep.threshold import _plan_to_network, _segment_lipschitz
 
 
 def multinomial(n, parts):
@@ -473,8 +473,11 @@ def assembled_generic(d, h1, h2):
 
 def per_neuron_compile_network(net, delta):
     """Threshold compilation of a depth-2 network one hidden neuron at a
-    time: each neuron's row is scaled by every staircase step weight, and
-    its output weight by the staircase's output weights."""
+    time: one staircase over the pre-activations reached on the cube (the
+    set of their values up to 12 inputs, else the hull of the neurons'
+    ranges, min(W, 0) 1 + b to max(W, 0) 1 + b) at delta / sum |out_w|;
+    each neuron's row is scaled by every staircase step weight, and its
+    output weight by the staircase's output weights."""
     if net.activation.tag == "threshold":
         return DenseNetwork(
             net.input_dim,
@@ -484,8 +487,8 @@ def per_neuron_compile_network(net, delta):
             THRESHOLD,
         )
     m = net.widths[0]
-    C = net.max_weight
-    if m == 0 or C == 0.0:
+    mass = float(np.abs(net.out_w).sum())
+    if mass == 0.0:
         return DenseNetwork(
             net.input_dim,
             ((np.zeros((0, net.input_dim)), np.zeros(0)),),
@@ -493,10 +496,16 @@ def per_neuron_compile_network(net, delta):
             net.out_b,
             THRESHOLD,
         )
-    scalar_net, _plan = compile_scalar(net.activation, (net.input_dim + 1) * C, delta / (m * C))
+    W, b = net.hidden[0]
+    if net.input_dim <= 12:
+        cube = np.array(list(itertools.product((0.0, 1.0), repeat=net.input_dim)))
+        domain = np.unique(cube @ W.T + b)
+    else:
+        ones = np.ones(net.input_dim)
+        domain = (float((np.minimum(W, 0.0) @ ones + b).min()), float((np.maximum(W, 0.0) @ ones + b).max()))
+    scalar_net = _plan_to_network(_segment_lipschitz(net.activation, domain, delta / mass))
     s_w = scalar_net.hidden[0][0][:, 0]
     s_b = scalar_net.hidden[0][1]
-    W, b = net.hidden[0]
     W_rows, b_rows, out_rows = [], [], []
     for i in range(m):
         W_rows.append(np.outer(s_w, W[i]))

@@ -266,7 +266,31 @@ class TestCompileThreshold:
         compiled = networks.network_from_json(out.read_text())
         assert compiled.activation.tag == "threshold"
         report = json.loads(rep.read_text())
-        assert report["certified_error"] <= 0.05
+        assert report["exhaustive_error"] <= report["proven_error"] + 1e-12
+        assert report["proven_error"] <= 0.05 and report["domain"] == "cube"
+        assert report["width_out"] == [4 * report["segments_per_neuron"]]
+        assert report["grid_rule_segments"] > report["segments_per_neuron"]
+        assert "certified_error" not in report
+
+    def test_report_past_the_cube_dimension(self, runner, tmp_path, rng):
+        """At 14 inputs the report names the interval planned on, the proven
+        error and the grid rule's count, and no exhaustive error."""
+        net = networks.DenseNetwork(
+            14, ((rng.uniform(-0.5, 0.5, (3, 14)), rng.uniform(-0.5, 0.5, 3)),), rng.uniform(-1, 1, 3), 0.0,
+            networks.SIGMOID,
+        )
+        src = tmp_path / "in.json"
+        src.write_text(networks.network_to_json(net))
+        rep = tmp_path / "report.json"
+        invoke(runner, ["compile-threshold", "--net", str(src), "--delta", "0.05", "--out",
+                        str(tmp_path / "out.json"), "--report", str(rep)])
+        report = json.loads(rep.read_text())
+        W, b = net.hidden[0]
+        lo, hi = report["domain"]
+        assert lo == pytest.approx((b + np.minimum(W, 0).sum(axis=1)).min(), abs=1e-12)
+        assert hi == pytest.approx((b + np.maximum(W, 0).sum(axis=1)).max(), abs=1e-12)
+        assert 0.0 < report["proven_error"] <= 0.05 and "exhaustive_error" not in report
+        assert report["grid_rule_segments"] >= report["segments_per_neuron"]
 
     def test_all_zero_net_compiles_to_width_zero(self, runner, tmp_path):
         net = networks.DenseNetwork(2, ((np.zeros((1, 2)), np.zeros(1)),), np.zeros(1), 0.0, networks.RELU)
@@ -275,12 +299,13 @@ class TestCompileThreshold:
         result = invoke(runner, ["compile-threshold", "--net", str(src), "--delta", "0.1", "--out",
                                  str(tmp_path / "out.json")])
         report = json.loads(result.output)
-        assert report["width_out"] == [0] and report["certified_error"] == 0.0
+        assert report["width_out"] == [0] and report["exhaustive_error"] == report["proven_error"] == 0.0
 
     def test_oversized_grid_is_a_usage_error(self, runner, tmp_path):
-        # R = 9 * 100 and delta / (8 * 100) ask for a grid of about 1.2e8 points
+        # 16 inputs are past the cube enumeration, so the staircase is planned
+        # on the reached range [0, 16000] at delta / 8: a grid of about 1e7 points
         net = networks.DenseNetwork(
-            8, ((np.full((8, 8), 100.0), np.zeros(8)),), np.ones(8), 0.0, networks.RELU
+            16, ((np.full((8, 16), 1000.0), np.zeros(8)),), np.ones(8), 0.0, networks.RELU
         )
         src = tmp_path / "big.json"
         src.write_text(networks.network_to_json(net))

@@ -1,6 +1,7 @@
 """Experiment reports and the aggregated verification battery."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -118,6 +119,13 @@ class TestVerifyAll:
         [loaded] = verify_all(seed=0, only=["packing"], spec_override=instance.spec_to_json(spec_module))["checks"]
         assert loaded["pass"] and "override" in loaded["detail"]
         assert f"d=1: 4 points, min distance {spec_module.packing.min_pairwise_distance:.4f}" in loaded["detail"]
+
+    def test_compiler_network_detail_names_both_errors(self):
+        [check] = verify_all(seed=0, only=["compiler-network"])["checks"]
+        assert check["pass"]
+        for k in range(3):
+            assert re.search(f"net {k}: width \\d+ \\(\\d+ segments per neuron\\), proven 0[.]0\\d+, "
+                             f"exhaustive 0[.]0\\d+", check["detail"])
 
     def test_ip_preservation_detail_names_its_sizes(self):
         [check] = verify_all(seed=0, only=["ip-preservation"])["checks"]

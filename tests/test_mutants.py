@@ -20,8 +20,9 @@ from depthsep.harness import CHECK_NAMES, verify_all
 _eval_f, _odd_rows, _l2, _exp, _a1 = (instance.eval_f_batch, reduction._odd_rows, reduction._l2_closed_form,
                                       reduction._exp_bounds, reduction._a1_lhs)
 _grads, _constant, _substitute = training.loss_and_gradients, training.constant_network, networks._substitute
-_plan_to_network, _absorb, _max_weight = (threshold._plan_to_network, networks.absorb_input_map,
-                                          networks.DenseNetwork.max_weight)
+_plan_to_network, _absorb, _segment = threshold._plan_to_network, networks.absorb_input_map, threshold._segment_lipschitz
+_cube_error, _plan, _reached = threshold.boolean_cube_max_error, threshold.SegmentPlan, threshold._reached
+_min_pairwise = instance._min_pairwise
 
 
 def _scaled_grads(*args):
@@ -31,6 +32,12 @@ def _scaled_grads(*args):
 
 def _substitute_without_out_b(layers, out_w, out_b, hs):
     return _substitute(layers, out_w, out_b, [dataclasses.replace(h, out_b=0.0) for h in hs])
+
+
+def _plan_with_moved_level(sigma, breakpoints, levels, tolerance, domain):
+    moved = levels.copy()
+    moved[len(moved) // 2] += 2 * tolerance
+    return _plan(sigma, breakpoints, moved, tolerance, domain)
 
 
 def _exp_scaled(lo_num, hi_num):
@@ -57,13 +64,26 @@ MUTANTS = {
     "packing separation 0.3": (
         [(instance, "MIN_PAIRWISE_DISTANCE", 0.3), (instance, "_CLOSE", 0.09 - 1e-9), (instance, "_BAND", 0.09 + 1e-9)],
         ("packing",)),
+    "packing separation 0.3, its distance reported x 1.5": (
+        [(instance, "MIN_PAIRWISE_DISTANCE", 0.3), (instance, "_CLOSE", 0.09 - 1e-9), (instance, "_BAND", 0.09 + 1e-9),
+         (instance, "_min_pairwise", lambda points, block=512: 1.5 * _min_pairwise(points, block))],
+        ("packing",)),
     "staircase net bias + 0.02": (
         [(threshold, "_plan_to_network", lambda plan: (lambda net: dataclasses.replace(net, out_b=net.out_b + 0.02))(
             _plan_to_network(plan)))],
         ("compiler-scalar", "compiler-network")),
-    "weight bound C / 4": (
-        [(networks.DenseNetwork, "max_weight", property(lambda net: _max_weight.fget(net) / 4))], ("compiler-network",)),
+    "staircase accuracy delta' x 4": (
+        [(threshold, "_segment_lipschitz", lambda sigma, domain, delta: _segment(sigma, domain, 4 * delta))],
+        ("compiler-network",)),
+    "boolean_cube_max_error / 4": (
+        [(threshold, "boolean_cube_max_error", lambda net_a, net_b: _cube_error(net_a, net_b) / 4)],
+        ("compiler-network",)),
+    "largest reached pre-activation dropped": (
+        [(threshold, "_reached", lambda W, b: _reached(W, b)[:-1])], ("compiler-network",)),
+    "one staircase level moved by 2 delta'": (
+        [(threshold, "SegmentPlan", _plan_with_moved_level)], ("compiler-scalar", "compiler-network")),
     "A1 left side x 1.02": ([(reduction, "_a1_lhs", lambda split, D: _a1(split, D) * 102 // 100)], ("a1",)),
+    "A1 lower exp bounds x 0.98": ([(reduction, "_exp_bounds", _exp_scaled(98, 100))], ("a1",)),
     "input-map offset dropped": (
         [(networks, "absorb_input_map", lambda net, P, b: _absorb(net, P, np.zeros_like(b)))], ("equivalences",)),
 }
@@ -89,11 +109,3 @@ def test_every_check_kills_a_mutant():
 def test_listed_checks_pass_unpatched():
     summary = verify_all(seed=0, only=sorted({check for _, checks in MUTANTS.values() for check in checks}))
     assert summary["pass"], [c["name"] for c in summary["checks"] if not c["pass"]]
-
-
-def test_conservative_a1_mutant_escapes():
-    """A1 lower exp bounds x 0.98 only raise the reported worst ratio, from
-    0.985 to about 0.995, so the verdict stays sound and no check kills it;
-    a check that comes to kill it moves it into MUTANTS."""
-    [a1] = _run([(reduction, "_exp_bounds", _exp_scaled(98, 100))], ["a1"])["checks"]
-    assert a1["pass"] and "ratio 0.99" in a1["detail"]

@@ -2,6 +2,7 @@
 
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,8 +18,10 @@ from depthsep.networks import (
     DenseNetwork,
     absorb_input_map,
 )
+from depthsep import threshold
 from depthsep.threshold import (
     BudgetExceeded,
+    CompiledNetwork,
     SegmentPlan,
     boolean_cube_max_error,
     compile_network,
@@ -302,6 +305,15 @@ class TestReferenceCompileNetwork:
         X = hypercube_enumeration(6).astype(np.float64)
         assert compiled.evaluate_batch(X).tobytes() == ref.evaluate_batch(X).tobytes()
 
+    @pytest.mark.parametrize("activation", [RELU, SIGMOID], ids=["relu", "sigmoid"])
+    def test_matches_per_neuron_loop_past_the_cube(self, rng, activation):
+        net = DenseNetwork(14, ((rng.uniform(-0.5, 0.5, (4, 14)), rng.uniform(-1, 1, 4)),),
+                           rng.uniform(-1, 1, 4), 0.2, activation)
+        compiled = compile_network(net, delta=0.1)
+        ref = per_neuron_compile_network(net, delta=0.1)
+        assert not compiled.plan.finite and compiled.widths == ref.widths
+        assert layer_bytes(compiled) == layer_bytes(ref) and compiled.out_b == ref.out_b
+
     def test_threshold_input_returned_as_is(self, rng):
         layer = (rng.uniform(-1, 1, (4, 3)), rng.uniform(-1, 1, 4))
         net = DenseNetwork(3, (layer,), rng.uniform(-1, 1, 4), 0.3, THRESHOLD)
@@ -360,3 +372,142 @@ class TestCircuit:
         assert boolean_cube_max_error(exact, compiled) <= 0.45  # margin <= 0.49
         circuit = to_circuit(compiled)
         np.testing.assert_array_equal(circuit.evaluate_batch(X), want.astype(int))
+
+
+def dense_forward(net, X):
+    """Plain numpy forward pass of a depth-2 network's dense weights."""
+    ((W, b),) = net.hidden
+    return net.activation.fn(X @ W.T + b) @ net.out_w + net.out_b
+
+
+def indicator_ip_net(d):
+    """The depth-2 ReLU net for IP_d: one unit relu(<2v - 1, z> - |v| + 1)
+    per vertex v of {0,1}^(2d) with IP(v) = 1, each read with weight 1; the
+    unit is 1 at z = v and at most 0 elsewhere on the cube."""
+    Z = hypercube_enumeration(2 * d).astype(np.int64)
+    ip = (Z[:, :d] * Z[:, d:]).sum(axis=1) % 2
+    V = Z[ip == 1].astype(np.float64)
+    net = DenseNetwork(2 * d, ((2.0 * V - 1.0, 1.0 - V.sum(axis=1)),), np.ones(len(V)), 0.0, RELU)
+    return net, Z.astype(np.float64), ip
+
+
+class TestFiniteDomain:
+    """A plan on a sorted finite set is certified by its error at every
+    point: exactly, with no grid and no Lipschitz constant."""
+
+    def test_certificate_is_the_error_at_the_points(self, rng):
+        xs = np.unique(rng.uniform(-3.0, 3.0, 500))
+        plan = threshold._segment_lipschitz(SIGMOID, xs, 0.01)
+        assert plan.finite and plan.grid_points == xs.size
+        assert plan.certified_error == float(np.abs(SIGMOID.fn(xs) - plan.values(xs)).max())
+        assert plan.certified_error <= 0.85 * 0.01
+        net = threshold._plan_to_network(plan)
+        assert np.abs(net.evaluate_batch(xs[:, None]) - plan.values(xs)).max() <= 1e-12
+
+    @pytest.mark.parametrize("shift", [0.02, -0.02])
+    def test_moved_level_fails(self, rng, shift):
+        xs = np.unique(rng.uniform(-3.0, 3.0, 500))
+        plan = threshold._segment_lipschitz(RELU, xs, 0.01)
+        levels = plan.levels.copy()
+        levels[plan.n_segments // 2] += shift
+        with pytest.raises(RuntimeError, match="certification failed"):
+            replace(plan, levels=levels)
+
+    @pytest.mark.parametrize(
+        "points",
+        [np.array([1.0, 0.0]), np.array([0.0, 0.0, 1.0]), np.array([0.0, np.nan]), np.zeros((2, 2)),
+         np.array([])],
+        ids=["unsorted", "repeated", "nan", "2-d", "empty"],
+    )
+    def test_malformed_set_refused(self, points):
+        with pytest.raises(ValueError, match="finite domain"):
+            SegmentPlan(RELU, np.array([0.0]), np.array([0.0]), 0.1, points)
+
+    def test_values_within_rounding_are_never_split(self):
+        """0 and 1.9e-11 span more than the band 1.7 delta at delta = 1e-11,
+        but lie within rounding of each other next to 5.0, so they share a
+        level; the same points scaled up are split."""
+        identity = Activation("custom", lambda z: np.asarray(z, dtype=float), lipschitz=1.0,
+                              variation=(1.0, 1.0))
+        plan = threshold._segment_lipschitz(identity, np.array([0.0, 1.9e-11, 5.0]), 1e-11)
+        assert plan.breakpoints.tolist() == [0.0, 0.5 * (1.9e-11 + 5.0)] and plan.certified_error <= 1e-11
+        scaled = threshold._segment_lipschitz(identity, np.array([0.0, 1.9, 500.0]), 1.0)
+        assert scaled.n_segments == 3
+
+    def test_one_point_at_zero(self):
+        plan = threshold._segment_lipschitz(RELU, np.array([0.0]), 0.1)
+        assert plan.n_segments == 1 and plan.certified_error == 0.0
+
+
+class TestReachedDomain:
+    """compile_network plans over the pre-activations the net reaches and
+    returns the proven bound sum |out_w| certified_error with the net."""
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_indicator_ip_nets_compile_to_ip(self, d):
+        net, Z, ip = indicator_ip_net(d)
+        np.testing.assert_array_equal(net.evaluate_batch(Z), ip)
+        compiled = compile_network(net, delta=0.05)
+        assert isinstance(compiled, CompiledNetwork) and compiled.plan.finite
+        assert compiled.widths == net.widths and compiled.proven_error == 0.0
+        np.testing.assert_array_equal(to_circuit(compiled).evaluate_batch(Z), ip)
+        assert boolean_cube_max_error(net, compiled) == 0.0
+
+    def test_proven_error_bounds_the_cube(self, rng):
+        for _ in range(4):
+            net = random_relu_net(rng)
+            compiled = compile_network(net, delta=0.05)
+            mass = float(np.abs(net.out_w).sum())
+            assert compiled.plan.tolerance == 0.05 / mass
+            assert compiled.proven_error == mass * compiled.plan.certified_error <= 0.05
+            X = hypercube_enumeration(8).astype(np.float64)
+            assert compiled.plan.domain.tolist() == np.unique(X @ net.hidden[0][0].T + net.hidden[0][1]).tolist()
+            exhaustive = float(np.abs(dense_forward(net, X) - dense_forward(compiled, X)).max())
+            assert exhaustive <= compiled.proven_error + 1e-12
+
+    def test_dropped_value_fails_the_exhaustive_cross_check(self):
+        net, _, _ = indicator_ip_net(2)
+        reached = threshold._reached
+        with mock.patch.object(threshold, "_reached", lambda W, b: reached(W, b)[:-1]):
+            compiled = compile_network(net, delta=0.05)
+        assert compiled.proven_error == 0.0 and boolean_cube_max_error(net, compiled) == 1.0
+
+    def test_interval_past_the_cube_dimension(self, rng):
+        """At 16 inputs the plan covers the hull of the neurons' exact
+        ranges over [0,1]^16, and the proven bound holds on all 65536
+        cube inputs."""
+        net = random_relu_net(rng, input_dim=16, width=6, C=0.5)
+        compiled = compile_network(net, delta=0.05)
+        W, b = net.hidden[0]
+        lo = (b + np.minimum(W, 0.0).sum(axis=1)).min()
+        hi = (b + np.maximum(W, 0.0).sum(axis=1)).max()
+        assert not compiled.plan.finite
+        np.testing.assert_allclose(compiled.plan.domain, (lo, hi), rtol=0, atol=1e-12)
+        assert compiled.proven_error <= 0.05
+        X = hypercube_enumeration(16).astype(np.float64)
+        exhaustive = float(np.abs(dense_forward(net, X) - dense_forward(compiled, X)).max())
+        assert exhaustive <= compiled.proven_error + 1e-12
+
+    def test_narrower_interval_fails_certification(self, rng):
+        net = random_relu_net(rng, input_dim=16, width=6, C=0.5)
+        plan = compile_network(net, delta=0.05).plan
+        lo, hi = plan.domain
+        narrow = threshold._segment_lipschitz(RELU, (lo, hi - 0.1 * (hi - lo)), plan.tolerance)
+        with pytest.raises(RuntimeError, match="certification failed"):
+            replace(narrow, domain=(lo, hi))
+
+    @pytest.mark.parametrize("n", [3, 14])
+    def test_constant_pre_activations(self, n):
+        """W = 0 reaches one value, b; at b = 0 the segment budget has R = 0."""
+        for bias in (0.0, 0.7):
+            net = DenseNetwork(n, ((np.zeros((2, n)), np.full(2, bias)),), np.array([1.0, -2.0]), 0.25, RELU)
+            compiled = compile_network(net, delta=0.05)
+            assert compiled.plan.domain.tolist() == [bias] and compiled.widths == (0,)
+            x = np.zeros((1, n))
+            assert compiled.evaluate_batch(x)[0] == pytest.approx(net.evaluate_batch(x)[0], abs=1e-15)
+
+    def test_zero_output_weights_compile_to_width_zero(self, rng):
+        net = DenseNetwork(3, ((rng.uniform(-1, 1, (4, 3)), rng.uniform(-1, 1, 4)),), np.zeros(4), 0.4, RELU)
+        compiled = compile_network(net, delta=0.05)
+        assert compiled.widths == (0,) and compiled.plan is None and compiled.proven_error == 0.0
+        assert boolean_cube_max_error(net, compiled) == 0.0
