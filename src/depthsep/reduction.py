@@ -28,6 +28,7 @@ import math
 import numbers
 import time
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -63,10 +64,13 @@ __all__ = [
     "ip_preservation_certificate",
 ]
 
-# The count law of an all-zero input at (d, D) = (7, 54) sums 1.8e6 terms in
-# about 1.4 s on a 2-core VM; a one-signature input at d = 1 keeps as many
-# pad weights as terms, about 0.4 KB each.
+# On a 2-core VM, each in a fresh process: the count law of an all-zero input
+# at (d, D) = (7, 54) sums 1.8e6 terms in about 0.2 s at a peak RSS of 44 MiB;
+# that of [1], [1] at D = 280 sums 1.9e6 terms (one mask signature) in about
+# 2.3 s at a peak RSS of about 730 MiB, most of it the cached pad table and
+# the law's numerators of about 560 bits.
 _MAX_LAW_TERMS = 2_000_000
+_KEY_CHUNK = 1 << 14  # count-law keys decoded per step
 _MAX_L2_D = 6  # l2_bound_report(6, 600) sweeps 84 type classes in about 12 s on a 2-core VM
 _MAX_L2_LENGTH = 200_000
 _MAX_A2_D = 16  # mgf_bound_report at d = 16 sweeps 969 type classes in about 0.85 s on a 2-core VM
@@ -360,23 +364,41 @@ def _type_classes(d: int) -> Iterator[tuple[tuple[int, int, int, int], list[list
         yield (n00, n01, n10, n11), [x, [1] * n11 + [0] * n10 + [1] * n01 + [0] * n00]
 
 
+def _lex_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (a, b) with a + b <= n, in lexicographic order, as two int64
+    arrays: the leading two parts of the 4-part compositions of n."""
+    a, b = np.divmod(np.arange((n + 1) ** 2, dtype=np.int64), n + 1)
+    keep = a + b <= n
+    return a[keep], b[keep]
+
+
 @lru_cache(maxsize=4)
-def _even_pad_weights(D: int) -> dict[tuple[int, int, int, int], int]:
-    """Multinomial weights of pad signatures with an even both-ones count.
+def _even_pad_table(D: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pad signatures with an even both-ones count, in lexicographic order, as
+    a (k, 4) int64 array, and their multinomial weights: int64 when their
+    total fits, else Python ints (object dtype).  Both arrays are read-only.
 
     The weights sum to (4^D + 2^D) / 2: the even/odd counts differ by
     exactly (1+1+1-1)^D = 2^D, so the even side holds (4^D + 2^D)/2 of the
     4^D equally likely pads.
     """
-    weights = {}
-    for a in range(D + 1):
-        ca = math.comb(D, a)
-        for b in range(D - a + 1):
-            cab, rest = ca * math.comb(D - a, b), D - a - b
-            for c in range(rest % 2, rest + 1, 2):  # rest - c, the (1,1) count, is even
-                weights[(a, b, c, rest - c)] = cab * math.comb(rest, c)
-    assert sum(weights.values()) == (4**D + 2**D) // 2
-    return weights
+    a, b = _lex_pairs(D)
+    rest = D - a - b
+    n_c = rest // 2 + 1  # c = rest % 2, rest % 2 + 2, ..., rest: the (1,1) count rest - c is even
+    pair = np.repeat(np.arange(a.size), n_c)
+    c = rest[pair] % 2 + 2 * (np.arange(pair.size) - np.repeat(np.cumsum(n_c) - n_c, n_c))
+    sigs = np.stack([a[pair], b[pair], c, rest[pair] - c], axis=1)
+    comb = np.array([[math.comb(n, k) for k in range(D + 1)] for n in range(D + 1)], dtype=object)
+    weights = (comb[D, a] * comb[D - a, b])[pair] * comb[rest[pair], c]
+    total = (4**D + 2**D) // 2
+    mass = weights.sum()
+    if mass != total:
+        raise ArithmeticError(f"even-pad weights at D = {D} sum to {mass}, not (4^D + 2^D)/2 = {total}")
+    if total < 2**63:
+        weights = weights.astype(np.int64)
+    sigs.setflags(write=False)
+    weights.setflags(write=False)
+    return sigs, weights
 
 
 @dataclass(frozen=True)
@@ -391,8 +413,19 @@ class CountDistribution:
     denominator: int
     total_length: int
 
-    def prob(self, sig: tuple[int, int, int, int]) -> Fraction:
-        return Fraction(self.numerators.get(sig, 0), self.denominator)
+    def prob(self, sig) -> Fraction:
+        """P[sig] for a length-4 sequence (tuple, list or 1-d array) of
+        non-negative integers summing to total_length; ValueError for
+        anything else, rather than a silent 0.  Bools and floats are not
+        integers here; numpy integers are."""
+        if not (
+            (isinstance(sig, Sequence) or isinstance(sig, np.ndarray) and sig.ndim == 1)
+            and len(sig) == 4
+            and all(isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 0 for v in sig)
+            and sum(map(int, sig)) == self.total_length
+        ):
+            raise ValueError(f"sig must be 4 non-negative integers summing to {self.total_length}, got {sig!r}")
+        return Fraction(self.numerators.get(tuple(map(int, sig)), 0), self.denominator)
 
 
 def _check_l2_length(d: int, D: int) -> tuple[int, int]:
@@ -420,6 +453,10 @@ def exact_count_distribution(x, y, D: int) -> CountDistribution:
     (_mask_law), and (ii) the even-conditioned multinomial pad law at
     parameter 1/4, whose normalizer is exactly 1/2 + 2^{-D-1}.  Takes the
     sampler's sizes, d >= 1 and D >= 1.
+
+    Each mask signature adds its multiplicity times the pad weights to one
+    accumulator over the compositions of 4d + D, in one array operation:
+    in int64 when the denominator is below 2^63, else in Python ints.
     """
     types = count_signature(x, y)
     d, D = _sizes(d=sum(types), D=D)
@@ -430,14 +467,32 @@ def exact_count_distribution(x, y, D: int) -> CountDistribution:
             f"exact law would sum {len(law)} mask signatures x {n_pads} pads = "
             f"{len(law) * n_pads:.2e} terms; at most {_MAX_LAW_TERMS:.0e}"
         )
-    pad_weights = _even_pad_weights(D)
-    numerators: dict[tuple[int, int, int, int], int] = {}
-    for sig, mult in law.items():
-        for psig, w in pad_weights.items():
-            key = (sig[0] + psig[0], sig[1] + psig[1], sig[2] + psig[2], sig[3] + psig[3])
-            numerators[key] = numerators.get(key, 0) + mult * w
     denom = 4**d * (4**D + 2**D) // 2
-    return CountDistribution(numerators=numerators, denominator=denom, total_length=4 * d + D)
+    # every entry of acc is a partial sum of numerators, which are >= 0 and
+    # total denom, so int64 is exact exactly when denom < 2^63
+    dtype = np.int64 if denom < 2**63 else object
+    pads, weights = _even_pad_table(D)
+    weights = weights.astype(dtype, copy=False)
+    # the rank of (n1, n2, n3, n4) among the 4-part compositions of N in
+    # lexicographic order is first_rank[n1, n2] + n3; acc is indexed by rank
+    N = 4 * d + D
+    a, b = _lex_pairs(N)
+    sizes = N - a - b + 1
+    starts = np.cumsum(sizes) - sizes
+    first_rank = np.zeros((N + 1, N + 1), dtype=np.int64)
+    first_rank[a, b] = starts
+    acc = np.zeros(math.comb(N + 3, 3), dtype=dtype)
+    for sig, mult in law.items():
+        # sig + pad is one-to-one over the pads, so the ranks are distinct
+        acc[first_rank[pads[:, 0] + sig[0], pads[:, 1] + sig[1]] + pads[:, 2] + sig[2]] += mult * weights
+    numerators: dict[tuple[int, int, int, int], int] = {}
+    rank = np.flatnonzero(acc)
+    for r in np.split(rank, range(_KEY_CHUNK, rank.size, _KEY_CHUNK)):  # keeps the key lists short
+        pair = np.searchsorted(starts, r, side="right") - 1
+        n3 = r - starts[pair]
+        keys = zip(a[pair].tolist(), b[pair].tolist(), n3.tolist(), (sizes[pair] - 1 - n3).tolist())
+        numerators.update(zip(keys, acc[r].tolist()))
+    return CountDistribution(numerators=numerators, denominator=denom, total_length=N)
 
 
 def _pair_poly(a: int, b: int) -> list[int]:

@@ -166,3 +166,30 @@ def test_cli_delta_boundary(tmp_path, value):
                                 catch_exceptions=False)
     assert result.exit_code == 2, result.output
     assert "delta must be positive and finite" in result.output
+
+
+LAW = reduction.exact_count_distribution([1], [0], 4)  # total_length 8; P[(2, 2, 2, 2)] = 3/68
+
+
+@pytest.mark.parametrize("sig", [(2, 2, 2, 2), [2, 2, 2, 2], np.array([2, 2, 2, 2]),
+                                 (np.int8(2), 2, np.uint64(2), 2), np.array([2, 2, 2, 2], dtype=np.uint8)],
+                         ids=reprlib.repr)
+def test_count_law_prob_reads_integer_sequences(sig):
+    assert LAW.prob(sig) == Fraction(3, 68)
+
+
+@pytest.mark.parametrize("sig", [(8, 0, 0, 0), [0, 0, 0, 8]], ids=reprlib.repr)
+def test_count_law_prob_of_a_signature_off_the_support_is_zero(sig):
+    assert LAW.prob(sig) == 0
+
+
+@pytest.mark.parametrize("sig", [
+    (-1, 3, 3, 3), (1, 2, 3, 4), (2, 2, 2, 3), (2, 2, 2), (2, 2, 2, 2, 0), (True, 3, 2, 2),
+    (2.0, 2, 2, 2), np.array([2.0, 2, 2, 2]), np.array([[2, 2, 2, 2]]), np.array(8),
+    np.array([True, True, True, True]), np.array([-2, 4, 4, 2]), "2222", None, 8, {2, 3, 1, 2},
+], ids=reprlib.repr)
+def test_count_law_prob_refuses_non_signatures(sig):
+    """A signature with a negative count, a wrong total, the wrong length or a
+    non-integer entry is refused, not read as probability 0."""
+    with pytest.raises(ValueError, match="^sig must be 4 non-negative integers summing to 8"):
+        LAW.prob(sig)

@@ -45,7 +45,7 @@ from depthsep.reduction import (
     ReductionConfig,
     _a1_lhs,
     _block_positions,
-    _even_pad_weights,
+    _even_pad_table,
     _exp_bounds,
     _mask_law,
     _place,
@@ -574,9 +574,7 @@ class TestExactLaw:
 
     def test_even_pad_probability_at_D2(self):
         # 10 of the 16 pads have an even both-ones count: 5/8 = 1/2 + 2^-3
-        from depthsep.reduction import _even_pad_weights
-
-        weights = _even_pad_weights(2)
+        weights = even_pad_weights(2)
         assert sum(weights.values()) == 10
         assert Fraction(sum(weights.values()), 4**2) == Fraction(5, 8)
 
@@ -592,9 +590,7 @@ class TestExactLaw:
         sigs = block_signatures(x, y)
         assert [Fraction(int(s), len(sigs)) for s in sigs.sum(axis=0)] == [Fraction(d)] * 4
 
-        from depthsep.reduction import _even_pad_weights
-
-        weights = _even_pad_weights(D)
+        weights = even_pad_weights(D)
         norm = sum(weights.values())
         pad_mean = [
             Fraction(sum(sig[i] * w for sig, w in weights.items()), norm) for i in range(4)
@@ -833,10 +829,57 @@ def test_a1_work_budget():
         multinomial_square_ratio_report(4, 200_000)
 
 
+def even_pad_weights(D):
+    """The even-pad table as a dict from signature tuples to Python ints."""
+    sigs, weights = _even_pad_table(D)
+    return dict(zip(map(tuple, sigs.tolist()), weights.tolist()))
+
+
 def test_even_pad_weights_equal_multinomials():
     for D in range(0, 21):
         expected = {c: multinomial(D, c) for c in compositions4(D) if c[3] % 2 == 0}
-        assert _even_pad_weights(D) == expected
+        assert even_pad_weights(D) == expected
+        sigs, weights = _even_pad_table(D)
+        assert sigs.tolist() == sorted(sigs.tolist())
+        assert not sigs.flags.writeable and not weights.flags.writeable
+
+
+def test_even_pad_weights_int64_while_their_total_fits():
+    """(4^D + 2^D)/2 is below 2^63 up to D = 31; from D = 32 the weights are
+    Python ints, and both tables keep the multinomials exactly."""
+    for D, dtype in ((31, np.int64), (32, object)):
+        sigs, weights = _even_pad_table(D)
+        assert weights.dtype == dtype
+        assert sum(weights.tolist()) == (4**D + 2**D) // 2
+        for sig, w in zip(sigs.tolist()[::97], weights.tolist()[::97]):
+            assert type(w) is int and w == multinomial(D, sig)
+
+
+def test_even_pad_mass_check_raises(monkeypatch):
+    """The table's mass check is an exception, not an assert, so it holds
+    under python -O: one wrong binomial makes the table refuse to build."""
+    true_comb = reduction.math.comb
+    monkeypatch.setattr(reduction.math, "comb", lambda n, k: true_comb(n, k) + (n == 3 and k == 1))
+    _even_pad_table.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match=r"even-pad weights at D = 5 sum to"):
+            _even_pad_table(5)
+    finally:
+        _even_pad_table.cache_clear()
+
+
+@pytest.mark.parametrize("d, D", [(1, 30), (1, 31), (2, 29), (2, 30)])
+def test_count_law_at_the_int64_switch(d, D):
+    """The law is summed in int64 exactly when its denominator is below 2^63:
+    (1, 30) and (2, 29) are the last such sizes, (1, 31) and (2, 30) the
+    first summed in Python ints.  One input per type class on each side
+    matches the per-mask convolution."""
+    denom = 4**d * (4**D + 2**D) // 2
+    assert (denom < 2**63) == (D == 31 - d)
+    for _, (x, y) in _type_classes(d):
+        law = exact_count_distribution(x, y, D)
+        assert law.numerators == per_mask_count_numerators(x, y, D)
+        assert law.denominator == denom
 
 
 def _scaled_lhs(split, D):

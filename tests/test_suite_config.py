@@ -1,5 +1,7 @@
-"""The suite's own pytest configuration (``[tool.pytest.ini_options]``)."""
+"""The suite's own pytest configuration (``[tool.pytest.ini_options]``), and a
+lint of the package source that the suite enforces."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -42,3 +44,15 @@ def test_failing_property_test_is_reported(tmp_path):
     assert "INTERNALERROR" not in output
     assert result.returncode == 1, output
     assert "2 failed, 1 passed" in result.stdout, output
+
+
+def test_package_has_no_assert_statements():
+    """python -O strips assert statements, so a check in the package must
+    raise explicitly; every module of src/depthsep is parsed for them."""
+    package = PYPROJECT.parent / "src" / "depthsep"
+    modules = sorted(package.glob("*.py"))
+    assert modules
+    found = [f"{path.name}:{node.lineno}" for path in modules
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+             if isinstance(node, ast.Assert)]
+    assert not found, f"assert statements in the package: {found}"
