@@ -65,12 +65,14 @@ __all__ = [
 ]
 
 # On a 2-core VM, each in a fresh process: the count law of an all-zero input
-# at (d, D) = (7, 54) sums 1.8e6 terms in about 0.2 s at a peak RSS of 44 MiB;
-# that of [1], [1] at D = 280 sums 1.9e6 terms (one mask signature) in about
-# 2.3 s at a peak RSS of about 730 MiB, most of it the cached pad table and
-# the law's numerators of about 560 bits.
+# at (d, D) = (7, 54) sums 1.8e6 terms into 50 267 numerators in about 0.25 s
+# at a peak RSS of 45 MiB; that of [1], [1] at D = 280 sums 1.9e6 terms (one
+# mask signature) in about 1.9 s at a peak RSS of about 750 MiB, most of it
+# the cached pad table and the law's 1.9e6 numerators of about 560 bits.
 _MAX_LAW_TERMS = 2_000_000
-_KEY_CHUNK = 1 << 14  # count-law keys decoded per step
+# Count-law terms per run, and keys decoded per step: at (7, 54) the peak RSS
+# is 45 MiB, against 48 MiB decoding all keys at once and 159 MiB in one run.
+_LAW_RUN = 1 << 14
 _MAX_L2_D = 6  # l2_bound_report(6, 600) sweeps 84 type classes in about 12 s on a 2-core VM
 _MAX_L2_LENGTH = 200_000
 _MAX_A2_D = 16  # mgf_bound_report at d = 16 sweeps 969 type classes in about 0.85 s on a 2-core VM
@@ -454,9 +456,12 @@ def exact_count_distribution(x, y, D: int) -> CountDistribution:
     parameter 1/4, whose normalizer is exactly 1/2 + 2^{-D-1}.  Takes the
     sampler's sizes, d >= 1 and D >= 1.
 
-    Each mask signature adds its multiplicity times the pad weights to one
-    accumulator over the compositions of 4d + D, in one array operation:
-    in int64 when the denominator is below 2^63, else in Python ints.
+    Each mask signature s contributes the rows s + pad with numerators
+    m_s times the pad weights, in int64 when the denominator is below 2^63,
+    else in Python ints.  A row (n1, n2, n3), n4 = 4d + D - n1 - n2 - n3,
+    is packed into one int64; the sorted distinct keys index one compact
+    accumulator, into which each run of signatures is scatter-added.  Memory
+    grows with the distinct rows plus one run, never with 4d + D alone.
     """
     types = count_signature(x, y)
     d, D = _sizes(d=sum(types), D=D)
@@ -468,30 +473,48 @@ def exact_count_distribution(x, y, D: int) -> CountDistribution:
             f"{len(law) * n_pads:.2e} terms; at most {_MAX_LAW_TERMS:.0e}"
         )
     denom = 4**d * (4**D + 2**D) // 2
-    # every entry of acc is a partial sum of numerators, which are >= 0 and
+    # every sum below is a partial sum of numerators, which are >= 0 and
     # total denom, so int64 is exact exactly when denom < 2^63
     dtype = np.int64 if denom < 2**63 else object
     pads, weights = _even_pad_table(D)
     weights = weights.astype(dtype, copy=False)
-    # the rank of (n1, n2, n3, n4) among the 4-part compositions of N in
-    # lexicographic order is first_rank[n1, n2] + n3; acc is indexed by rank
     N = 4 * d + D
-    a, b = _lex_pairs(N)
-    sizes = N - a - b + 1
-    starts = np.cumsum(sizes) - sizes
-    first_rank = np.zeros((N + 1, N + 1), dtype=np.int64)
-    first_rank[a, b] = starts
-    acc = np.zeros(math.comb(N + 3, 3), dtype=dtype)
-    for sig, mult in law.items():
-        # sig + pad is one-to-one over the pads, so the ranks are distinct
-        acc[first_rank[pads[:, 0] + sig[0], pads[:, 1] + sig[1]] + pads[:, 2] + sig[2]] += mult * weights
+    sigs = np.array(list(law), dtype=np.int64)
+    mults = np.array(list(law.values()), dtype=dtype)
+    # with lo the least part of each mask signature column, every part of
+    # row - lo lies in [0, base), base - 1 = N - sum(lo); as digits in base
+    # `base`, the packed rows add over signature + pad and sort lexicographically
+    lo = sigs.min(axis=0)
+    base = N - int(lo.sum()) + 1
+    if base**3 > 2**63:  # base - 1 = 4 (d - n11) + D; past 2^21 the mask law alone holds > 30 GiB
+        raise EnumerationBudget(f"count-law keys need 4 (d - n11) + D < 2^21, got {base - 1}")
+
+    def pack(rows):
+        return (rows[:, 0] * base + rows[:, 1]) * base + rows[:, 2]
+
+    sig_keys, pad_keys = pack(sigs - lo), pack(pads)
+    # a run adds about as many terms as the keys so far hold (at least
+    # _LAW_RUN, at least one signature), so the re-sorts handle O(terms) keys;
+    # the stable sort merges the sorted keys with the run's sorted rows, twice
+    # as fast at (7, 54) as np.unique
+    runs, keys, i = [], np.empty(0, dtype=np.int64), 0
+    while i < len(sigs):
+        run = slice(i, i + max(1, max(_LAW_RUN, len(keys)) // len(pad_keys)))
+        keys = np.sort(np.concatenate([keys, np.add.outer(sig_keys[run], pad_keys).ravel()]), kind="stable")
+        keys = keys[np.r_[True, keys[1:] != keys[:-1]]]
+        runs.append(run)
+        i = run.stop
+    acc = np.zeros(len(keys), dtype=dtype)
+    for run in runs:
+        at = np.searchsorted(keys, np.add.outer(sig_keys[run], pad_keys))
+        np.add.at(acc, at, np.multiply.outer(mults[run], weights))
     numerators: dict[tuple[int, int, int, int], int] = {}
-    rank = np.flatnonzero(acc)
-    for r in np.split(rank, range(_KEY_CHUNK, rank.size, _KEY_CHUNK)):  # keeps the key lists short
-        pair = np.searchsorted(starts, r, side="right") - 1
-        n3 = r - starts[pair]
-        keys = zip(a[pair].tolist(), b[pair].tolist(), n3.tolist(), (sizes[pair] - 1 - n3).tolist())
-        numerators.update(zip(keys, acc[r].tolist()))
+    for i in range(0, len(keys), _LAW_RUN):
+        k12, n3 = np.divmod(keys[i : i + _LAW_RUN], base)
+        n1, n2 = np.divmod(k12, base)
+        n1, n2, n3 = n1 + lo[0], n2 + lo[1], n3 + lo[2]
+        rows = zip(n1.tolist(), n2.tolist(), n3.tolist(), (N - n1 - n2 - n3).tolist())
+        numerators.update(zip(rows, acc[i : i + _LAW_RUN].tolist()))
     return CountDistribution(numerators=numerators, denominator=denom, total_length=N)
 
 

@@ -882,6 +882,35 @@ def test_count_law_at_the_int64_switch(d, D):
         assert law.denominator == denom
 
 
+def test_count_law_at_large_d_with_few_terms():
+    """Large d with few terms sums only those terms: [1]^400 has one mask
+    signature, (400, 400, 400, 400) of multiplicity 4^400, so at D = 1 the
+    law is the three pads without a (1,1) column shifted by it; [0, 1]^50
+    against [1, 0]^50 has 2601 mask signatures over 4d + D = 401, and its
+    law is their term-by-term convolution with the pads."""
+    law = exact_count_distribution([1] * 400, [1] * 400, 1)
+    assert law.denominator == 3 * 4**400 and law.total_length == 1601
+    assert law.numerators == {(401, 400, 400, 400): 4**400, (400, 401, 400, 400): 4**400,
+                              (400, 400, 401, 400): 4**400}
+    x, y = [0, 1] * 50, [1, 0] * 50
+    mask_law = _mask_law(*count_signature(x, y))
+    assert len(mask_law) == 2601
+    expected = defaultdict(int)
+    for sig, mult in mask_law.items():
+        for pad in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)):
+            expected[tuple(s + p for s, p in zip(sig, pad))] += mult
+    law = exact_count_distribution(x, y, 1)
+    assert law.numerators == expected and law.denominator == 3 * 4**100
+
+
+def test_count_law_refuses_keys_past_int64(monkeypatch):
+    """Packed keys need 4 (d - n11) + D < 2^21.  A real mask law that wide
+    would not fit in memory, so a two-signature stand-in spans it."""
+    monkeypatch.setattr(reduction, "_mask_law", lambda *t: {(4 * sum(t), 0, 0, 0): 1, (0, 0, 0, 4 * sum(t)): 1})
+    with pytest.raises(EnumerationBudget, match=r"4 \(d - n11\) \+ D < 2\^21, got 2097153"):
+        exact_count_distribution([0] * 2**19, [0] * 2**19, 1)
+
+
 def _scaled_lhs(split, D):
     """The LHS from _a1_lhs's integer A: 4^(D-d) A / perm(D + d, d)."""
     d = sum(split)
