@@ -68,12 +68,12 @@ __all__ = [
 # at (d, D) = (7, 54) sums 1.8e6 terms into 50 267 numerators in about 0.25 s
 # at a peak RSS of 45 MiB; that of [1], [1] at D = 280 sums 1.9e6 terms (one
 # mask signature) in about 1.9 s at a peak RSS of about 750 MiB, most of it
-# the cached pad table and the law's 1.9e6 numerators of about 560 bits.
+# the pad table and the law's 1.9e6 numerators of about 560 bits.
 _MAX_LAW_TERMS = 2_000_000
 # Count-law terms per run, and keys decoded per step: at (7, 54) the peak RSS
 # is 45 MiB, against 48 MiB decoding all keys at once and 159 MiB in one run.
 _LAW_RUN = 1 << 14
-_MAX_L2_D = 6  # l2_bound_report(6, 600) sweeps 84 type classes in about 12 s on a 2-core VM
+_MAX_L2_D = 6  # l2_bound_report(6, 600) sweeps 84 type classes in about 4 s on a 2-core VM
 _MAX_L2_LENGTH = 200_000
 _MAX_A2_D = 16  # mgf_bound_report at d = 16 sweeps 969 type classes in about 0.85 s on a 2-core VM
 _MAX_A1_D = 64  # multinomial_square_ratio_report(64, 6400) takes about 0.8 s on a 2-core VM
@@ -443,7 +443,7 @@ def check_l2_size(d: int, D: int) -> tuple[int, int]:
     sweep over type classes outgrows seconds, or past the integer-length cap."""
     d, D = _check_l2_length(d, D)
     if d > _MAX_L2_D:
-        raise EnumerationBudget(f"the L2 sweep takes about 12 s at d = 6, D = 600; d <= {_MAX_L2_D}")
+        raise EnumerationBudget(f"the L2 sweep takes about 4 s at d = 6, D = 600; d <= {_MAX_L2_D}")
     return d, D
 
 
@@ -474,9 +474,12 @@ def exact_count_distribution(x, y, D: int) -> CountDistribution:
         )
     denom = 4**d * (4**D + 2**D) // 2
     # every sum below is a partial sum of numerators, which are >= 0 and
-    # total denom, so int64 is exact exactly when denom < 2^63
-    dtype = np.int64 if denom < 2**63 else object
-    pads, weights = _even_pad_table(D)
+    # total denom, so int64 is exact exactly when denom < 2^63; only those
+    # tables are cached, a big-integer one is built per call and freed with
+    # it (cached, D = 280's kept about 270 MiB resident after its law was gone)
+    small = denom < 2**63
+    dtype = np.int64 if small else object
+    pads, weights = (_even_pad_table if small else _even_pad_table.__wrapped__)(D)
     weights = weights.astype(dtype, copy=False)
     N = 4 * d + D
     sigs = np.array(list(law), dtype=np.int64)
@@ -518,23 +521,16 @@ def exact_count_distribution(x, y, D: int) -> CountDistribution:
     return CountDistribution(numerators=numerators, denominator=denom, total_length=N)
 
 
-def _pair_poly(a: int, b: int) -> list[int]:
-    """Coefficients, by degree, of sum_k C(a,k) C(b,k) k! t^(a+b-k): the
+def _pair_poly(a: int, b: int) -> np.ndarray:
+    """Coefficients, by degree, of sum_k C(a,k) C(b,k) k! t^(a+b-k), as an
+    object array of Python ints: the
     polynomial p with sum_n ff(n,a) ff(n,b) t^n / n! = p(t) e^t, where
     ff(n,k) = n!/(n-k)! is the falling factorial (ff(n,a) ff(n,b) expands
     as sum_k C(a,k) C(b,k) k! ff(n, a+b-k))."""
-    p = [0] * (a + b + 1)
+    p = np.zeros(a + b + 1, dtype=object)
     for k in range(min(a, b) + 1):
         p[a + b - k] = math.comb(a, k) * math.comb(b, k) * math.factorial(k)
     return p
-
-
-def _poly_mul(p: list[int], q: list[int]) -> list[int]:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
 
 
 def _l2_closed_form(types: tuple[int, int, int, int], D: int) -> tuple[Fraction, int]:
@@ -561,8 +557,10 @@ def _l2_closed_form(types: tuple[int, int, int, int], D: int) -> tuple[Fraction,
     d = sum(types)
     N = 4 * d + D
     shifts = sorted(_mask_law(*types).items())
-    plain = [0] * (8 * d + 1)  # coefficients against e^{4t}
-    signed = [0] * (8 * d + 1)  # coefficients against e^{2t}, sign included
+    # every pair's product has degree 8d, as each mask signature sums to 4d;
+    # np.convolve on object arrays multiplies the Python ints exactly
+    plain = np.zeros(8 * d + 1, dtype=object)  # coefficients against e^{4t}
+    signed = np.zeros(8 * d + 1, dtype=object)  # coefficients against e^{2t}, sign included
     n_pairs = 0
     for i, (s, m) in enumerate(shifts):
         for t, mt in shifts[i:]:
@@ -570,14 +568,13 @@ def _l2_closed_form(types: tuple[int, int, int, int], D: int) -> tuple[Fraction,
                 continue
             n_pairs += 1
             w = m * mt * (1 if t == s else 2)
-            g = _poly_mul(_poly_mul(_pair_poly(s[0], t[0]), _pair_poly(s[1], t[1])),
-                          _pair_poly(s[2], t[2]))
+            g = np.convolve(np.convolve(_pair_poly(s[0], t[0]), _pair_poly(s[1], t[1])),
+                            _pair_poly(s[2], t[2]))
             g4 = _pair_poly(s[3], t[3])
-            g4_signed = [-c if (s[3] - j) % 2 else c for j, c in enumerate(g4)]
-            for p, c in enumerate(_poly_mul(g, g4)):
-                plain[p] += w * c
-            for p, c in enumerate(_poly_mul(g, g4_signed)):
-                signed[p] += w * c
+            g4_signed = g4.copy()
+            g4_signed[1 - s[3] % 2 :: 2] *= -1  # degrees j with s_4 - j odd
+            plain += w * np.convolve(g, g4)
+            signed += w * np.convolve(g, g4_signed)
     total = sum(
         math.perm(N, p) * (plain[p] * 4 ** (N - p) + signed[p] * 2 ** (N - p))
         for p in range(min(N, 8 * d) + 1)
@@ -675,9 +672,10 @@ def _a1_lhs(split: tuple[int, int, int, int], D: int) -> int:
     (D!)^2 / (D+d)! times the t^D coefficient of prod_i F_i(t) = e^{4t} sum_p c_p t^p,
     as C(k+s, s) = sum_j C(s, j) C(k, j) gives
     F_i(t) = sum_k (k + s_i)! t^k / (k!)^2 = e^t sum_j C(s_i, j) (s_i! / j!) t^j."""
-    c = [1]
+    c = np.ones(1, dtype=object)
     for s in split:
-        c = _poly_mul(c, [math.comb(s, j) * math.perm(s, s - j) for j in range(s + 1)])
+        row = np.array([math.comb(s, j) * math.perm(s, s - j) for j in range(s + 1)], dtype=object)
+        c = np.convolve(c, row)
     d = sum(split)
     return sum(math.perm(D, p) * 4 ** (d - p) * c[p] for p in range(min(d, D) + 1))
 

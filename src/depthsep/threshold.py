@@ -155,7 +155,7 @@ class CompiledNetwork(DenseNetwork):
     On every input whose pre-activations lie in the domain of ``plan``, it
     is within ``proven_error`` = sum_j |out_w_j| plan.certified_error of the
     network it was compiled from.  ``plan`` is None, and the bound 0, for a
-    source whose output weights are all 0.
+    source that is a threshold network or whose output weights are all 0.
     """
 
     proven_error: float
@@ -267,7 +267,7 @@ def _reached(W: np.ndarray, b: np.ndarray) -> tuple[float, float] | np.ndarray:
     return np.unique(np.concatenate(blocks))
 
 
-def compile_network(net: DenseNetwork, delta: float) -> DenseNetwork:
+def compile_network(net: DenseNetwork, delta: float) -> CompiledNetwork:
     """Depth-2 threshold network within delta of ``net`` on the Boolean
     cube: a ``CompiledNetwork``, which carries its proven error.
 
@@ -279,13 +279,13 @@ def compile_network(net: DenseNetwork, delta: float) -> DenseNetwork:
     bounds the output's error by ``proven_error`` =
     sum_j |out_w_j| certified_error <= delta.  A net whose output weights
     are all 0 is the constant out_b and compiles to a width-0 network; a
-    threshold network is already exact and is returned as it is.
+    threshold network is already exact and comes back over its own arrays.
     """
     if net.depth != 2:
         raise ValueError("only depth-2 networks are compiled")
     (delta,) = _positive(delta=delta)
     if net.activation.tag == "threshold":
-        return net
+        return CompiledNetwork(*(getattr(net, f.name) for f in fields(DenseNetwork)), 0.0, None)
     mass = float(np.abs(net.out_w).sum())
     if mass == 0.0:
         empty = (np.zeros((0, net.input_dim)), np.zeros(0))

@@ -13,7 +13,7 @@ here so that one copy serves both.
 
 import itertools
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -375,6 +375,53 @@ def block_signatures(x, y):
     Y = np.concatenate([y ^ ym, ym, ym, y ^ ym], axis=1)
     codes = 2 * X + Y
     return (codes[:, :, None] == np.arange(4)).sum(axis=1, dtype=np.int64)
+
+
+def list_l2_closed_form(x, y, D):
+    """The squared L2 norm of the pair law of (x, y) and the number of shift
+    pairs summed, by reduction._l2_closed_form's closed form in Python
+    lists: a schoolbook product per pair of polynomials, added into the two
+    coefficient lists one coefficient at a time.  The shifts and their
+    multiplicities are counted from block_signatures."""
+
+    def pair_poly(a, b):
+        p = [0] * (a + b + 1)
+        for k in range(min(a, b) + 1):
+            p[a + b - k] = math.comb(a, k) * math.comb(b, k) * math.factorial(k)
+        return p
+
+    def poly_mul(p, q):
+        out = [0] * (len(p) + len(q) - 1)
+        for i, a in enumerate(p):
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+        return out
+
+    d = len(x)
+    N = 4 * d + D
+    shifts = sorted(Counter(map(tuple, block_signatures(x, y).tolist())).items())
+    plain = [0] * (8 * d + 1)
+    signed = [0] * (8 * d + 1)
+    n_pairs = 0
+    for i, (s, m) in enumerate(shifts):
+        for t, mt in shifts[i:]:
+            if (s[3] - t[3]) % 2:
+                continue
+            n_pairs += 1
+            w = m * mt * (1 if t == s else 2)
+            g = poly_mul(poly_mul(pair_poly(s[0], t[0]), pair_poly(s[1], t[1])), pair_poly(s[2], t[2]))
+            g4 = pair_poly(s[3], t[3])
+            g4_signed = [-c if (s[3] - j) % 2 else c for j, c in enumerate(g4)]
+            for p, c in enumerate(poly_mul(g, g4)):
+                plain[p] += w * c
+            for p, c in enumerate(poly_mul(g, g4_signed)):
+                signed[p] += w * c
+    total = sum(
+        math.perm(N, p) * (plain[p] * 4 ** (N - p) + signed[p] * 2 ** (N - p))
+        for p in range(min(N, 8 * d) + 1)
+    )
+    denom = 4**d * (4**D + 2**D) // 2
+    return Fraction(total, 2 * math.perm(N, 4 * d) ** 2 * denom**2), n_pairs
 
 
 def per_input_mgf_ratios(d, s):

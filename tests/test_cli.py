@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from depthsep import instance, networks, reduction
+from depthsep import instance, networks, reduction, threshold
 from depthsep.cli import main
 
 
@@ -269,12 +269,11 @@ class TestCompileThreshold:
         assert report["exhaustive_error"] <= report["proven_error"] + 1e-12
         assert report["proven_error"] <= 0.05 and report["domain"] == "cube"
         assert report["width_out"] == [4 * report["segments_per_neuron"]]
-        assert report["grid_rule_segments"] > report["segments_per_neuron"]
         assert "certified_error" not in report
 
     def test_report_past_the_cube_dimension(self, runner, tmp_path, rng):
-        """At 14 inputs the report names the interval planned on, the proven
-        error and the grid rule's count, and no exhaustive error."""
+        """At 14 inputs the report names the interval planned on and the
+        proven error, and no exhaustive error."""
         net = networks.DenseNetwork(
             14, ((rng.uniform(-0.5, 0.5, (3, 14)), rng.uniform(-0.5, 0.5, 3)),), rng.uniform(-1, 1, 3), 0.0,
             networks.SIGMOID,
@@ -290,7 +289,26 @@ class TestCompileThreshold:
         assert lo == pytest.approx((b + np.minimum(W, 0).sum(axis=1)).min(), abs=1e-12)
         assert hi == pytest.approx((b + np.maximum(W, 0).sum(axis=1)).max(), abs=1e-12)
         assert 0.0 < report["proven_error"] <= 0.05 and "exhaustive_error" not in report
-        assert report["grid_rule_segments"] >= report["segments_per_neuron"]
+
+    @pytest.mark.parametrize("n_inputs", [4, 14])
+    def test_report_runs_no_scalar_compile(self, runner, tmp_path, monkeypatch, rng, n_inputs):
+        """The command plans only through compile_network: it succeeds with
+        the scalar compiler made to fail, on and past the cube dimension."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("compile-threshold called compile_scalar")
+
+        monkeypatch.setattr(threshold, "compile_scalar", refuse)
+        net = networks.DenseNetwork(
+            n_inputs, ((rng.uniform(-0.5, 0.5, (3, n_inputs)), rng.uniform(-0.5, 0.5, 3)),),
+            rng.uniform(-1, 1, 3), 0.0, networks.RELU,
+        )
+        src = tmp_path / "in.json"
+        src.write_text(networks.network_to_json(net))
+        result = invoke(runner, ["compile-threshold", "--net", str(src), "--delta", "0.05", "--out",
+                                 str(tmp_path / "out.json")])
+        report = json.loads(result.output)
+        assert 0.0 < report["proven_error"] <= 0.05 and "grid_rule_segments" not in report
 
     def test_all_zero_net_compiles_to_width_zero(self, runner, tmp_path):
         net = networks.DenseNetwork(2, ((np.zeros((1, 2)), np.zeros(1)),), np.zeros(1), 0.0, networks.RELU)

@@ -28,6 +28,7 @@ from oracle_utils import (
     fraction_a1_lhs,
     fraction_l2_norm_squared,
     hand_decoded_bits,
+    list_l2_closed_form,
     looped_block_signatures,
     multinomial,
     per_input_mgf_ratios,
@@ -47,6 +48,7 @@ from depthsep.reduction import (
     _block_positions,
     _even_pad_table,
     _exp_bounds,
+    _l2_closed_form,
     _mask_law,
     _place,
     _type_classes,
@@ -744,6 +746,21 @@ class TestL2ClosedForm:
             for x, y in _bit_inputs(d):
                 assert exact_l2_norm_squared(x, y, D) == convolution_l2_norm_squared(x, y, D)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_equals_list_arithmetic(self, d):
+        """The object-array convolutions equal the list products they
+        replaced, norm and pair count, on every type class."""
+        for D in (1, 7, 100 * d, 10**4):
+            for types, (x, y) in _type_classes(d):
+                assert _l2_closed_form(types, D) == list_l2_closed_form(x, y, D)
+
+    def test_equals_list_arithmetic_heaviest_d6_class(self):
+        """(5, 1, 0, 0) sums the most shift pairs of any d = 6 class (6328,
+        tied with (5, 0, 1, 0))."""
+        (x, y), = (first for types, first in _type_classes(6) if types == (5, 1, 0, 0))
+        value, pairs = _l2_closed_form((5, 1, 0, 0), 600)
+        assert pairs == 6328 and (value, pairs) == list_l2_closed_form(x, y, 600)
+
     def test_paper_regime_d2_passes_exactly(self):
         """d = 2, D = 200: the bound 64 4^-(4d+D) holds on every input, with a
         float sum over all 1.5M count signatures agreeing on the worst one."""
@@ -866,6 +883,17 @@ def test_even_pad_mass_check_raises(monkeypatch):
             _even_pad_table(5)
     finally:
         _even_pad_table.cache_clear()
+
+
+def test_only_int64_pad_tables_are_cached():
+    """A law summed in int64 reads the cached pad table; one summed in Python
+    ints builds its table per call, so the cache holds no big-integer table."""
+    _even_pad_table.cache_clear()
+    exact_count_distribution([1], [1], 24)
+    exact_count_distribution([1], [1], 40)
+    assert _even_pad_table.cache_info().currsize == 1
+    exact_count_distribution([0], [1], 24)
+    assert _even_pad_table.cache_info().hits == 1
 
 
 @pytest.mark.parametrize("d, D", [(1, 30), (1, 31), (2, 29), (2, 30)])

@@ -56,3 +56,34 @@ def test_package_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
              if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in the package: {found}"
+
+
+def _unbounded_lru_caches(source):
+    """Lines of each lru_cache in source with no maxsize or maxsize None:
+    a bare decorator, a call without one, or one passing None."""
+    tree = ast.parse(source)
+    calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Name) and node.id == "lru_cache"
+                or isinstance(node, ast.Attribute) and node.attr == "lru_cache"):
+            continue
+        call = calls.get(id(node))
+        args = [] if call is None else [*call.args, *(k.value for k in call.keywords if k.arg == "maxsize")]
+        if not args or isinstance(args[0], ast.Constant) and args[0].value is None:
+            found.append(node.lineno)
+    return found
+
+
+def test_package_lru_caches_are_bounded():
+    """An lru_cache with maxsize None, or none named, is sized by nothing the
+    package states, and its results stay for the life of the process; every
+    lru_cache of src/depthsep must name a bound."""
+    cases = {"@lru_cache\ndef f(): pass": [1], "@functools.lru_cache()\ndef f(): pass": [1],
+             "@lru_cache(maxsize=None)\ndef f(): pass": [1], "g = functools.lru_cache(None)(f)": [1],
+             "@lru_cache(maxsize=4)\ndef f(): pass": [], "@functools.lru_cache(4)\ndef f(): pass": []}
+    assert {src: _unbounded_lru_caches(src) for src in cases} == cases
+    package = PYPROJECT.parent / "src" / "depthsep"
+    found = [f"{path.name}:{line}" for path in sorted(package.glob("*.py"))
+             for line in _unbounded_lru_caches(path.read_text(encoding="utf-8"))]
+    assert not found, f"lru_cache without a bound in the package: {found}"

@@ -319,7 +319,8 @@ class TestReferenceCompileNetwork:
         net = DenseNetwork(3, (layer,), rng.uniform(-1, 1, 4), 0.3, THRESHOLD)
         compiled = compile_network(net, delta=0.05)
         ref = per_neuron_compile_network(net, delta=0.05)
-        assert compiled is net
+        assert isinstance(compiled, CompiledNetwork) and layer_bytes(compiled) == layer_bytes(net)
+        assert compiled.proven_error == 0.0 and compiled.plan is None
         assert layer_bytes(compiled) == layer_bytes(ref) and compiled.out_b == ref.out_b
 
     def test_zero_weights_match(self):
