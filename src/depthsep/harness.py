@@ -223,10 +223,12 @@ def _check_compiler_scalar(seed: int) -> dict:
 
 
 def _dense_forward(net: networks.DenseNetwork, X: np.ndarray) -> np.ndarray:
-    """A depth-2 network's output on each row of X by plain numpy products
-    of its dense weights: no row blocks, factors or workspaces."""
-    ((W, b),) = net.hidden
-    return net.activation.fn(X @ W.T + b) @ net.out_w + net.out_b
+    """A network's output on each row of X by plain numpy products of its dense
+    weights, one hidden layer at a time: no row blocks, factors or workspaces."""
+    h = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    for W, b in net.hidden:
+        h = net.activation.fn(h @ W.T + b)
+    return h @ net.out_w + net.out_b
 
 
 def _check_compiler_network(seed: int, n_nets: int = 3) -> dict:
@@ -434,8 +436,8 @@ def _check_equivalences(seed: int, n_points: int = 2000) -> dict:
     base = relu_net(2 * cfg.expanded_dim, 6, scale=0.4)
     averaged, records = reduction.build_averaged_network(base, cfg, seed=seed + 12)
     probes = instance.hypercube_enumeration(2 * d)
-    blocks = [base.evaluate_batch(np.array([np.concatenate(reduction.expand_pair(p[:d], p[d:], rec))
-                                            for p in probes], dtype=np.float64)) for rec in records]
+    blocks = [base.evaluate_batch(np.concatenate(reduction.expand_pair(probes[:, :d], probes[:, d:], rec),
+                                                 axis=1).astype(np.float64)) for rec in records]
     err = max(
         np.abs(networks.absorb_input_map(net, np.eye(4), c).evaluate_batch(Z) - net.evaluate_batch(Z + c)).max(),
         np.abs(networks.absorb_input_map(net, P, b).evaluate_batch(Z) - net.evaluate_batch(Z @ P.T + b)).max(),

@@ -75,9 +75,10 @@ _MAX_LAW_TERMS = 2_000_000
 _LAW_RUN = 1 << 14
 _MAX_L2_D = 6  # l2_bound_report(6, 600) sweeps 84 type classes in about 4 s on a 2-core VM
 _MAX_L2_LENGTH = 200_000
+_MAX_L2_SHIFTS = 224  # signature bound of one L2 norm: every d <= 7 class; 224 takes 0.7-1.1 s (2-core VM)
 _MAX_A2_D = 16  # mgf_bound_report at d = 16 sweeps 969 type classes in about 0.85 s on a 2-core VM
-_MAX_A1_D = 64  # multinomial_square_ratio_report(64, 6400) takes about 0.8 s on a 2-core VM
-_MAX_A1_LENGTH = 200_000  # (64, 199936) takes about 0.9 s
+_MAX_A1_D = 64  # multinomial_square_ratio_report(64, 6400) takes 0.56-0.69 s on a 2-core VM
+_MAX_A1_LENGTH = 200_000  # (64, 199936) takes 0.64-0.66 s
 _EXP_BITS = 256  # fractional bits of _exp_bounds: the bound reports' floats are within 2^-250
 _IP_CHUNK = 20_000  # trials per randomize_batch call in verify_ip_preservation
 _CERT_MAX_D = 4  # pad lengths enumerated by ip_preservation_certificate (4^D pad pairs each)
@@ -267,24 +268,32 @@ def _place(x, y, x_mask, y_mask, x_pad, y_pad, pos) -> tuple[np.ndarray, np.ndar
     return both, Y
 
 
+def _bit_rows(xs, ys, names=("xs", "ys"), d: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``xs`` and ``ys`` as 2-d int8 arrays of 0/1 entries of one shape, with
+    ``d`` columns if given; ValueError naming the argument otherwise."""
+    xs, ys = np.asarray(xs), np.asarray(ys)
+    for name, arr in zip(names, (xs, ys)):
+        if arr.ndim != 2:
+            raise ValueError(f"{name} must be 2-d (one pair per row), got shape {arr.shape}")
+        if not _all_bits(arr):
+            raise ValueError(f"{name} entries must be exactly 0 or 1")
+    if xs.shape != ys.shape:
+        raise ValueError(f"{names[0]} and {names[1]} must have the same shape, got {xs.shape} and {ys.shape}")
+    if d is not None and xs.shape[1] != d:
+        raise ValueError(f"{names[0]} rows must have the record's length d = {d}, got {xs.shape[1]}")
+    return xs.astype(np.int8, copy=False), ys.astype(np.int8, copy=False)
+
+
 def expand_pair(
     x: np.ndarray, y: np.ndarray, record: RandomizationRecord
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Apply a fixed randomization record to (x, y): the one-row placement."""
-    x = as_bits(x, length=record.x_mask.size)
-    y = as_bits(y, length=record.x_mask.size)
-    X, Y = _place(x[None], y[None], record.x_mask, record.y_mask, record.x_pad, record.y_pad, record.pos)
-    return X[0], Y[0]
-
-
-def _bit_rows(name: str, a) -> np.ndarray:
-    """``a`` as a 2-d int8 array of 0/1 entries; ValueError naming ``name`` otherwise."""
-    arr = np.asarray(a)
-    if arr.ndim != 2:
-        raise ValueError(f"{name} must be 2-d (one pair per row), got shape {arr.shape}")
-    if not _all_bits(arr):
-        raise ValueError(f"{name} entries must be exactly 0 or 1")
-    return arr.astype(np.int8, copy=False)
+    """Apply a fixed randomization record to one pair (x, y) of length d, or
+    to many: 2-d x, y hold one pair per row, as in DenseNetwork.evaluate_batch,
+    and give one expanded pair per row, all in one placement."""
+    d, one = record.x_mask.size, np.ndim(x) <= 1
+    x, y = (as_bits(v, length=d)[None] for v in (x, y)) if one else _bit_rows(x, y, ("x", "y"), d)
+    X, Y = _place(x, y, record.x_mask, record.y_mask, record.x_pad, record.y_pad, record.pos)
+    return (X[0], Y[0]) if one else (X, Y)
 
 
 def randomize_batch(
@@ -296,9 +305,7 @@ def randomize_batch(
     used for large-trial invariance sweeps.  With one row it draws the
     stream of draw_record and returns expand_pair of that record.
     """
-    xs, ys = _bit_rows("xs", xs), _bit_rows("ys", ys)
-    if xs.shape != ys.shape:
-        raise ValueError(f"xs and ys must have the same shape, got {xs.shape} and {ys.shape}")
+    xs, ys = _bit_rows(xs, ys)
     n, d = xs.shape
     return _place(xs, ys, *_sample(n, d, D, rng))
 
@@ -465,13 +472,14 @@ def exact_count_distribution(x, y, D: int) -> CountDistribution:
     """
     types = count_signature(x, y)
     d, D = _sizes(d=sum(types), D=D)
-    law = _mask_law(*types)
     n_pads = sum(math.comb(D - e + 2, 2) for e in range(0, D + 1, 2))  # per even (1,1) count e
+    budget = "exact law would sum {}{} mask signatures x {} pads = {:.2e} terms; at most {:.0e}"
+    least = math.comb(types[0] + 3, 3)  # distinct mask signatures of the (0,0) coordinates alone
+    if least * n_pads > _MAX_LAW_TERMS:  # so refused before the mask law is built
+        raise EnumerationBudget(budget.format("at least ", least, n_pads, least * n_pads, _MAX_LAW_TERMS))
+    law = _mask_law(*types)
     if len(law) * n_pads > _MAX_LAW_TERMS:
-        raise EnumerationBudget(
-            f"exact law would sum {len(law)} mask signatures x {n_pads} pads = "
-            f"{len(law) * n_pads:.2e} terms; at most {_MAX_LAW_TERMS:.0e}"
-        )
+        raise EnumerationBudget(budget.format("", len(law), n_pads, len(law) * n_pads, _MAX_LAW_TERMS))
     denom = 4**d * (4**D + 2**D) // 2
     # every sum below is a partial sum of numerators, which are >= 0 and
     # total denom, so int64 is exact exactly when denom < 2^63; only those
@@ -591,10 +599,14 @@ def exact_l2_norm_squared(x, y, D: int) -> Fraction:
     sum_sig P[sig]^2 / multinomial(4d+D; sig).  For D >= 100 d this is at
     most 64 * 4^{-(4d+D)}, eight times the uniform law's norm, squared.
     The sum is taken in closed form over pairs of mask signatures (see
-    _l2_closed_form), with no count law built.
+    _l2_closed_form), with no count law built, and refused past
+    _MAX_L2_SHIFTS mask signatures before any is built.
     """
-    types = count_signature(x, y)
+    n00, n01, n10, _ = types = count_signature(x, y)
     _, D = _check_l2_length(sum(types), D)
+    shifts = math.comb(n00 + 3, 3) * (n01 + 1) * (n10 + 1)  # bounds len(_mask_law(*types)) above
+    if shifts > _MAX_L2_SHIFTS:
+        raise EnumerationBudget(f"exact L2 norm would pair up to {shifts} mask signatures; at most {_MAX_L2_SHIFTS}")
     return _l2_closed_form(types, D)[0]
 
 
@@ -688,10 +700,10 @@ def check_a1_size(d: int, D: int) -> tuple[int, int]:
     if d % 4 != 0 or D % 4 != 0:
         raise ValueError(f"d and D must both be divisible by 4, got {d} and {D}")
     if d > _MAX_A1_D:
-        raise EnumerationBudget(f"the ratio-bound sweep takes about 0.8 s at d = 64, D = 6400; "
+        raise EnumerationBudget(f"the ratio-bound sweep takes about 0.6 s at d = 64, D = 6400; "
                                 f"d <= {_MAX_A1_D}")
     if D + d > _MAX_A1_LENGTH:
-        raise EnumerationBudget(f"the ratio-bound sweep takes about 0.9 s at d = 64, D = 199936; "
+        raise EnumerationBudget(f"the ratio-bound sweep takes about 0.65 s at d = 64, D = 199936; "
                                 f"D + d <= {_MAX_A1_LENGTH}, got {D + d}")
     return d, D
 

@@ -6,9 +6,9 @@ blocks, the shared arrangement table, the packed bit decode and batched
 sampler, the layer splice, the mask law by coordinate type) so they can
 arbitrate disagreements.  The module also holds the parity wave, the AND
 gadget and the mass and mean of a count law, which only the tests use.  The
-brute-force pair law and the central-difference gradient of the depth-2
-loss are the ``verify-all`` battery's own (``depthsep.harness``), imported
-here so that one copy serves both.
+brute-force pair law, the central-difference gradient of the depth-2 loss
+and the plain dense forward pass are the ``verify-all`` battery's own
+(``depthsep.harness``), imported here so that one copy serves both.
 """
 
 import itertools
@@ -23,6 +23,7 @@ import numpy as np
 
 from depthsep.harness import _brute_force_pair_law as brute_force_pair_law  # noqa: F401
 from depthsep.harness import _central_difference_gradient as central_difference_gradient  # noqa: F401
+from depthsep.harness import _dense_forward as dense_forward  # noqa: F401
 from depthsep.networks import RELU, THRESHOLD, DenseNetwork
 from depthsep.reduction import exact_count_distribution
 from depthsep.threshold import _plan_to_network, _segment_lipschitz
@@ -228,14 +229,6 @@ def difference_min_pairwise(points, block=512):
             if i + r + 1 < n:
                 best = min(best, float(d2[r, i + r + 1 :].min()))
     return math.sqrt(best)
-
-
-def dense_forward(net, X):
-    """One-shot forward pass of a DenseNetwork over all rows at once."""
-    h = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    for W, b in net.hidden:
-        h = net.activation(h @ W.T + b)
-    return h @ net.out_w + net.out_b
 
 
 def block_positions_loop(pos, L, rng):

@@ -1,5 +1,6 @@
 """CLI surface: every subcommand, file outputs, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -359,6 +360,27 @@ class TestReduce:
         assert not report["bound_armed"]
         net = networks.network_from_json(out.read_text())
         assert net.input_dim == 2
+
+    def test_out_file_is_pinned(self, runner, tmp_path):
+        """A fixed seed writes the same averaged network, byte for byte, as
+        the reference run whose SHA-256 is pinned here."""
+        out = tmp_path / "avg.json"
+        invoke(runner, ["reduce", "--d", "1", "--D", "8", "--blocks", "3", "--seed", "9", "--out", str(out)])
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "cde992ecd5ace9d7a6d3aaf553c93d2e807e64dbd06fc5c82469d838e875264b")
+
+    def test_failed_check_exits_1_and_writes_no_out(self, runner, tmp_path, monkeypatch):
+        """Blocks absorbed without their maps' offsets are not the mean of the
+        base over the expanded pairs: reduce prints its report, writes no
+        --out file and exits 1."""
+        absorb = reduction.absorb_input_map
+        monkeypatch.setattr(reduction, "absorb_input_map", lambda net, P, c: absorb(net, P, np.zeros_like(c)))
+        out = tmp_path / "avg.json"
+        result = invoke(runner, ["reduce", "--d", "1", "--D", "8", "--blocks", "3", "--seed", "9",
+                                 "--out", str(out)], expect_exit=1)
+        report = json.loads(result.output)
+        assert report["block_equivalence_error"] > 1e-9 * max(1.0, report["base_output_bound"])
+        assert not out.exists()
 
 
 class TestVerifyLemmas:

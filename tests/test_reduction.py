@@ -6,6 +6,7 @@ establishes the conditional-uniformity fact the closed form relies on.
 """
 
 import itertools
+import time
 from collections import Counter, defaultdict
 from fractions import Fraction
 from math import comb, perm
@@ -298,6 +299,42 @@ class TestRandomizeBatchInputs:
         want = randomize_batch(xs.astype(np.int8), xs.astype(np.int8), 5, np.random.default_rng(0))
         for got, ref in zip((X, Y), want):
             assert_same_bytes(got, ref)
+
+
+class TestExpandRows:
+    """expand_pair on 2-d x, y: one expanded pair per row under one record."""
+
+    @pytest.mark.parametrize("d", [1, 3, 6])
+    @pytest.mark.parametrize("pads_per_bit", [0, 100])
+    def test_rows_equal_per_row_expansion(self, d, pads_per_bit):
+        """Byte for byte the 1-d expansions of the rows, stacked, at D = 1
+        and D = 100 d."""
+        rng = np.random.default_rng([d, pads_per_bit])
+        rec = draw_record(d, max(1, pads_per_bit * d), rng)
+        xs = rng.integers(0, 2, size=(64, d), dtype=np.int8)
+        ys = rng.integers(0, 2, size=(64, d), dtype=np.int8)
+        xs[0] = ys[0] = 0
+        rows = [expand_pair(x, y, rec) for x, y in zip(xs, ys)]
+        X, Y = expand_pair(xs, ys, rec)
+        assert_same_bytes(X, np.stack([r[0] for r in rows]))
+        assert_same_bytes(Y, np.stack([r[1] for r in rows]))
+
+    @pytest.mark.parametrize(
+        "x, y, message",
+        [
+            (np.zeros((2, 3)), np.zeros((3, 3)), "x and y must have the same shape"),
+            (np.zeros((2, 4)), np.zeros((2, 4)), "x rows must have the record's length d = 3, got 4"),
+            ([[0, 2, 1]], [[0, 0, 1]], "x entries must be exactly 0 or 1"),
+            ([[0, 256, 1]], [[0, 0, 1]], "x entries must be exactly 0 or 1"),
+            ([[0, 1, 1]], [[0, 0, -1]], "y entries must be exactly 0 or 1"),
+            (np.zeros((1, 2, 3)), np.zeros((1, 2, 3)), "x must be 2-d"),
+            (np.zeros((2, 3)), np.zeros((1, 2, 3)), "y must be 2-d"),
+        ],
+    )
+    def test_rejected_rows_name_the_argument(self, x, y, message):
+        rec = draw_record(3, 5, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=f"^{message}"):
+            expand_pair(x, y, rec)
 
 
 class TestIpCertificate:
@@ -933,10 +970,37 @@ def test_count_law_at_large_d_with_few_terms():
 
 def test_count_law_refuses_keys_past_int64(monkeypatch):
     """Packed keys need 4 (d - n11) + D < 2^21.  A real mask law that wide
-    would not fit in memory, so a two-signature stand-in spans it."""
+    would take far too long to build, so a two-signature stand-in spans it.
+    The input has no (0,0) coordinates, so the budget on their mask
+    signatures, checked first, admits it."""
     monkeypatch.setattr(reduction, "_mask_law", lambda *t: {(4 * sum(t), 0, 0, 0): 1, (0, 0, 0, 4 * sum(t)): 1})
     with pytest.raises(EnumerationBudget, match=r"4 \(d - n11\) \+ D < 2\^21, got 2097153"):
-        exact_count_distribution([0] * 2**19, [0] * 2**19, 1)
+        exact_count_distribution([0] * 2**19, [1] * 2**19, 1)
+
+
+@pytest.mark.parametrize(
+    "law, x, y, count",
+    [(exact_count_distribution, [0] * 200, [0] * 200, "at least 1373701 mask signatures"),
+     (exact_l2_norm_squared, [0] * 100, [0] * 100, "up to 176851 mask signatures")],
+)
+def test_exact_laws_refuse_before_the_mask_law(monkeypatch, law, x, y, count):
+    """The count law's least mask signatures times its pads, and the L2
+    norm's most mask signatures, are refused before _mask_law runs."""
+    monkeypatch.setattr(reduction, "_mask_law", lambda *t: pytest.fail("_mask_law ran"))
+    start = time.perf_counter()
+    with pytest.raises(EnumerationBudget, match=count):
+        law(x, y, 1)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_l2_cap_admits_every_class_at_d7(monkeypatch):
+    """Every type class at d = 7 reaches the closed form; at d = 8 the class
+    with six (0,0), one (0,1) and one (1,0) coordinates does not."""
+    monkeypatch.setattr(reduction, "_l2_closed_form", lambda types, D: (Fraction(0), 0))
+    for _, (x, y) in _type_classes(7):
+        assert exact_l2_norm_squared(x, y, 1) == 0
+    with pytest.raises(EnumerationBudget, match="up to 336 mask signatures"):
+        exact_l2_norm_squared([0] * 6 + [0, 1], [0] * 6 + [1, 0], 1)
 
 
 def _scaled_lhs(split, D):

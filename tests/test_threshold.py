@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from oracle_utils import per_neuron_compile_network
+from oracle_utils import dense_forward, per_neuron_compile_network
 
 from depthsep.bits import ip_mod2
 from depthsep.instance import hypercube_enumeration
@@ -373,12 +373,6 @@ class TestCircuit:
         assert boolean_cube_max_error(exact, compiled) <= 0.45  # margin <= 0.49
         circuit = to_circuit(compiled)
         np.testing.assert_array_equal(circuit.evaluate_batch(X), want.astype(int))
-
-
-def dense_forward(net, X):
-    """Plain numpy forward pass of a depth-2 network's dense weights."""
-    ((W, b),) = net.hidden
-    return net.activation.fn(X @ W.T + b) @ net.out_w + net.out_b
 
 
 def indicator_ip_net(d):
